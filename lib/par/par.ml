@@ -264,11 +264,6 @@ let last_max_leases t = t.p_last_max_leases
    buffer in flight while the next one packs. *)
 let lease_window = 2
 
-(* The message's precompiled runs (memoized on the message by the
-   coordinator before the job was submitted; workers only read). *)
-let runs_of ~(src : Comm.endpoint) ~(dst : Comm.endpoint) (m : Redist.message) =
-  Redist.message_runs ~src:src.Comm.addressing ~dst:dst.Comm.addressing m
-
 (* Lock-free max into a shared cell (the live-lease sample). *)
 let atomic_max cell n =
   let rec go () =
@@ -293,11 +288,11 @@ let pack_buf pool live_peak ~(src : Comm.endpoint) ~(dst : Comm.endpoint)
          incr k)
    end
    else if off = 0 && len = m.Redist.m_count then
-     Comm.pack_runs (runs_of ~src ~dst m)
+     Comm.pack_runs (Comm.runs_of ~src ~dst m)
        (src.Comm.buffer ~rank:m.Redist.m_from)
        buf
    else
-     Comm.pack_slice (runs_of ~src ~dst m)
+     Comm.pack_slice (Comm.runs_of ~src ~dst m)
        (src.Comm.buffer ~rank:m.Redist.m_from)
        buf ~off ~len);
   buf
@@ -313,10 +308,10 @@ let unpack_buf pool ~(src : Comm.endpoint) ~(dst : Comm.endpoint)
          incr k)
    end
    else if off = 0 && len = m.Redist.m_count then
-     Comm.unpack_runs (runs_of ~src ~dst m) buf
+     Comm.unpack_runs (Comm.runs_of ~src ~dst m) buf
        (dst.Comm.buffer ~rank:m.Redist.m_to)
    else
-     Comm.unpack_slice (runs_of ~src ~dst m) buf
+     Comm.unpack_slice (Comm.runs_of ~src ~dst m) buf
        (dst.Comm.buffer ~rank:m.Redist.m_to)
        ~off ~len);
   Comm.Pool.release pool buf
@@ -585,25 +580,20 @@ let make_mailboxes pool nranks =
 let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
   let async = match async with Some b -> b | None -> !Comm.force_async in
   let collective = Comm.collective_chosen mach plan in
-  let nranks = max 1 (max plan.Redist.nprocs_src plan.Redist.nprocs_dst) in
+  let nranks =
+    Int.max 1 (Int.max plan.Redist.nprocs_src plan.Redist.nprocs_dst)
+  in
   let locals = Array.make nranks [] in
   List.iter
     (fun (m : Redist.message) ->
       locals.(m.Redist.m_from) <- m :: locals.(m.Redist.m_from))
     plan.Redist.locals;
   (* Compile every message's runs and datapath decision here on the
-     coordinator: the memo on each message is plain mutable state, so it
-     must be populated before worker domains share the messages (they
-     then only read it).  (The schedule memos — step program, collective
-     program — are likewise populated below by the coordinator's own
-     builder walk.) *)
-  if not !Comm.force_scalar then begin
-    let precompile (m : Redist.message) =
-      ignore (runs_of ~src ~dst m : Redist.run array)
-    in
-    List.iter precompile plan.Redist.locals;
-    List.iter precompile plan.Redist.moves
-  end;
+     coordinator, before worker domains share the messages (they then
+     only read the memos).  (The schedule memos — step program,
+     collective program — are likewise populated below by the
+     coordinator's own builder walk.) *)
+  Comm.precompile ~src ~dst plan;
   let direct_ok = Comm.direct_enabled () in
   (* The schedule as a list of rounds of (message, off, len) send items —
      the step program's whole messages, or the collective phase program's
@@ -673,7 +663,7 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
     c.Machine.pool_hits <- c.Machine.pool_hits + (hits1 - hits0);
     c.Machine.pool_misses <- c.Machine.pool_misses + (misses1 - misses0);
     c.Machine.pool_lease_peak <-
-      max c.Machine.pool_lease_peak (Atomic.get live_peak)
+      Int.max c.Machine.pool_lease_peak (Atomic.get live_peak)
   in
   if async then begin
     (* flatten the rounds per sending rank, in schedule order; every
@@ -720,7 +710,7 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
     let t0 = Unix.gettimeofday () in
     run_job_sync pool (Async_job job);
     let wall = Unix.gettimeofday () -. t0 in
-    pool.p_last_max_leases <- Array.fold_left max 0 job.a_max_leases;
+    pool.p_last_max_leases <- Array.fold_left Int.max 0 job.a_max_leases;
     replay_trace ();
     Array.iteri
       (fun slot (m : Redist.message) ->

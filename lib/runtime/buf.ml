@@ -10,7 +10,7 @@ type t = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 
 (* Bigarrays start uninitialized; payloads must read as zeros. *)
 let create n : t =
-  let b = A1.create Bigarray.float64 Bigarray.c_layout (max 0 n) in
+  let b = A1.create Bigarray.float64 Bigarray.c_layout (Int.max 0 n) in
   A1.fill b 0.0;
   b
 
@@ -20,27 +20,44 @@ let set (t : t) i v = A1.set t i v
 let fill (t : t) v = A1.fill t v
 let sub (t : t) pos len : t = A1.sub t pos len
 
-(* [A1.blit] is memmove on same-kind bigarrays, so copying between two
-   views of one block is correct in either overlap direction. *)
-let blit (src : t) spos (dst : t) dpos len =
-  if len > 0 then A1.blit (A1.sub src spos len) (A1.sub dst dpos len)
+(* The run-copy kernel (buf_stubs.c): every segment of a run in one C
+   call that allocates nothing and cannot raise, so the bounds are
+   checked here, once per run. *)
+external copy_run_unchecked :
+  t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "hpfc_buf_copy_run_byte" "hpfc_buf_copy_run"
+[@@noalloc]
 
-(* Staging copies never overlap (one side is a private staging buffer),
-   so short segments — the common case for cyclic redistributions — take
-   a tight loop instead of two sub allocations and a blit call.  The
-   only aliasing this function can detect is the same-wrapper case; it
-   falls back to the memmove path there so a misuse stays correct. *)
-let unsafe_blit (src : t) spos (dst : t) dpos len =
-  if len < 32 then
-    if src == dst && spos < dpos && dpos < spos + len then
-      for i = len - 1 downto 0 do
-        A1.set dst (dpos + i) (A1.get src (spos + i))
-      done
-    else
-      for i = 0 to len - 1 do
-        A1.set dst (dpos + i) (A1.get src (spos + i))
-      done
-  else blit src spos dst dpos len
+(* Do [count] segments of [len] elements, the i-th at [pos + i * stride],
+   all lie inside [0, dim)?  Positions are linear in i, so the first and
+   last segments bound the rest; the stride and count guards keep the
+   last position's arithmetic far from overflow.  Int-only comparisons:
+   a polymorphic [min]/[max] here would be a C call per run. *)
+let run_in_bounds dim pos stride ~len ~count =
+  let n = count - 1 in
+  pos >= 0
+  && pos <= dim - len
+  && (n = 0 || stride = 0
+     || n <= dim && stride <= dim && stride >= -dim
+        &&
+        let last = pos + (n * stride) in
+        last >= 0 && last <= dim - len)
+
+let copy_run (src : t) spos sstride (dst : t) dpos dstride ~len ~count =
+  if len > 0 && count > 0 then
+    if
+      run_in_bounds (A1.dim src) spos sstride ~len ~count
+      && run_in_bounds (A1.dim dst) dpos dstride ~len ~count
+    then copy_run_unchecked src spos sstride dst dpos dstride len count
+    else invalid_arg "Buf.copy_run"
+  else if len < 0 || count < 0 then invalid_arg "Buf.copy_run"
 
 let of_array (a : float array) : t =
   A1.of_array Bigarray.float64 Bigarray.c_layout a

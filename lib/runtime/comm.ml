@@ -18,11 +18,11 @@
    - the *zero-copy* path (default): messages whose memoized datapath is
      [Redist.Direct] — self-messages, and messages between globally
      addressed endpoints — copy their runs payload to payload with
-     overlap-safe [Buf.blit]s and touch no staging buffer at all
+     [Buf.copy_run] kernel calls and touch no staging buffer at all
      (charged to [zero_copy_runs]); everything else stages as below;
    - the *staged* path ([force_staged], --staged / HPFC_FORCE_STAGED):
      every cross-processor message packs its compiled runs into a pooled
-     staging buffer with [Buf.unsafe_blit] and unpacks on the receive
+     staging buffer through the same kernel and unpacks on the receive
      side — PR 4's behaviour, kept continuously differential-tested;
    - the *scalar* path ([force_scalar], --scalar / HPFC_FORCE_SCALAR):
      the original per-element endpoint closures, the oracle both blit
@@ -170,7 +170,7 @@ module Pool = struct
      whether it came from the pool. *)
   let acquire t n =
     ignore (Atomic.fetch_and_add live 1);
-    let c = class_of (max 1 n) in
+    let c = class_of (Int.max 1 n) in
     match t.classes.(c) with
     | buf :: rest ->
       t.classes.(c) <- rest;
@@ -200,42 +200,43 @@ end
 let note_lease (mach : Machine.t) =
   let c = mach.Machine.counters in
   c.Machine.pool_lease_peak <-
-    max c.Machine.pool_lease_peak (Pool.live_leases ())
+    Int.max c.Machine.pool_lease_peak (Pool.live_leases ())
 
 (* --- segment copies --------------------------------------------------------- *)
 
 (* Pack a message's runs from the source payload into the first
-   [m_count] slots of [staging], in run order (= row-major box order).
-   Staging buffers are private, so the unsafe (no-overlap) blit is
-   fine. *)
+   [m_count] slots of [staging], in run order (= row-major box order):
+   one kernel call per run, each run landing as one dense block. *)
 let pack_runs (runs : Redist.run array) (sbuf : Buf.t) staging =
   let k = ref 0 in
-  Array.iter
-    (fun (r : Redist.run) ->
-      let sp = ref r.Redist.r_src in
-      for _ = 1 to r.Redist.r_count do
-        Buf.unsafe_blit sbuf !sp staging !k r.Redist.r_len;
-        k := !k + r.Redist.r_len;
-        sp := !sp + r.Redist.r_src_stride
-      done)
-    runs
+  for i = 0 to Array.length runs - 1 do
+    let r = runs.(i) in
+    let len = r.Redist.r_len and count = r.Redist.r_count in
+    Buf.copy_run sbuf r.Redist.r_src r.Redist.r_src_stride staging !k len ~len
+      ~count;
+    k := !k + (len * count)
+  done
 
 let unpack_runs (runs : Redist.run array) staging (dbuf : Buf.t) =
   let k = ref 0 in
-  Array.iter
-    (fun (r : Redist.run) ->
-      let dp = ref r.Redist.r_dst in
-      for _ = 1 to r.Redist.r_count do
-        Buf.unsafe_blit staging !k dbuf !dp r.Redist.r_len;
-        k := !k + r.Redist.r_len;
-        dp := !dp + r.Redist.r_dst_stride
-      done)
-    runs
+  for i = 0 to Array.length runs - 1 do
+    let r = runs.(i) in
+    let len = r.Redist.r_len and count = r.Redist.r_count in
+    Buf.copy_run staging !k len dbuf r.Redist.r_dst r.Redist.r_dst_stride ~len
+      ~count;
+    k := !k + (len * count)
+  done
 
 (* The message's runs for a (src, dst) endpoint pair (memoized on the
    message). *)
 let runs_of ~src ~dst (m : Redist.message) =
   Redist.message_runs ~src:src.addressing ~dst:dst.addressing m
+
+(* Compile the whole plan's runs for this endpoint pair before any data
+   moves (the scalar oracle never reads them). *)
+let precompile ~src ~dst (plan : Redist.plan) =
+  if not !force_scalar then
+    Redist.precompile_runs ~src:src.addressing ~dst:dst.addressing plan
 
 (* Is this message's memoized datapath [Direct] under these endpoints?
    (Independent of the runtime switches; callers combine it with
@@ -247,49 +248,21 @@ let message_direct ~src ~dst (m : Redist.message) =
   | Redist.Direct _ -> true
   | Redist.Staged _ -> false
 
-(* Copy a message's runs payload to payload, no staging buffer.  The two
-   endpoint buffers must be disjoint unless they are physically the same
-   wrapper (store payloads never alias across copies; an in-place copy
-   exposes one buffer to both endpoints).  A same-wrapper copy is
-   overlap-safe run by run — memmove semantics: segments iterate away
-   from the direction the destination overtakes the source, and each
-   segment copies through the overlap-safe [Buf.blit]. *)
+(* Copy a message's runs payload to payload, no staging buffer, one
+   kernel call per run.  The two endpoint buffers may alias (an in-place
+   copy exposes one buffer to both endpoints): the kernel walks each
+   run's segments away from the overlap, which is memmove semantics for
+   the gather and scatter runs such a copy compiles to. *)
 let run_direct ~src ~dst (m : Redist.message) =
   let sbuf = src.buffer ~rank:m.Redist.m_from
   and dbuf = dst.buffer ~rank:m.Redist.m_to in
   let runs = runs_of ~src ~dst m in
-  if sbuf == dbuf then
-    Array.iter
-      (fun (r : Redist.run) ->
-        if r.Redist.r_dst <= r.Redist.r_src then begin
-          let sp = ref r.Redist.r_src and dp = ref r.Redist.r_dst in
-          for _ = 1 to r.Redist.r_count do
-            Buf.blit sbuf !sp dbuf !dp r.Redist.r_len;
-            sp := !sp + r.Redist.r_src_stride;
-            dp := !dp + r.Redist.r_dst_stride
-          done
-        end
-        else begin
-          let last = r.Redist.r_count - 1 in
-          let sp = ref (r.Redist.r_src + (last * r.Redist.r_src_stride))
-          and dp = ref (r.Redist.r_dst + (last * r.Redist.r_dst_stride)) in
-          for _ = 1 to r.Redist.r_count do
-            Buf.blit sbuf !sp dbuf !dp r.Redist.r_len;
-            sp := !sp - r.Redist.r_src_stride;
-            dp := !dp - r.Redist.r_dst_stride
-          done
-        end)
-      runs
-  else
-    Array.iter
-      (fun (r : Redist.run) ->
-        let sp = ref r.Redist.r_src and dp = ref r.Redist.r_dst in
-        for _ = 1 to r.Redist.r_count do
-          Buf.unsafe_blit sbuf !sp dbuf !dp r.Redist.r_len;
-          sp := !sp + r.Redist.r_src_stride;
-          dp := !dp + r.Redist.r_dst_stride
-        done)
-      runs
+  for i = 0 to Array.length runs - 1 do
+    let r = runs.(i) in
+    Buf.copy_run sbuf r.Redist.r_src r.Redist.r_src_stride dbuf
+      r.Redist.r_dst r.Redist.r_dst_stride ~len:r.Redist.r_len
+      ~count:r.Redist.r_count
+  done
 
 (* On-processor move: no staging buffer, no message.  The blit path
    copies payload to payload directly, run by run. *)
@@ -338,13 +311,13 @@ let run_message ?(pool = default_pool) mach ~src ~dst (m : Redist.message) =
 let pack_slice (runs : Redist.run array) (sbuf : Buf.t) staging ~off ~len =
   let k = ref 0 in
   Redist.iter_run_slice runs ~off ~len (fun s _ n ->
-      Buf.unsafe_blit sbuf s staging !k n;
+      Buf.copy_run sbuf s 0 staging !k 0 ~len:n ~count:1;
       k := !k + n)
 
 let unpack_slice (runs : Redist.run array) staging (dbuf : Buf.t) ~off ~len =
   let k = ref 0 in
   Redist.iter_run_slice runs ~off ~len (fun _ d n ->
-      Buf.unsafe_blit staging !k dbuf d n;
+      Buf.copy_run staging !k 0 dbuf d 0 ~len:n ~count:1;
       k := !k + n)
 
 (* Pack, deliver, unpack one slice of a cross-processor message — the
@@ -406,7 +379,7 @@ let charge (mach : Machine.t) (plan : Redist.plan) (prog : Redist.step list) =
   | Machine.Stepped ->
     c.Machine.steps <- c.Machine.steps + List.length prog;
     c.Machine.peak_step_volume <-
-      max c.Machine.peak_step_volume (Redist.peak_step_volume prog);
+      Int.max c.Machine.peak_step_volume (Redist.peak_step_volume prog);
     c.Machine.time <-
       c.Machine.time +. Redist.modeled_time_of_steps mach.Machine.cost prog
 
@@ -462,7 +435,7 @@ let charge_collective (mach : Machine.t) (plan : Redist.plan)
   | Machine.Stepped ->
     c.Machine.steps <- c.Machine.steps + Redist.nb_phases cp;
     c.Machine.peak_step_volume <-
-      max c.Machine.peak_step_volume
+      Int.max c.Machine.peak_step_volume
         (Redist.peak_phase_volume cp.Redist.c_phases);
     c.Machine.time <-
       c.Machine.time +. Redist.modeled_time_of_phases mach.Machine.cost cp
@@ -542,7 +515,7 @@ let charge_datapath ?(collective = false) (mach : Machine.t) ~src ~dst
     (plan : Redist.plan) =
   let c = mach.Machine.counters in
   c.Machine.peak_bytes <-
-    max c.Machine.peak_bytes
+    Int.max c.Machine.peak_bytes
       (8 * staged_peak_volume ~src ~dst ~collective plan);
   let stage_all () =
     c.Machine.staged_bytes <-
@@ -588,6 +561,7 @@ let charge_datapath ?(collective = false) (mach : Machine.t) ~src ~dst
    datapath-independent. *)
 let execute_collective ?(pool = default_pool) (mach : Machine.t) ~src ~dst
     (plan : Redist.plan) =
+  precompile ~src ~dst plan;
   List.iter (run_local ~src ~dst) plan.Redist.locals;
   let cp = Redist.collective_program plan in
   let direct_ok = direct_enabled () in
@@ -635,6 +609,7 @@ let execute_collective ?(pool = default_pool) (mach : Machine.t) ~src ~dst
 let execute (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
   if collective_chosen mach plan then execute_collective mach ~src ~dst plan
   else begin
+    precompile ~src ~dst plan;
     List.iter (run_local ~src ~dst) plan.Redist.locals;
     let prog = Redist.step_program plan in
     let direct_ok = direct_enabled () in
@@ -699,7 +674,9 @@ let execute_fused ?(pool = default_pool)
   List.iter
     (fun ((plan : Redist.plan), members) ->
       List.iter
-        (fun (_, src, dst) -> List.iter (run_local ~src ~dst) plan.Redist.locals)
+        (fun (_, src, dst) ->
+          precompile ~src ~dst plan;
+          List.iter (run_local ~src ~dst) plan.Redist.locals)
         members)
     groups;
   (* Each group runs under the lowering [execute] would pick for it
@@ -719,7 +696,7 @@ let execute_fused ?(pool = default_pool)
   let nsteps =
     List.fold_left
       (fun acc (_, prog, _) ->
-        max acc
+        Int.max acc
           (match prog with
           | `P2p steps -> Array.length steps
           | `Coll (_, phases) -> Array.length phases))

@@ -13,11 +13,11 @@
     Every payload, staging buffer and packet carries one buffer type,
     {!Buf.t}, and data movement runs on one of three paths: the default
     *zero-copy* path copies [Redist.Direct]-eligible messages
-    (self-messages, globally addressed endpoints) payload to payload
-    with overlap-safe {!Buf.blit}s and no staging buffer; the *staged*
-    path ({!force_staged}) packs every message's compiled runs into a
-    pooled staging buffer and unpacks on the receive side; the *scalar*
-    path ({!force_scalar}) keeps the original per-element closures as a
+    (self-messages, globally addressed endpoints) payload to payload with
+    overlap-safe {!Buf.copy_run} calls and no staging buffer; the *staged*
+    path ({!force_staged}) packs every message's compiled runs into a pooled
+    staging buffer and unpacks on the receive side; the *scalar* path
+    ({!force_scalar}) keeps the original per-element closures as a
     differential oracle.  Modeled counters (messages, volume, steps,
     time) are identical between the paths by construction; only
     [run_blits]/[zero_copy_runs]/[staged_bytes] and the pool totals
@@ -126,17 +126,27 @@ val pack_runs : Redist.run array -> Buf.t -> Buf.t -> unit
     receive side. *)
 val unpack_runs : Redist.run array -> Buf.t -> Buf.t -> unit
 
+(** The message's compiled runs for this endpoint pair
+    ({!Redist.message_runs} on the endpoints' addressings). *)
+val runs_of : src:endpoint -> dst:endpoint -> Redist.message -> Redist.run array
+
+(** Compile every message's runs of a plan for this endpoint pair
+    ({!Redist.precompile_runs}); a no-op under {!force_scalar}.  The
+    executors call it before moving data. *)
+val precompile : src:endpoint -> dst:endpoint -> Redist.plan -> unit
+
 (** Is the message's memoized datapath ({!Redist.message_datapath})
     [Direct] under these endpoints?  Independent of the runtime
     switches; callers combine it with {!direct_enabled}. *)
 val message_direct : src:endpoint -> dst:endpoint -> Redist.message -> bool
 
-(** Copy a message's runs payload to payload with no staging buffer.
-    The endpoint buffers must be disjoint unless they are physically the
-    same wrapper; a same-wrapper (in-place) copy gets memmove semantics
-    run by run — segments iterate away from the overtaking direction and
-    each copies through the overlap-safe {!Buf.blit}.  Records nothing;
-    callers record the [Message] event for cross-processor messages. *)
+(** Copy a message's runs payload to payload with no staging buffer,
+    one {!Buf.copy_run} per run.  The endpoint buffers may alias (an
+    in-place copy exposes one buffer to both endpoints): the kernel
+    walks each run away from the overlap, which gives memmove semantics
+    for the gather and scatter runs such a copy compiles to.  Records
+    nothing; callers record the [Message] event for cross-processor
+    messages. *)
 val run_direct : src:endpoint -> dst:endpoint -> Redist.message -> unit
 
 (** On-processor move: no staging buffer, no [Message] event.  The blit

@@ -182,9 +182,12 @@ let modeled_time (cost : Machine.cost_model) plan =
 let step_volume (s : step) = List.fold_left (fun acc m -> acc + m.m_count) 0 s
 
 let peak_step_volume steps =
-  List.fold_left (fun acc s -> max acc (step_volume s)) 0 steps
+  List.fold_left (fun acc s -> Int.max acc (step_volume s)) 0 steps
 
-let compare_endpoints a b = compare (a.m_from, a.m_to) (b.m_from, b.m_to)
+(* (from, to) order on ints, with no tuple built per comparison. *)
+let compare_endpoints a b =
+  let c = Int.compare a.m_from b.m_from in
+  if c <> 0 then c else Int.compare a.m_to b.m_to
 
 (* Greedy first-fit edge coloring, largest messages first so the heavy
    messages share steps (better packing, and the per-step max that the
@@ -193,7 +196,7 @@ let compare_endpoints a b = compare (a.m_from, a.m_to) (b.m_from, b.m_to)
    both consume its output. *)
 let steps (plan : plan) : step list =
   let by_size =
-    List.stable_sort (fun a b -> compare b.m_count a.m_count) plan.moves
+    List.stable_sort (fun a b -> Int.compare b.m_count a.m_count) plan.moves
   in
   let slots = ref [] in  (* (senders, receivers, messages), in step order *)
   let place m =
@@ -274,7 +277,7 @@ let phase_volume (ph : phase) =
   List.fold_left (fun acc sl -> acc + sl.sl_len) 0 ph
 
 let peak_phase_volume phases =
-  List.fold_left (fun acc ph -> max acc (phase_volume ph)) 0 phases
+  List.fold_left (fun acc ph -> Int.max acc (phase_volume ph)) 0 phases
 
 (* Cost tag: one sender fanning out is a (dynamic-slice) scatter; several
    senders each broadcasting one identical box to all their receivers is
@@ -626,14 +629,15 @@ let side_addresser addressing ~rank_lin =
    layouts: exactly adjacent segments concatenate, and equal-length
    segments whose src and dst deltas are both constant collapse into one
    strided run — a cyclic(k) innermost dimension becomes a single run of
-   k-element segments. *)
-let compile_runs ~src ~dst (m : message) : run array =
+   k-element segments.  [saddr rank] and [daddr rank] give each side's
+   addresser for a rank, so a caller compiling a whole plan builds each
+   one once. *)
+let compile_runs_with ~saddr ~daddr (m : message) : run array =
   let rank = Array.length m.m_box in
   if rank = 0 then [||]
   else begin
     let ivs = Array.map Ivset.to_runs m.m_box in
-    let sstr, sbase = side_addresser src ~rank_lin:m.m_from
-    and dstr, dbase = side_addresser dst ~rank_lin:m.m_to in
+    let sstr, sbase = saddr m.m_from and dstr, dbase = daddr m.m_to in
     let segs = ref [] in
     let inner = rank - 1 in
     let rec walk d s0 d0 =
@@ -703,7 +707,23 @@ let compile_runs ~src ~dst (m : message) : run array =
     arr
   end
 
+let compile_runs ~src ~dst (m : message) =
+  compile_runs_with
+    ~saddr:(fun rank_lin -> side_addresser src ~rank_lin)
+    ~daddr:(fun rank_lin -> side_addresser dst ~rank_lin)
+    m
+
 let addressing_kind = function Row_major _ -> 0 | Owner_local _ -> 1
+let path_key ~src ~dst = addressing_kind src lor (addressing_kind dst lsl 1)
+
+(* The memo entry for [key]; int keys compared as ints, and no option
+   built on the hit path the executors take for every message. *)
+let rec find_path key = function
+  | [] -> raise Not_found
+  | (k, path) :: rest -> if Int.equal k key then path else find_path key rest
+
+let has_path key paths =
+  match find_path key paths with _ -> true | exception Not_found -> false
 
 (* The message's compiled datapath for one (src, dst) addressing pair,
    memoized on the message (plans — and their messages — are cached and
@@ -717,15 +737,15 @@ let addressing_kind = function Row_major _ -> 0 | Owner_local _ -> 1
    both sides are globally addressed ([Row_major], rank-invariant
    buffers).  Cross-rank messages between per-rank buffers stay
    [Staged]: a real SPMD runtime cannot write a remote payload
-   directly. *)
-let message_datapath ~src ~dst (m : message) =
-  let key = addressing_kind src lor (addressing_kind dst lsl 1) in
+   directly.  [compile] builds the runs on a miss. *)
+let datapath_memo ~src ~dst ~compile (m : message) =
+  let key = path_key ~src ~dst in
   let rec probe () =
     let cur = Atomic.get m.m_paths in
-    match List.assoc_opt key cur with
-    | Some path -> path
-    | None ->
-      let runs = compile_runs ~src ~dst m in
+    match find_path key cur with
+    | path -> path
+    | exception Not_found ->
+      let runs = compile m in
       let direct =
         m.m_from = m.m_to
         || (addressing_kind src = 0 && addressing_kind dst = 0)
@@ -738,8 +758,46 @@ let message_datapath ~src ~dst (m : message) =
   in
   probe ()
 
+let message_datapath ~src ~dst (m : message) =
+  match find_path (path_key ~src ~dst) (Atomic.get m.m_paths) with
+  | path -> path
+  | exception Not_found ->
+    datapath_memo ~src ~dst ~compile:(compile_runs ~src ~dst) m
+
 let message_runs ~src ~dst (m : message) =
   match message_datapath ~src ~dst m with Direct runs | Staged runs -> runs
+
+(* Fill the datapath memo of every message of [plan] for one addressing
+   pair — the plan-level run compilation executors call before they move
+   data.  Each (side, rank) addresser is built once for the whole plan,
+   not once per message: owner-local addressers rescan the layout's
+   owned sets and local extents, which is what dominated a cold plan's
+   compilation.  A plan whose memos are all filled costs one probe per
+   message.  Parallel executors call this on the coordinator, before
+   worker domains share the messages. *)
+let precompile_runs ~src ~dst (plan : plan) =
+  let key = path_key ~src ~dst in
+  let missing (m : message) = not (has_path key (Atomic.get m.m_paths)) in
+  if List.exists missing plan.locals || List.exists missing plan.moves then begin
+    let per_rank addressing =
+      let tbl = Array.make (Int.max 1 (nranks plan)) None in
+      fun rank_lin ->
+        match tbl.(rank_lin) with
+        | Some a -> a
+        | None ->
+          let a = side_addresser addressing ~rank_lin in
+          tbl.(rank_lin) <- Some a;
+          a
+    in
+    let saddr = per_rank src and daddr = per_rank dst in
+    let fill m =
+      ignore
+        (datapath_memo ~src ~dst ~compile:(compile_runs_with ~saddr ~daddr) m
+          : datapath)
+    in
+    List.iter fill plan.locals;
+    List.iter fill plan.moves
+  end
 
 (* Total number of contiguous segments a run array copies. *)
 let nb_run_segments runs =

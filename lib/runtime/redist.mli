@@ -68,7 +68,7 @@ type message = {
           domain that finds the memo filled observes fully built run
           arrays even when plans are shared through the sharded
           {!Plan_cache}; parallel executors still precompile on the
-          coordinator (see {!message_datapath}) before sharing the
+          coordinator (see {!precompile_runs}) before sharing the
           message with worker domains. *)
 }
 
@@ -228,14 +228,27 @@ val iter_box : box -> (int array -> unit) -> unit
     constant src and dst deltas collapse into one strided run (a
     cyclic(k) innermost dimension becomes a single run of k-element
     segments).  The run total always equals [m_count].  Memoized on the
-    message per addressing-kind pair; call once on the coordinator before
-    handing the message to concurrent workers. *)
+    message per addressing-kind pair; {!precompile_runs} fills the memo
+    for a whole plan at once. *)
 val message_runs : src:addressing -> dst:addressing -> message -> run array
 
 (** The message's compiled runs together with its staging-vs-direct
     decision ({!datapath}), memoized like {!message_runs} (both share
     the [m_paths] memo). *)
 val message_datapath : src:addressing -> dst:addressing -> message -> datapath
+
+(** Compile a message's runs without touching the memo — what
+    {!message_runs} fills it with (exposed for tests). *)
+val compile_runs : src:addressing -> dst:addressing -> message -> run array
+
+(** Plan-level run compilation: fill the datapath memo of every message
+    of the plan (locals and moves) for one addressing pair, building
+    each (side, rank) addresser once for the whole plan instead of once
+    per message.  The runs are exactly {!compile_runs}'s.  Costs one
+    memo probe per message once the plan is compiled.  Every executor
+    calls it before moving data; parallel executors call it on the
+    coordinator, before worker domains share the messages. *)
+val precompile_runs : src:addressing -> dst:addressing -> plan -> unit
 
 (** Total number of contiguous segments a run array copies
     (sum of [r_count]). *)

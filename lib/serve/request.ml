@@ -12,7 +12,10 @@
 
    Requests are handed between the submitting tenant thread and the
    service workers under the service lock; the mutable fields are only
-   ever written with that lock held (or before submission). *)
+   ever written with that lock held (or before submission).  [finished]
+   is set last, after every other write of the request's execution, so
+   a client that reads it true (an atomic read, no lock) also sees
+   [state], [completed] and the tenant's data and counters. *)
 
 open Hpfc_runtime
 
@@ -35,6 +38,7 @@ type t = {
   mutable state : state;
   mutable fused : bool;
       (* executed as a member of a fused batch of >= 2 remaps *)
+  finished : bool Atomic.t;  (* the completion flag [Serve.await] reads *)
 }
 
 let make ~tenant payload =
@@ -45,6 +49,7 @@ let make ~tenant payload =
     completed = 0.0;
     state = Queued;
     fused = false;
+    finished = Atomic.make false;
   }
 
 (* The machine this request's accounting lands on. *)

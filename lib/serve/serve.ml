@@ -272,6 +272,7 @@ let rec worker_loop t pool =
       (fun (m : member) ->
         m.req.Request.completed <- now;
         m.req.Request.state <- Request.Done;
+        Atomic.set m.req.Request.finished true;
         t.tenants.(m.req.Request.tenant).busy <- false;
         t.n_requests <- t.n_requests + 1;
         t.lat <- Request.latency m.req :: t.lat)
@@ -377,12 +378,29 @@ let submit_remap t ~tenant ~store ~array ~src ~dst =
   enqueue t req;
   req
 
+(* How many times [await] polls the completion flag before it sleeps on
+   the condition.  A fast remap completes within the spin, and the
+   client then skips the lock and the condition-variable wake-up, which
+   otherwise costs as much as the remap itself; a slow one costs the
+   client tens of microseconds of polling before it sleeps. *)
+let await_spins = 2000
+
 let await t (req : Request.t) =
-  Mutex.lock t.lock;
-  while req.Request.state <> Request.Done do
-    Condition.wait t.completion t.lock
-  done;
-  Mutex.unlock t.lock
+  let rec spin k =
+    if Atomic.get req.Request.finished then true
+    else if k = 0 then false
+    else begin
+      Domain.cpu_relax ();
+      spin (k - 1)
+    end
+  in
+  if not (spin await_spins) then begin
+    Mutex.lock t.lock;
+    while not (Atomic.get req.Request.finished) do
+      Condition.wait t.completion t.lock
+    done;
+    Mutex.unlock t.lock
+  end
 
 (* A [Comm.executor] that routes every plan through the service as
    tenant [tenant]: installs into [Store.create ~executor] (with the

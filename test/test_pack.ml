@@ -64,17 +64,30 @@ let expand_runs runs =
 (* Every message of the plan, under every (src, dst) addressing
    combination: compiled runs = per-element walk, pairwise and in
    order. *)
+let addressing_combos ~(src : Layout.t) ~(dst : Layout.t) =
+  let extents = src.Layout.extents in
+  [
+    (Redist.Row_major extents, Redist.Row_major extents);
+    (Redist.Row_major extents, Redist.Owner_local dst);
+    (Redist.Owner_local src, Redist.Row_major extents);
+    (Redist.Owner_local src, Redist.Owner_local dst);
+  ]
+
+(* The runs the executors read: compiled for the whole plan by the
+   plan-level precompile, then served from the message's memo.  The memo
+   list is unchanged by the lookup, so the runs are the precompiled
+   ones, not a per-message fill. *)
+let precompiled_runs plan (sa, da) (m : Redist.message) =
+  Redist.precompile_runs ~src:sa ~dst:da plan;
+  let memo = Atomic.get m.Redist.m_paths in
+  let runs = Redist.message_runs ~src:sa ~dst:da m in
+  if Atomic.get m.Redist.m_paths != memo then
+    Alcotest.fail "message_runs missed the precompiled memo";
+  runs
+
 let runs_exact ~(src : Layout.t) ~(dst : Layout.t) =
   let plan = Redist.plan_intervals ~src ~dst in
   let extents = src.Layout.extents in
-  let combos =
-    [
-      (Redist.Row_major extents, Redist.Row_major extents);
-      (Redist.Row_major extents, Redist.Owner_local dst);
-      (Redist.Owner_local src, Redist.Row_major extents);
-      (Redist.Owner_local src, Redist.Owner_local dst);
-    ]
-  in
   List.for_all
     (fun (m : Redist.message) ->
       List.for_all
@@ -84,7 +97,7 @@ let runs_exact ~(src : Layout.t) ~(dst : Layout.t) =
               expected :=
                 (oracle_address sa extents index, oracle_address da extents index)
                 :: !expected);
-          let runs = Redist.message_runs ~src:sa ~dst:da m in
+          let runs = precompiled_runs plan (sa, da) m in
           expand_runs (Array.to_list runs) = List.rev !expected
           && Redist.nb_run_segments runs <= m.Redist.m_count
           && Array.fold_left
@@ -92,7 +105,7 @@ let runs_exact ~(src : Layout.t) ~(dst : Layout.t) =
                  acc + (r.Redist.r_len * r.Redist.r_count))
                0 runs
              = m.Redist.m_count)
-        combos)
+        (addressing_combos ~src ~dst))
     (plan.Redist.moves @ plan.Redist.locals)
 
 let prop_runs_exact =
@@ -104,31 +117,14 @@ let prop_runs_exact =
 (* Deterministic corners the 1-D generators cannot reach: extent-1 and
    collapsed dimensions, multi-dimensional boxes, cyclic(1) against
    block-cyclic, a transposed 2-D grid. *)
-let test_runs_exact_corners () =
-  let check name ~src ~dst =
-    Alcotest.(check bool) name true (runs_exact ~src ~dst)
-  in
+let corner_pairs () =
   let grid_2d ~extents dists =
     Layout.of_mapping ~extents
       (Mapping.direct ~array_name:"a" ~extents ~dist:dists
          ~procs:(Procs.make "G" [| 2; 2 |]))
   in
   let e2 = [| 8; 6 |] in
-  check "2-D corner turn"
-    ~src:(layout_nd ~extents:e2 [| Dist.block; Dist.star |] 4)
-    ~dst:(layout_nd ~extents:e2 [| Dist.star; Dist.block |] 4);
-  check "2-D block -> cyclic both dims"
-    ~src:(grid_2d ~extents:e2 [| Dist.block; Dist.cyclic |])
-    ~dst:(grid_2d ~extents:e2 [| Dist.cyclic; Dist.block_sized 3 |]);
   let e1 = [| 1; 7 |] in
-  check "extent-1 leading dimension"
-    ~src:(grid_2d ~extents:e1 [| Dist.block; Dist.cyclic |])
-    ~dst:(grid_2d ~extents:e1 [| Dist.cyclic; Dist.block |]);
-  check "cyclic(1) -> cyclic(3)"
-    ~src:(layout_nd ~extents:[| 17 |] [| Dist.cyclic |] 4)
-    ~dst:(layout_nd ~extents:[| 17 |] [| Dist.cyclic_sized 3 |] 4);
-  (* replicated target: every replica rank unpacks at the canonical
-     owner's local addresses *)
   let t = Template.make "T" [| 12; 2 |] in
   let repl =
     Layout.of_mapping ~extents:[| 12 |]
@@ -140,9 +136,63 @@ let test_runs_exact_corners () =
          ~dist:[| Dist.block; Dist.block |]
          ~procs:(Procs.make "G" [| 2; 2 |]))
   in
-  check "block -> replicated"
-    ~src:(layout_nd ~extents:[| 12 |] [| Dist.cyclic |] 4)
-    ~dst:repl
+  [
+    ( "2-D corner turn",
+      layout_nd ~extents:e2 [| Dist.block; Dist.star |] 4,
+      layout_nd ~extents:e2 [| Dist.star; Dist.block |] 4 );
+    ( "2-D block -> cyclic both dims",
+      grid_2d ~extents:e2 [| Dist.block; Dist.cyclic |],
+      grid_2d ~extents:e2 [| Dist.cyclic; Dist.block_sized 3 |] );
+    ( "extent-1 leading dimension",
+      grid_2d ~extents:e1 [| Dist.block; Dist.cyclic |],
+      grid_2d ~extents:e1 [| Dist.cyclic; Dist.block |] );
+    ( "cyclic(1) -> cyclic(3)",
+      layout_nd ~extents:[| 17 |] [| Dist.cyclic |] 4,
+      layout_nd ~extents:[| 17 |] [| Dist.cyclic_sized 3 |] 4 );
+    (* replicated target: every replica rank unpacks at the canonical
+       owner's local addresses *)
+    ( "block -> replicated",
+      layout_nd ~extents:[| 12 |] [| Dist.cyclic |] 4,
+      repl );
+    ( "replicated -> cyclic(1)",
+      repl,
+      layout_nd ~extents:[| 12 |] [| Dist.cyclic |] 4 );
+  ]
+
+let test_runs_exact_corners () =
+  List.iter
+    (fun (name, src, dst) ->
+      Alcotest.(check bool) name true (runs_exact ~src ~dst))
+    (corner_pairs ())
+
+(* --- (a') plan-level precompile = per-message compilation -------------------- *)
+
+(* On a fresh plan, the precompile (addressers built once per side and
+   rank) fills every message's memo with runs structurally equal to a
+   fresh per-message [compile_runs], under all four addressings. *)
+let precompile_matches ~src ~dst =
+  let plan = Redist.plan_intervals ~src ~dst in
+  List.for_all
+    (fun (sa, da) ->
+      List.for_all
+        (fun (m : Redist.message) ->
+          precompiled_runs plan (sa, da) m
+          = Redist.compile_runs ~src:sa ~dst:da m)
+        (plan.Redist.locals @ plan.Redist.moves))
+    (addressing_combos ~src ~dst)
+
+let prop_precompile_matches =
+  QCheck2.Test.make
+    ~name:"plan-level precompile = per-message compile_runs"
+    ~print:Test_redist_props.print_pair ~count:250 Test_redist_props.gen_pair
+    (fun (src, dst) -> precompile_matches ~src ~dst)
+
+let test_precompile_corners () =
+  List.iter
+    (fun (name, src, dst) ->
+      Alcotest.(check bool) name true (precompile_matches ~src ~dst))
+    (corner_pairs ())
+
 
 (* --- (b) zero-copy == staged == scalar, end to end ------------------------------ *)
 
@@ -444,30 +494,189 @@ let test_direct_overlap_inplace () =
           (Buf.get buf ((2 * k) + 1))
       done)
 
-(* The same overlap discipline at the Buf level: blit is memmove in
-   both directions on one wrapper, and unsafe_blit's same-wrapper
-   fallback keeps short forward-overlapping copies correct too. *)
-let test_buf_overlap () =
-  let fresh () = Buf.of_array (Array.init 12 float_of_int) in
-  let check name expected b =
-    Alcotest.(check (list (float 0.0))) name expected
-      (Array.to_list (Buf.to_array b))
+(* --- (e) the run-copy kernel ------------------------------------------------- *)
+
+(* [Buf.copy_run]'s reference: the per-element copy over distinct
+   buffers, segments in order. *)
+let copy_run_reference src spos sstride dst dpos dstride ~len ~count =
+  for i = 0 to count - 1 do
+    for j = 0 to len - 1 do
+      Buf.set dst
+        (dpos + (i * dstride) + j)
+        (Buf.get src (spos + (i * sstride) + j))
+    done
+  done
+
+(* Every segment of the run inside a buffer of [dim] elements?  (Empty
+   runs copy nothing and are valid anywhere.) *)
+let segments_in_bounds dim pos stride ~len ~count =
+  List.for_all
+    (fun i ->
+      let p = pos + (i * stride) in
+      p >= 0 && p + len <= dim)
+    (List.init count Fun.id)
+
+type run_case = {
+  c_sdim : int;
+  c_ddim : int;
+  c_spos : int;
+  c_sstride : int;
+  c_dpos : int;
+  c_dstride : int;
+  c_len : int;
+  c_count : int;
+}
+
+let print_run_case c =
+  Printf.sprintf
+    "src dim %d pos %d stride %d -> dst dim %d pos %d stride %d, len %d x %d"
+    c.c_sdim c.c_spos c.c_sstride c.c_ddim c.c_dpos c.c_dstride c.c_len
+    c.c_count
+
+(* Mostly in-bounds runs over small buffers, with negative and zero
+   strides and a share of runs that stick out of either buffer. *)
+let gen_run_case =
+  QCheck2.Gen.(
+    let* c_len = int_range 0 6 and* c_count = int_range 0 6 in
+    let* c_sstride = int_range (-9) 9 and* c_dstride = int_range (-9) 9 in
+    let* c_sdim = int_range 0 48 and* c_ddim = int_range 0 48 in
+    let* c_spos = int_range (-2) 50 and* c_dpos = int_range (-2) 50 in
+    return
+      { c_sdim; c_ddim; c_spos; c_sstride; c_dpos; c_dstride; c_len; c_count })
+
+let prop_copy_run_reference =
+  QCheck2.Test.make
+    ~name:"Buf.copy_run = per-element copy; out of bounds raises, writes nothing"
+    ~print:print_run_case ~count:2000 gen_run_case (fun c ->
+      let src = Buf.of_array (Array.init c.c_sdim (fun i -> float_of_int (i + 1)))
+      and dst = Buf.of_array (Array.init c.c_ddim (fun i -> -.float_of_int i)) in
+      let before = Buf.to_array dst in
+      let ok =
+        c.c_len = 0 || c.c_count = 0
+        || segments_in_bounds c.c_sdim c.c_spos c.c_sstride ~len:c.c_len
+          ~count:c.c_count
+        && segments_in_bounds c.c_ddim c.c_dpos c.c_dstride ~len:c.c_len
+             ~count:c.c_count
+      in
+      match
+        Buf.copy_run src c.c_spos c.c_sstride dst c.c_dpos c.c_dstride
+          ~len:c.c_len ~count:c.c_count
+      with
+      | () ->
+        let expected = Buf.of_array before in
+        copy_run_reference src c.c_spos c.c_sstride expected c.c_dpos
+          c.c_dstride ~len:c.c_len ~count:c.c_count;
+        ok && Buf.to_array dst = Buf.to_array expected
+      | exception Invalid_argument _ -> (not ok) && Buf.to_array dst = before)
+
+(* Memmove semantics on shared storage: the result of an aliased run
+   equals reading every source segment before writing any. *)
+let check_aliased name ~src ~dst spos sstride dpos dstride ~len ~count =
+  let snapshot = Buf.of_array (Buf.to_array src) in
+  let expected = Buf.of_array (Buf.to_array dst) in
+  copy_run_reference snapshot spos sstride expected dpos dstride ~len ~count;
+  let expected = Buf.to_array expected in
+  Buf.copy_run src spos sstride dst dpos dstride ~len ~count;
+  Alcotest.(check (array (float 0.0))) name expected (Buf.to_array dst)
+
+(* Overlap in both directions, contiguous and strided, on one buffer and
+   on two sub views of one block (which the kernel cannot tell apart
+   from distinct buffers by the wrappers alone). *)
+let test_copy_run_overlap () =
+  let fresh () = Buf.of_array (Array.init 40 float_of_int) in
+  let one name spos sstride dpos dstride ~len ~count =
+    let b = fresh () in
+    check_aliased ("one buffer: " ^ name) ~src:b ~dst:b spos sstride
+      dpos dstride ~len ~count
+  and views name ~soff ~doff spos sstride dpos dstride ~len ~count =
+    let b = fresh () in
+    let src = Buf.sub b soff (40 - soff) and dst = Buf.sub b doff (40 - doff) in
+    check_aliased ("sub views: " ^ name) ~src ~dst spos sstride dpos
+      dstride ~len ~count
   in
-  let b = fresh () in
-  Buf.blit b 0 b 3 8;
-  check "blit forward overlap"
-    [ 0.; 1.; 2.; 0.; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 11. ]
-    b;
-  let b = fresh () in
-  Buf.blit b 3 b 0 8;
-  check "blit backward overlap"
-    [ 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10.; 8.; 9.; 10.; 11. ]
-    b;
-  let b = fresh () in
-  Buf.unsafe_blit b 0 b 3 8;
-  check "unsafe_blit same-wrapper forward overlap"
-    [ 0.; 1.; 2.; 0.; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 11. ]
-    b
+  one "contiguous shift right" 0 0 3 0 ~len:20 ~count:1;
+  one "contiguous shift left" 3 0 0 0 ~len:20 ~count:1;
+  one "segments shift right" 0 4 2 4 ~len:4 ~count:8;
+  one "segments shift left" 2 4 0 4 ~len:4 ~count:8;
+  one "gather (dst trails)" 1 2 0 1 ~len:1 ~count:16;
+  one "scatter (dst leads)" 0 1 1 2 ~len:1 ~count:16;
+  one "gather blocks" 3 6 0 3 ~len:3 ~count:6;
+  one "scatter blocks" 0 3 3 6 ~len:3 ~count:6;
+  one "negative strides, dst trails" 36 (-4) 32 (-4) ~len:4 ~count:8;
+  one "negative strides, dst leads" 32 (-4) 36 (-4) ~len:4 ~count:8;
+  views "shift right" ~soff:0 ~doff:5 0 4 0 4 ~len:4 ~count:8;
+  views "shift left" ~soff:5 ~doff:0 0 4 0 4 ~len:4 ~count:8;
+  views "gather" ~soff:1 ~doff:0 0 2 0 1 ~len:1 ~count:16;
+  views "scatter" ~soff:0 ~doff:1 0 1 0 2 ~len:1 ~count:16
+
+(* Out-of-bounds runs raise before touching either buffer, whichever
+   segment is the one that sticks out. *)
+let test_copy_run_bounds () =
+  let src = Buf.of_array (Array.init 16 float_of_int) in
+  let dst = Buf.create 16 in
+  let rejects name f =
+    (match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check (array (float 0.0)))
+      (name ^ ": nothing written") (Array.make 16 0.0) (Buf.to_array dst)
+  in
+  rejects "last source segment past the end" (fun () ->
+      Buf.copy_run src 0 5 dst 0 4 ~len:2 ~count:4);
+  rejects "last destination segment past the end" (fun () ->
+      Buf.copy_run src 0 4 dst 1 5 ~len:2 ~count:4);
+  rejects "negative stride below zero" (fun () ->
+      Buf.copy_run src 6 (-3) dst 0 2 ~len:2 ~count:4);
+  rejects "negative start" (fun () ->
+      Buf.copy_run src (-1) 1 dst 0 1 ~len:1 ~count:2);
+  rejects "negative length" (fun () ->
+      Buf.copy_run src 0 1 dst 0 1 ~len:(-1) ~count:2);
+  rejects "huge stride" (fun () ->
+      Buf.copy_run src 0 max_int dst 0 1 ~len:1 ~count:3);
+  Buf.copy_run src 0 1 dst 0 1 ~len:0 ~count:5;
+  Buf.copy_run src 99 1 dst 99 1 ~len:3 ~count:0;
+  Alcotest.(check (array (float 0.0)))
+    "empty runs copy nothing" (Array.make 16 0.0) (Buf.to_array dst)
+
+(* The datapath allocates nothing per segment: executing a cached plan
+   through [Comm.execute] allocates the same minor words at twice the
+   array size, where every run has twice the segments.  (Block ->
+   cyclic compiles each message to one strided run whose segment count
+   grows with the extent.) *)
+let test_execute_allocation () =
+  let words ~n ~staged =
+    with_path ~scalar:false ~staged (fun () ->
+        let src = layout_nd ~extents:[| n |] [| Dist.block |] 4
+        and dst = layout_nd ~extents:[| n |] [| Dist.cyclic |] 4 in
+        let mach = Machine.create ~nprocs:4 () in
+        let s = Store.create ~backend:Store.Distributed mach in
+        let d =
+          Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:2 ()
+        in
+        Store.alloc s d 0 src;
+        Store.alloc s d 1 dst;
+        let sep = Store.endpoint_of_copy (Store.get_copy d 0)
+        and dep = Store.endpoint_of_copy (Store.get_copy d 1) in
+        let plan = Redist.plan_intervals ~src ~dst in
+        let saved = !Comm.force_lower in
+        Comm.force_lower := Comm.Lower_p2p;
+        Fun.protect
+          ~finally:(fun () -> Comm.force_lower := saved)
+          (fun () ->
+            (* warm: run memos, step program and staging pool *)
+            Comm.execute mach ~src:sep ~dst:dep plan;
+            Comm.execute mach ~src:sep ~dst:dep plan;
+            let w0 = Gc.minor_words () in
+            Comm.execute mach ~src:sep ~dst:dep plan;
+            Gc.minor_words () -. w0))
+  in
+  List.iter
+    (fun staged ->
+      let small = words ~n:4096 ~staged and large = words ~n:8192 ~staged in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "minor words at 2x extent (staged=%b)" staged)
+        small large)
+    [ false; true ]
 
 (* --- (d) Ivset.to_runs ----------------------------------------------------------- *)
 
@@ -502,6 +711,12 @@ let suite =
       test_zero_copy_steady_state;
     Alcotest.test_case "direct path in-place overlap" `Quick
       test_direct_overlap_inplace;
-    Alcotest.test_case "Buf overlap semantics" `Quick test_buf_overlap;
+    Alcotest.test_case "Buf overlap semantics" `Quick test_copy_run_overlap;
+    Qcheck_env.to_alcotest prop_copy_run_reference;
+    Alcotest.test_case "Buf.copy_run bounds" `Quick test_copy_run_bounds;
+    Alcotest.test_case "execute allocation independent of segments" `Quick
+      test_execute_allocation;
+    Qcheck_env.to_alcotest prop_precompile_matches;
+    Alcotest.test_case "precompile corners" `Quick test_precompile_corners;
     Alcotest.test_case "Ivset.to_runs" `Quick test_ivset_to_runs;
   ]
