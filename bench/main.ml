@@ -13,6 +13,7 @@
 module I = Hpfc_interp.Interp
 module Machine = Hpfc_runtime.Machine
 module Redist = Hpfc_runtime.Redist
+module Exec = Hpfc_runtime.Exec
 module Layout = Hpfc_mapping.Layout
 module Mapping = Hpfc_mapping.Mapping
 module Dist = Hpfc_mapping.Dist
@@ -453,7 +454,8 @@ let time_sched () =
   List.iter
     (fun (name, scalars, src) ->
       let burst = Pipeline.run_source ~scalars src in
-      let stepped = Pipeline.run_source ~scalars ~sched:Machine.Stepped src in
+      let exec = Exec.{ reference with sched = Stepped } in
+      let stepped = Pipeline.run_source ~scalars ~exec src in
       let cb = counters burst and cs = counters stepped in
       let rate =
         float_of_int cb.Machine.plan_hits
@@ -553,14 +555,16 @@ module Par = Hpfc_par.Par
    P ranks.  [remap ()] re-runs the redistribution (the plan is cached
    after the first call, so reps time execution, not planning). *)
 let corner_turn ?executor ?(record_trace = false)
-    ?(backend = Store.Distributed) ?(dst_dist = Dist.cyclic) ~n ~p () =
+    ?(backend = Store.Distributed) ?(dst_dist = Dist.cyclic) ?datapath ?lower
+    ~n ~p () =
   let mk dist =
     Layout.of_mapping ~extents:[| n |]
       (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| dist |]
          ~procs:(Procs.linear "P" p))
   in
   let m =
-    Machine.create ~nprocs:p ~sched:Machine.Stepped ~record_trace ()
+    Machine.create ~nprocs:p ~sched:Machine.Stepped ?datapath ?lower
+      ~record_trace ()
   in
   let s = Store.create ~backend ?executor m in
   let d = Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:2 () in
@@ -978,30 +982,19 @@ let time_pack () =
      oracle, elements/sec";
   let n = 100_000 and p = 4 and reps = 20 in
   let cores = Domain.recommended_domain_count () in
-  (* the "blit" configuration is the forced-staged path: pack/unpack of
-     compiled runs through pooled staging buffers, zero-copy disabled,
-     so the comparison isolates run compilation vs the scalar oracle *)
-  let with_path ~scalar f =
-    let saved_scalar = !Comm.force_scalar
-    and saved_staged = !Comm.force_staged in
-    Comm.force_scalar := scalar;
-    Comm.force_staged := not scalar;
-    Fun.protect
-      ~finally:(fun () ->
-        Comm.force_scalar := saved_scalar;
-        Comm.force_staged := saved_staged)
-      f
-  in
   (* One timed configuration: the machine and the mean wall seconds per
-     remap.  The warm-up remap pays plan computation, run compilation
+     remap.  The "blit" configuration is the staged datapath: pack/unpack
+     of compiled runs through pooled staging buffers, zero-copy
+     disabled, so the comparison isolates run compilation vs the scalar
+     oracle.  The warm-up remap pays plan computation, run compilation
      and the first staging-buffer allocations, so reps time steady-state
      data movement — what the two paths actually differ on. *)
   let run ?executor ~scalar () =
-    with_path ~scalar (fun () ->
-        let m, _, remap = corner_turn ?executor ~n ~p () in
-        remap ();
-        let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
-        (m, t /. float_of_int reps))
+    let datapath = if scalar then Exec.Scalar else Exec.Staged in
+    let m, _, remap = corner_turn ?executor ~datapath ~n ~p () in
+    remap ();
+    let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
+    (m, t /. float_of_int reps)
   in
   let eps t = float_of_int n /. Float.max 1e-9 t in
   row "block -> cyclic corner turn, n=%d, P=%d, %d reps per config@." n p reps;
@@ -1073,19 +1066,14 @@ let time_zero () =
     "zero-copy direct path vs forced staging: elements/sec and staged \
      bytes per datapath";
   let n = 100_000 and p = 4 and reps = 20 in
-  let with_staged staged f =
-    let saved = !Comm.force_staged in
-    Comm.force_staged := staged;
-    Fun.protect ~finally:(fun () -> Comm.force_staged := saved) f
-  in
   (* warm-up remap pays planning, run compilation and first staging
      allocations; reps time steady-state data movement *)
   let run ?backend ?dst_dist ~staged () =
-    with_staged staged (fun () ->
-        let m, _, remap = corner_turn ?backend ?dst_dist ~n ~p () in
-        remap ();
-        let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
-        (m, t /. float_of_int reps))
+    let datapath = if staged then Exec.Staged else Exec.Zero_copy in
+    let m, _, remap = corner_turn ?backend ?dst_dist ~datapath ~n ~p () in
+    remap ();
+    let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
+    (m, t /. float_of_int reps)
   in
   let eps t = float_of_int n /. Float.max 1e-9 t in
   row "n=%d, P=%d, %d reps per config@." n p reps;
@@ -1156,12 +1144,6 @@ let time_zero () =
 let time_collective () =
   section "time_collective"
     "collective lowering vs stepped p2p: wall time and peak staging bytes";
-  let module Comm = Hpfc_runtime.Comm in
-  let with_lower l f =
-    let saved = !Comm.force_lower in
-    Comm.force_lower := l;
-    Fun.protect ~finally:(fun () -> Comm.force_lower := saved) f
-  in
   let cores = Domain.recommended_domain_count () in
   let n = 100_000 in
   let reps = 20 in
@@ -1171,17 +1153,14 @@ let time_collective () =
   let json_rows = ref [] in
   List.iter
     (fun p ->
-      let measure l =
-        with_lower l (fun () ->
-            let m, _, remap = corner_turn ~n ~p () in
-            remap () (* warm the plan cache before timing *);
-            let (), t =
-              time_of (fun () -> for _ = 1 to reps do remap () done)
-            in
-            (t /. float_of_int reps, m.Machine.counters.Machine.peak_bytes))
+      let measure lower =
+        let m, _, remap = corner_turn ~lower ~n ~p () in
+        remap () (* warm the plan cache before timing *);
+        let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
+        (t /. float_of_int reps, m.Machine.counters.Machine.peak_bytes)
       in
-      let p2p_ms, p2p_peak = measure Comm.Lower_p2p in
-      let coll_ms, coll_peak = measure Comm.Lower_collective in
+      let p2p_ms, p2p_peak = measure Exec.P2p in
+      let coll_ms, coll_peak = measure Exec.Collective in
       (* schedule shapes, from the memoized plan programs *)
       let mk dist =
         Layout.of_mapping ~extents:[| n |]

@@ -10,6 +10,7 @@
 open Cmdliner
 module I = Hpfc_interp.Interp
 module Machine = Hpfc_runtime.Machine
+module Exec = Hpfc_runtime.Exec
 
 let read_file path =
   let ic = open_in_bin path in
@@ -49,15 +50,41 @@ let plan_cache_arg =
     & opt (some plan_cache_conv) None
     & info [ "plan-cache" ] ~docv:"N"
         ~doc:
-          "LRU capacity of the remapping plan cache (positive; default 512, \
-           or the $(b,HPFC_PLAN_CACHE) environment variable).")
+          "LRU capacity of the remapping plan cache (positive; default \
+           512).")
 
-let lower_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Hpfc_driver.Pipeline.lower_of_string s)
-  in
-  Arg.conv
-    (parse, fun ppf l -> Fmt.string ppf (Hpfc_driver.Pipeline.lower_name l))
+(* The execution-configuration vocabularies ([Exec]'s), shared by every
+   command that takes them. *)
+let exec_conv of_string name =
+  let parse s = Result.map_error (fun e -> `Msg e) (of_string s) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (name v))
+
+let sched_conv = exec_conv Exec.sched_of_string Exec.sched_name
+let lower_conv = exec_conv Exec.lower_of_string Exec.lower_name
+
+let sched_arg ~doc =
+  Arg.(
+    value
+    & opt ~vopt:(Some Exec.Stepped) (some sched_conv) None
+    & info [ "sched" ] ~docv:"MODE" ~doc)
+
+(* The run's execution configuration: the environment's
+   ([Exec.default]) with the command-line choices on top.  The async
+   schedule implies the parallel executor, which implies per-rank
+   payloads (what the workers may touch race-free). *)
+let exec_of_flags ?(distributed = false) ?(par = false) ?datapath ~sched ~lower
+    () =
+  let d = Exec.default () in
+  let sched = Option.value sched ~default:d.Exec.sched in
+  let par = par || d.Exec.par || sched = Exec.Async in
+  {
+    Exec.backend =
+      (if distributed || par then Exec.Distributed else Exec.Canonical);
+    par;
+    datapath = Option.value datapath ~default:d.Exec.datapath;
+    sched;
+    lower = Option.value lower ~default:d.Exec.lower;
+  }
 
 let lower_arg =
   Arg.(
@@ -70,7 +97,7 @@ let lower_arg =
            $(b,collective) compiles the plan to a short sequence of portable \
            collective phases (ring shift classes, budget-bounded slices) \
            with peak staging memory at or below the p2p peak; $(b,auto) \
-           picks per plan from the cost model.  Same as HPFC_FORCE_LOWER.")
+           picks per plan from the cost model.")
 
 let compile_cmd =
   let dump_gr = Arg.(value & flag & info [ "dump-gr" ] ~doc:"Print the remapping graph before optimization.") in
@@ -136,45 +163,30 @@ let run_cmd =
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the structured event timeline as JSON lines on stdout (remap begin/end, plan cache probes, step boundaries, messages, evictions); counters and scalars go to stderr.") in
   let scalars = Arg.(value & opt_all scalar_assignments [] & info [ "s"; "set" ] ~docv:"X=V" ~doc:"Set a scalar before execution.") in
   let compare = Arg.(value & flag & info [ "compare" ] ~doc:"Run the naive and the optimized compilations and compare.") in
-  let sched_conv =
-    let parse s =
-      Result.map_error
-        (fun e -> `Msg e)
-        (Hpfc_driver.Pipeline.sched_of_string s)
-    in
-    Arg.conv (parse, fun ppf s -> Fmt.string ppf (Hpfc_driver.Pipeline.sched_name s))
-  in
-  let sched = Arg.(value & opt ~vopt:(Some Hpfc_driver.Pipeline.Sched_stepped) (some sched_conv) None & info [ "sched" ] ~docv:"MODE" ~doc:"Communication schedule: $(b,burst) (default) charges the whole plan as one unordered exchange; $(b,stepped) charges contention-free steps (serialized, one send and one receive per processor per step; also the bare --sched spelling); $(b,async) keeps stepped accounting but executes remappings with the dependency-driven parallel executor — sends posted eagerly in plan order, double-buffered staging, per-message completion flags instead of a barrier per step (implies --par; same as HPFC_FORCE_ASYNC=1).") in
-  let scalar = Arg.(value & flag & info [ "scalar" ] ~doc:"Move data element by element through the per-element closures (the differential oracle) instead of blitting compiled runs; same as HPFC_FORCE_SCALAR=1.") in
-  let staged = Arg.(value & flag & info [ "staged" ] ~doc:"Stage every message through a pooled pack/unpack buffer even when a zero-copy direct blit is eligible; same as HPFC_FORCE_STAGED=1.") in
+  let sched = sched_arg ~doc:"Communication schedule: $(b,burst) (default) charges the whole plan as one unordered exchange; $(b,stepped) charges contention-free steps (serialized, one send and one receive per processor per step; also the bare --sched spelling); $(b,async) keeps stepped accounting but executes remappings with the dependency-driven parallel executor — sends posted eagerly in plan order, double-buffered staging, per-message completion flags instead of a barrier per step (implies --par)." in
+  let datapath = Arg.(value & vflag None [ (Some Exec.Scalar, info [ "scalar" ] ~doc:"Move data element by element through the per-element closures (the differential oracle) instead of blitting compiled runs."); (Some Exec.Staged, info [ "staged" ] ~doc:"Stage every message through a pooled pack/unpack buffer even when a zero-copy direct blit is eligible.") ]) in
   let compare_lex (a, _) (b, _) = Stdlib.compare a b in
-  let run file naive entry scalars compare distributed par trace sched scalar
-      staged lower plan_cache =
+  let run file naive entry scalars compare distributed par trace sched datapath
+      lower plan_cache =
     handle (fun () ->
-        if scalar then Hpfc_runtime.Comm.force_scalar := true;
-        if staged then Hpfc_runtime.Comm.force_staged := true;
-        Option.iter (fun l -> Hpfc_runtime.Comm.force_lower := l) lower;
-        let sched_spec =
-          Option.value sched ~default:Hpfc_driver.Pipeline.Sched_burst
+        let exec =
+          exec_of_flags ~distributed ~par:(par <> None) ?datapath ~sched ~lower
+            ()
         in
-        let async = sched_spec = Hpfc_driver.Pipeline.Sched_async in
-        if async then Hpfc_runtime.Comm.force_async := true;
-        let sched_mode = Hpfc_driver.Pipeline.machine_mode sched_spec in
         (* --sched=async implies executing remappings for real on the
            domain pool: out-of-step delivery needs an actual executor *)
-        let par = if async && par = None then Some "auto" else par in
+        let par =
+          if exec.Exec.sched = Exec.Async && par = None then Some "auto"
+          else par
+        in
         let src = read_file file in
         if compare then begin
           let c =
-            Hpfc_driver.Pipeline.compare_pipelines ~scalars ?entry
-              ~sched:sched_mode src
+            Hpfc_driver.Pipeline.compare_pipelines ~scalars ?entry ~exec src
           in
           Fmt.pr "%a" Hpfc_driver.Pipeline.pp_comparison c
         end
         else begin
-          (* --par runs remappings for real on a domain pool; per-rank
-             local buffers are what the workers may touch race-free, so
-             it implies --distributed *)
           let pool =
             Option.map
               (fun spec ->
@@ -190,21 +202,23 @@ let run_cmd =
                 Hpfc_par.Par.create ?ndomains ())
               par
           in
-          let backend =
-            if distributed || pool <> None then Hpfc_runtime.Store.Distributed
-            else Hpfc_runtime.Store.Canonical
-          in
           let machine =
-            Machine.create ~nprocs:4 ~sched:sched_mode ~record_trace:trace ()
+            Machine.create ~nprocs:4
+              ~sched:(Machine.accounting exec.Exec.sched)
+              ~datapath:exec.Exec.datapath ~lower:exec.Exec.lower
+              ~record_trace:trace ()
           in
           let finally () = Option.iter Hpfc_par.Par.destroy pool in
           let r =
             Fun.protect ~finally (fun () ->
                 Hpfc_driver.Pipeline.run_source
-                  ~pipeline:(pipeline_of_naive naive) ~scalars ?entry ~backend
-                  ?executor:(Option.map (fun p -> Hpfc_par.Par.executor p) pool)
-                  ~machine ?plan_cache
-                  src)
+                  ~pipeline:(pipeline_of_naive naive) ~scalars ?entry ~exec
+                  ?executor:
+                    (Option.map
+                       (Hpfc_par.Par.executor
+                          ~async:(exec.Exec.sched = Exec.Async))
+                       pool)
+                  ~machine ?plan_cache src)
           in
           (* with --trace, stdout is a pure JSON-lines stream (one event
              per line, closed by a summary line); the human-readable
@@ -239,7 +253,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated machine.")
-    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ compare $ distributed $ par $ trace $ sched $ scalar $ staged $ lower_arg $ plan_cache_arg)
+    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ compare $ distributed $ par $ trace $ sched $ datapath $ lower_arg $ plan_cache_arg)
 
 (* --- serve -------------------------------------------------------------------- *)
 
@@ -261,15 +275,7 @@ let serve_cmd =
   let quantum = Arg.(value & opt int 1 & info [ "quantum" ] ~docv:"Q" ~doc:"Deficit-round-robin quantum of the dispatcher.") in
   let no_fusion = Arg.(value & flag & info [ "no-fusion" ] ~doc:"Disable remap fusion: every request executes as its own batch.") in
   let check = Arg.(value & flag & info [ "check" ] ~doc:"Also replay each tenant solo through the sequential executor and verify values and modeled counters are identical.") in
-  let sched_conv =
-    let parse s =
-      Result.map_error
-        (fun e -> `Msg e)
-        (Hpfc_driver.Pipeline.sched_of_string s)
-    in
-    Arg.conv (parse, fun ppf s -> Fmt.string ppf (Hpfc_driver.Pipeline.sched_name s))
-  in
-  let sched = Arg.(value & opt ~vopt:(Some Hpfc_driver.Pipeline.Sched_stepped) (some sched_conv) None & info [ "sched" ] ~docv:"MODE" ~doc:"Communication schedule of every tenant machine: $(b,burst) (default), $(b,stepped), or $(b,async) (single-worker service executing through the dependency-driven parallel backend).") in
+  let sched = sched_arg ~doc:"Communication schedule of every tenant machine: $(b,burst) (default), $(b,stepped), or $(b,async) (single-worker service executing through the dependency-driven parallel backend)." in
   let run file naive entry scalars tenants workers repeat window quantum
       no_fusion check sched lower plan_cache =
     handle (fun () ->
@@ -277,24 +283,16 @@ let serve_cmd =
           Fmt.epr "hpfc: --tenants expects a positive integer@.";
           exit 2
         end;
-        (* both the service workers and the --check solo replays read the
-           global switch, so serve and solo legs run the same lowering *)
-        Option.iter (fun l -> Hpfc_runtime.Comm.force_lower := l) lower;
-        let sched_spec =
-          Option.value sched ~default:Hpfc_driver.Pipeline.Sched_burst
-        in
-        let async = sched_spec = Hpfc_driver.Pipeline.Sched_async in
-        let sched_mode = Hpfc_driver.Pipeline.machine_mode sched_spec in
+        (* every tenant machine — and the --check solo replays — runs
+           this one configuration *)
+        let exec = exec_of_flags ~sched ~lower () in
+        let async = exec.Exec.sched = Exec.Async in
         let src = read_file file in
         let pipeline = pipeline_of_naive naive in
         (* async executes through the domain-parallel backend: the pool
            has one coordinator, so the service runs single-worker with
            the pool installed as its singleton executor *)
         let pool = if async then Some (Hpfc_par.Par.create ()) else None in
-        let backend =
-          if async then Hpfc_runtime.Store.Distributed
-          else Hpfc_runtime.Store.Canonical
-        in
         let svc =
           Serve.create ~tenants ~window ~quantum ~fusion:(not no_fusion)
             ?workers:(if async then Some 1 else workers)
@@ -306,13 +304,17 @@ let serve_cmd =
         let replay ~executor ~plans =
           (* one tenant stream: R replays on one machine, plans cached
              across replays *)
-          let machine = Machine.create ~nprocs:4 ~sched:sched_mode () in
+          let machine =
+            Machine.create ~nprocs:4
+              ~sched:(Machine.accounting exec.Exec.sched)
+              ~datapath:exec.Exec.datapath ~lower:exec.Exec.lower ()
+          in
           let last = ref None in
           for _ = 1 to repeat do
             last :=
               Some
                 (Hpfc_driver.Pipeline.run_source ~pipeline ~scalars ?entry
-                   ~backend ~executor ~machine ~plans src)
+                   ~backend:exec.Exec.backend ~executor ~machine ~plans src)
           done;
           (machine, Option.get !last)
         in

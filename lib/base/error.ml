@@ -12,6 +12,7 @@ type kind =
   | Invalid_directive
   | Parse_error
   | Runtime_fault  (* reference to a copy that is not current/valid *)
+  | Invalid_config  (* an execution setting names no valid value *)
 
 let kind_to_string = function
   | Ambiguous_mapping -> "ambiguous mapping"
@@ -23,6 +24,7 @@ let kind_to_string = function
   | Invalid_directive -> "invalid directive"
   | Parse_error -> "parse error"
   | Runtime_fault -> "runtime fault"
+  | Invalid_config -> "invalid configuration"
 
 exception Hpf_error of kind * string
 

@@ -18,6 +18,9 @@ type kind =
   | Runtime_fault
       (** a reference hit a copy that is not current — a compiler bug
           caught by the simulated runtime *)
+  | Invalid_config
+      (** an execution setting (a CLI flag or an [HPFC_FORCE_*]
+          variable) names no valid value *)
 
 val kind_to_string : kind -> string
 

@@ -11,7 +11,6 @@ module Gen = Hpfc_codegen.Gen
 module I = Hpfc_interp.Interp
 module Machine = Hpfc_runtime.Machine
 module Redist = Hpfc_runtime.Redist
-module Comm = Hpfc_runtime.Comm
 
 type compile_report = {
   routine : string;
@@ -87,59 +86,8 @@ let pp_report ppf (r : compile_report) =
   Fmt.pf ppf "  remapping operations: %d -> %d@." r.remappings_before
     r.remappings_after
 
-(* The CLI's schedule vocabulary.  Burst and stepped are pure accounting
-   modes of the simulated machine; async is stepped accounting plus the
-   dependency-driven parallel executor (out-of-step delivery, identical
-   modeled counters by construction). *)
-type sched_spec = Sched_burst | Sched_stepped | Sched_async
-
-let sched_specs =
-  [
-    ("burst", Sched_burst); ("stepped", Sched_stepped); ("async", Sched_async);
-  ]
-
-let sched_name spec =
-  fst (List.find (fun (_, s) -> s = spec) sched_specs)
-
-let sched_of_string s =
-  match List.assoc_opt (String.lowercase_ascii s) sched_specs with
-  | Some spec -> Ok spec
-  | None ->
-    Error
-      (Printf.sprintf "invalid schedule %S, expected one of %s" s
-         (String.concat " | " (List.map fst sched_specs)))
-
-let machine_mode = function
-  | Sched_burst -> Machine.Burst
-  | Sched_stepped | Sched_async -> Machine.Stepped
-
-(* The CLI's lowering vocabulary — how cross-processor traffic is
-   scheduled and executed: the point-to-point step program, the
-   budget-sliced collective phase program, or a per-plan cost-model
-   choice.  The spec type is [Comm.lowering] itself; the executed data
-   is identical either way, only schedule shape and peak staging memory
-   differ. *)
-let lower_specs =
-  [
-    ("p2p", Comm.Lower_p2p);
-    ("collective", Comm.Lower_collective);
-    ("auto", Comm.Lower_auto);
-  ]
-
-let lower_name spec =
-  fst (List.find (fun (_, s) -> s = spec) lower_specs)
-
-let lower_of_string s =
-  match List.assoc_opt (String.lowercase_ascii s) lower_specs with
-  | Some spec -> Ok spec
-  | None ->
-    Error
-      (Printf.sprintf "invalid lowering %S, expected one of %s" s
-         (String.concat " | " (List.map fst lower_specs)))
-
-(* The CLI's [--plan-cache] vocabulary: a positive LRU capacity.  Kept
-   next to [sched_of_string] so both flags reject bad spellings with a
-   cmdliner usage error rather than a crash mid-run. *)
+(* The CLI's [--plan-cache] vocabulary: a positive LRU capacity; a bad
+   spelling is a cmdliner usage error rather than a crash mid-run. *)
 let plan_cache_of_string s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Ok n
@@ -148,13 +96,10 @@ let plan_cache_of_string s =
       (Printf.sprintf
          "invalid plan-cache capacity %S, expected a positive integer" s)
 
-(* Parse, compile and run a whole program from source.  [lower] pins the
-   lowering switch for the duration of the run (saved and restored, so
-   callers interleaving differently lowered runs cannot leak the
-   setting). *)
+(* Parse, compile and run a whole program from source. *)
 let run_source ?(pipeline = I.full_pipeline) ?(scalars = []) ?entry
-    ?use_interval_engine ?backend ?executor ?machine ?sched ?lower
-    ?record_trace ?plans ?plan_cache src : I.result =
+    ?use_interval_engine ?backend ?executor ?machine ?exec ?record_trace ?plans
+    ?plan_cache src : I.result =
   let prog = Hpfc_parser.Parser.parse_program src in
   let entry =
     match entry with
@@ -168,16 +113,8 @@ let run_source ?(pipeline = I.full_pipeline) ?(scalars = []) ?entry
     | None, Some capacity -> Some (Redist.Plan_cache.create ~capacity ())
     | None, None -> None
   in
-  let run () =
-    I.run ?machine ?sched ?record_trace ?use_interval_engine ?backend
-      ?executor ?plans compiled ~entry ~scalars ()
-  in
-  match lower with
-  | None -> run ()
-  | Some l ->
-    let saved = !Comm.force_lower in
-    Comm.force_lower := l;
-    Fun.protect ~finally:(fun () -> Comm.force_lower := saved) run
+  I.run ?machine ?exec ?record_trace ?use_interval_engine ?backend ?executor
+    ?plans compiled ~entry ~scalars ()
 
 (* Compare the naive and the fully optimized pipeline on the same program;
    used by every Q experiment. *)
@@ -187,14 +124,14 @@ type comparison = {
   values_agree : bool;
 }
 
-let compare_pipelines ?(scalars = []) ?entry ?sched src : comparison =
+let compare_pipelines ?(scalars = []) ?entry ?exec src : comparison =
   (* each leg runs on its own fresh machine (and plan cache): counters
      cannot leak between the naive and the optimized run *)
   let naive =
-    run_source ~pipeline:I.naive_pipeline ~scalars ?entry ?sched src
+    run_source ~pipeline:I.naive_pipeline ~scalars ?entry ?exec src
   in
   let optimized =
-    run_source ~pipeline:I.full_pipeline ~scalars ?entry ?sched src
+    run_source ~pipeline:I.full_pipeline ~scalars ?entry ?exec src
   in
   (* compare only program-defined elements: copies of killed or
      never-written data legitimately differ between compilations *)

@@ -27,55 +27,19 @@ val analyze :
 
 val pp_report : Format.formatter -> compile_report -> unit
 
-(** The CLI's [--sched] vocabulary.  [Sched_burst] and [Sched_stepped]
-    are pure accounting modes of the simulated machine
-    ({!Hpfc_runtime.Machine.sched_mode}); [Sched_async] is stepped
-    accounting plus the dependency-driven parallel executor
-    ([Comm.force_async]): out-of-step delivery with modeled counters
-    identical to stepped by construction. *)
-type sched_spec = Sched_burst | Sched_stepped | Sched_async
-
-(** The vocabulary, in CLI spelling order: [burst | stepped | async]. *)
-val sched_specs : (string * sched_spec) list
-
-val sched_name : sched_spec -> string
-
-(** Parse a [--sched] value (case-insensitive); unknown spellings get an
-    error message listing the valid values. *)
-val sched_of_string : string -> (sched_spec, string) result
-
-(** The machine accounting mode of a schedule spec: async charges like
-    stepped. *)
-val machine_mode : sched_spec -> Hpfc_runtime.Machine.sched_mode
-
 (** Parse a [--plan-cache] value: a positive LRU capacity.  Zero,
     negative and non-integer spellings get an error message (surfaced as
-    a cmdliner usage error by the CLI).  The parsed capacity takes
-    precedence over the [HPFC_PLAN_CACHE] environment variable. *)
+    a cmdliner usage error by the CLI). *)
 val plan_cache_of_string : string -> (int, string) result
 
-(** The CLI's [--lower] vocabulary, in spelling order:
-    [p2p | collective | auto] — the point-to-point step program, the
-    budget-sliced collective phase program, or a per-plan cost-model
-    choice ({!Hpfc_runtime.Comm.collective_chosen}).  The spec type is
-    [Comm.lowering] itself. *)
-val lower_specs : (string * Hpfc_runtime.Comm.lowering) list
-
-val lower_name : Hpfc_runtime.Comm.lowering -> string
-
-(** Parse a [--lower] value (case-insensitive); unknown spellings get an
-    error message listing the valid values. *)
-val lower_of_string : string -> (Hpfc_runtime.Comm.lowering, string) result
-
-(** Parse, compile and run a whole program from source.  [sched] selects
-    burst or stepped communication accounting for the default machine;
-    [lower] pins the lowering switch ([Comm.force_lower]) for the
-    duration of the run, saved and restored around it; [record_trace]
-    turns on its structured event trace; [executor] installs an
-    alternative communication executor (e.g. the domain-parallel
-    backend's); [plans] installs an external plan cache for the whole
-    call tree, while [plan_cache] (ignored when [plans] is given)
-    creates one with that LRU capacity. *)
+(** Parse, compile and run a whole program from source through
+    {!Hpfc_interp.Interp.run}: [exec] is the execution configuration
+    (default: the environment's), [record_trace] turns on the structured
+    event trace of the default machine, [machine] replaces that machine,
+    [executor] installs an alternative communication executor (e.g. the
+    domain-parallel backend's), [plans] installs an external plan cache
+    for the whole call tree, while [plan_cache] (ignored when [plans] is
+    given) creates one with that LRU capacity. *)
 val run_source :
   ?pipeline:Hpfc_interp.Interp.pipeline ->
   ?scalars:(string * Hpfc_interp.Interp.value) list ->
@@ -84,8 +48,7 @@ val run_source :
   ?backend:Hpfc_runtime.Store.backend ->
   ?executor:Hpfc_runtime.Comm.executor ->
   ?machine:Hpfc_runtime.Machine.t ->
-  ?sched:Hpfc_runtime.Machine.sched_mode ->
-  ?lower:Hpfc_runtime.Comm.lowering ->
+  ?exec:Hpfc_runtime.Exec.t ->
   ?record_trace:bool ->
   ?plans:Hpfc_runtime.Redist.Plan_cache.t ->
   ?plan_cache:int ->
@@ -105,7 +68,7 @@ type comparison = {
 val compare_pipelines :
   ?scalars:(string * Hpfc_interp.Interp.value) list ->
   ?entry:string ->
-  ?sched:Hpfc_runtime.Machine.sched_mode ->
+  ?exec:Hpfc_runtime.Exec.t ->
   string ->
   comparison
 

@@ -73,79 +73,7 @@ module Comm = Hpfc_runtime.Comm
 module Store = Hpfc_runtime.Store
 module Par = Hpfc_par.Par
 
-(* The three datapaths of {!Hpfc_runtime.Comm}: the zero-copy default,
-   the forced-staged PR 4 behaviour, and the per-element scalar oracle. *)
-type path = Zero | Staged | Scalar
-
-(* The oracle's schedule axis: [Burst] and [Stepped] are the machine's
-   accounting modes; [Async] is stepped accounting plus the
-   dependency-driven executor ([Comm.force_async]) — only meaningful on
-   the parallel executor, and byte-identical to [Stepped] on every
-   modeled counter by construction. *)
-type sched = Burst | Stepped | Async
-
-(* How a schedule configuration charges the machine. *)
-let machine_mode = function Burst -> M.Burst | Stepped | Async -> M.Stepped
-
-type config = {
-  backend : Store.backend;
-  par : bool;
-  path : path;
-  sched : sched;
-  lower : Comm.lowering;
-      (* Lower_p2p or Lower_collective; the matrix never uses Lower_auto
-         (its choice function is deterministic in the cost model and
-         tested separately) *)
-}
-
-let path_name = function
-  | Zero -> "zerocopy"
-  | Staged -> "staged"
-  | Scalar -> "scalar"
-
-let config_name c =
-  Printf.sprintf "%s/%s/%s/%s/%s"
-    (match c.backend with
-    | Store.Canonical -> "canonical"
-    | Store.Distributed -> "distributed")
-    (if c.par then "par" else "seq")
-    (path_name c.path)
-    (match c.sched with
-    | Burst -> "burst"
-    | Stepped -> "stepped"
-    | Async -> "async")
-    (match c.lower with
-    | Comm.Lower_p2p -> "p2p"
-    | Comm.Lower_collective -> "coll"
-    | Comm.Lower_auto -> "auto")
-
-(* The head config (canonical / seq / zerocopy / burst / p2p) is the
-   reference the others are compared against.  The collective lowering
-   rides on the stepped and async schedules only: under burst it charges
-   exactly like p2p, so the extra runs would duplicate existing
-   configurations. *)
-let configs =
-  List.concat_map
-    (fun backend ->
-      List.concat_map
-        (fun par ->
-          if par && backend = Store.Canonical then []
-          else
-            List.concat_map
-              (fun path ->
-                List.concat_map
-                  (fun sched ->
-                    List.filter_map
-                      (fun lower ->
-                        if lower = Comm.Lower_collective && sched = Burst
-                        then None
-                        else Some { backend; par; path; sched; lower })
-                      [ Comm.Lower_p2p; Comm.Lower_collective ])
-                  (if par then [ Burst; Stepped; Async ]
-                   else [ Burst; Stepped ]))
-              [ Zero; Staged; Scalar ])
-        [ false; true ])
-    [ Store.Canonical; Store.Distributed ]
+module Exec = Hpfc_runtime.Exec
 
 type outcome = Pass | Reject | Fail of string
 
@@ -164,8 +92,8 @@ exception Divergence of string
 
 let failf fmt = Printf.ksprintf (fun s -> raise (Divergence s)) fmt
 
-(* One shared domain team for every parallel run of the session (the
-   same shape as the HPFC_FORCE_PAR hook); never destroyed. *)
+(* One shared domain team of 3 workers for every parallel run of the
+   session, whatever the core count; never destroyed. *)
 let pool = lazy (Par.create ~ndomains:3 ())
 
 let compile pipeline (c : Gen.case) =
@@ -180,32 +108,21 @@ let compile pipeline (c : Gen.case) =
           _ ) ->
     None
 
-type run = { cfg : config; res : I.result; events : M.event list; dropped : int }
+type run = {
+  cfg : Exec.t;
+  res : I.result;
+  events : M.event list;
+  dropped : int;
+}
 
-let run_one prog entry cfg =
+let run_one prog entry (cfg : Exec.t) =
   incr n_runs;
   let executor =
-    if cfg.par then Par.executor (Lazy.force pool) else Comm.execute
+    if cfg.Exec.par then
+      Par.executor ~async:(cfg.Exec.sched = Exec.Async) (Lazy.force pool)
+    else Comm.execute
   in
-  let saved_scalar = !Comm.force_scalar
-  and saved_staged = !Comm.force_staged
-  and saved_async = !Comm.force_async
-  and saved_lower = !Comm.force_lower in
-  Comm.force_scalar := cfg.path = Scalar;
-  Comm.force_staged := cfg.path = Staged;
-  Comm.force_async := cfg.sched = Async;
-  Comm.force_lower := cfg.lower;
-  let res =
-    Fun.protect
-      ~finally:(fun () ->
-        Comm.force_scalar := saved_scalar;
-        Comm.force_staged := saved_staged;
-        Comm.force_async := saved_async;
-        Comm.force_lower := saved_lower)
-      (fun () ->
-        I.run ~sched:(machine_mode cfg.sched) ~record_trace:true
-          ~backend:cfg.backend ~executor prog ~entry ())
-  in
+  let res = I.run ~exec:cfg ~record_trace:true ~executor prog ~entry () in
   {
     cfg;
     res;
@@ -230,7 +147,9 @@ let sorted_scalars (r : I.result) =
 (* Same compiled program, different machinery: everything observable
    must match the reference run exactly, including taint masks. *)
 let same_result ~what (ref_run : run) (r : run) =
-  let ctx = Printf.sprintf "%s %s vs %s" what (config_name r.cfg) (config_name ref_run.cfg) in
+  let ctx =
+    Printf.sprintf "%s %s vs %s" what (Exec.name r.cfg) (Exec.name ref_run.cfg)
+  in
   List.iter
     (fun (n, a) ->
       match List.assoc_opt n r.res.I.final_arrays with
@@ -332,7 +251,7 @@ let same_counters ~what ref_run r =
     (fun (name, f) ->
       if f c <> f c0 then
         failf "%s: %s = %d under %s but %d under %s" what name (f c)
-          (config_name r.cfg) (f c0) (config_name ref_run.cfg))
+          (Exec.name r.cfg) (f c0) (Exec.name ref_run.cfg))
     core_fields
 
 let same_sched_counters ~what ref_run r =
@@ -341,11 +260,11 @@ let same_sched_counters ~what ref_run r =
     (fun (name, f) ->
       if f c <> f c0 then
         failf "%s: %s = %d under %s but %d under %s" what name (f c)
-          (config_name r.cfg) (f c0) (config_name ref_run.cfg))
+          (Exec.name r.cfg) (f c0) (Exec.name ref_run.cfg))
     sched_fields;
   if not (float_eq c.M.time c0.M.time) then
     failf "%s: modeled time %g under %s but %g under %s" what c.M.time
-      (config_name r.cfg) c0.M.time (config_name ref_run.cfg)
+      (Exec.name r.cfg) c0.M.time (Exec.name ref_run.cfg)
 
 (* --- trace agreement --------------------------------------------------------- *)
 
@@ -379,7 +298,7 @@ let aggregated_messages_of (r : run) =
 let trace_self_check ~what (r : run) =
   if r.dropped > 0 then () (* ring buffer overflow: totals unavailable *)
   else begin
-    let ctx = Printf.sprintf "%s %s" what (config_name r.cfg) in
+    let ctx = Printf.sprintf "%s %s" what (Exec.name r.cfg) in
     let c = counters_of r in
     let n_msgs = ref 0 and vol = ref 0 in
     let in_step = ref false in
@@ -413,19 +332,19 @@ let trace_self_check ~what (r : run) =
     (* one event per message under p2p; the collective lowering slices,
        so it records at least one event per message (and the volume law
        below pins the slice lengths to the exact moved elements) *)
-    (match r.cfg.lower with
-    | Comm.Lower_collective ->
+    (match r.cfg.Exec.lower with
+    | Exec.Collective ->
       if !n_msgs < c.M.messages then
         failf "%s: %d Message events but messages = %d" ctx !n_msgs
           c.M.messages
-    | Comm.Lower_p2p | Comm.Lower_auto ->
+    | Exec.P2p | Exec.Auto ->
       if !n_msgs <> c.M.messages then
         failf "%s: %d Message events but messages = %d" ctx !n_msgs
           c.M.messages);
     if !vol <> c.M.volume then
       failf "%s: traced volume %d but volume = %d" ctx !vol c.M.volume;
     if
-      machine_mode r.cfg.sched = M.Stepped
+      M.accounting r.cfg.Exec.sched = M.Stepped
       && abs_float (!step_time -. c.M.time) > 1e-6 *. (1.0 +. abs_float c.M.time)
     then
       failf "%s: step costs sum to %g but time = %g" ctx !step_time c.M.time
@@ -438,10 +357,10 @@ let trace_self_check ~what (r : run) =
    payload layout, so counts are only comparable on one backend), and
    the staged-vs-zero-copy conservation law per backend. *)
 let check_datapath ~what (runs : run list) (r : run) =
-  let ctx = Printf.sprintf "%s %s" what (config_name r.cfg) in
+  let ctx = Printf.sprintf "%s %s" what (Exec.name r.cfg) in
   let c = counters_of r in
-  (match r.cfg.path with
-  | Scalar ->
+  (match r.cfg.Exec.datapath with
+  | Exec.Scalar ->
     if c.M.run_blits <> 0 then
       failf "%s: scalar path performed %d blits" ctx c.M.run_blits;
     if c.M.zero_copy_runs <> 0 then
@@ -449,14 +368,14 @@ let check_datapath ~what (runs : run list) (r : run) =
     if c.M.staged_bytes <> 8 * c.M.volume then
       failf "%s: scalar staged_bytes = %d, volume = %d" ctx c.M.staged_bytes
         c.M.volume
-  | Staged ->
+  | Exec.Staged ->
     if c.M.zero_copy_runs <> 0 then
       failf "%s: staged path zero-copied %d runs" ctx c.M.zero_copy_runs;
     if c.M.staged_bytes <> 8 * c.M.volume then
       failf "%s: staged staged_bytes = %d, volume = %d" ctx c.M.staged_bytes
         c.M.volume
-  | Zero -> (
-    match r.cfg.backend with
+  | Exec.Zero_copy -> (
+    match r.cfg.Exec.backend with
     | Store.Canonical ->
       (* globally addressed endpoints: every message is Direct *)
       if c.M.run_blits <> 0 || c.M.staged_bytes <> 0 then
@@ -470,7 +389,9 @@ let check_datapath ~what (runs : run list) (r : run) =
   (* agreement with the first run sharing (backend, datapath) *)
   let group_ref =
     List.find
-      (fun r' -> r'.cfg.backend = r.cfg.backend && r'.cfg.path = r.cfg.path)
+      (fun r' ->
+        r'.cfg.Exec.backend = r.cfg.Exec.backend
+        && r'.cfg.Exec.datapath = r.cfg.Exec.datapath)
       runs
   in
   let c0 = counters_of group_ref in
@@ -481,48 +402,51 @@ let check_datapath ~what (runs : run list) (r : run) =
     failf "%s: datapath counters (%d, %d, %d) but (%d, %d, %d) under %s" ctx
       c.M.run_blits c.M.zero_copy_runs c.M.staged_bytes c0.M.run_blits
       c0.M.zero_copy_runs c0.M.staged_bytes
-      (config_name group_ref.cfg);
+      (Exec.name group_ref.cfg);
   (* peak staging bytes model the schedule's staging high-water: they
      depend on the lowering (which shapes the schedule) on top of
      (backend, datapath), and on nothing else *)
   let peak_ref =
     List.find
       (fun r' ->
-        r'.cfg.backend = r.cfg.backend
-        && r'.cfg.path = r.cfg.path
-        && r'.cfg.lower = r.cfg.lower)
+        r'.cfg.Exec.backend = r.cfg.Exec.backend
+        && r'.cfg.Exec.datapath = r.cfg.Exec.datapath
+        && r'.cfg.Exec.lower = r.cfg.Exec.lower)
       runs
   in
   let cp = counters_of peak_ref in
   if c.M.peak_bytes <> cp.M.peak_bytes then
     failf "%s: peak_bytes = %d but %d under %s" ctx c.M.peak_bytes
       cp.M.peak_bytes
-      (config_name peak_ref.cfg);
+      (Exec.name peak_ref.cfg);
   (* the collective lowering's contract: its bounded phases never stage
      more at once than the p2p step program of the same (backend,
      datapath) *)
-  if r.cfg.lower = Comm.Lower_collective then
+  if r.cfg.Exec.lower = Exec.Collective then
     List.iter
       (fun r' ->
         if
-          r'.cfg.backend = r.cfg.backend
-          && r'.cfg.path = r.cfg.path
-          && r'.cfg.lower = Comm.Lower_p2p
+          r'.cfg.Exec.backend = r.cfg.Exec.backend
+          && r'.cfg.Exec.datapath = r.cfg.Exec.datapath
+          && r'.cfg.Exec.lower = Exec.P2p
         then begin
           let c' = counters_of r' in
           if c.M.peak_bytes > c'.M.peak_bytes then
             failf "%s: collective peak_bytes %d > p2p peak_bytes %d (%s)"
               ctx c.M.peak_bytes c'.M.peak_bytes
-              (config_name r'.cfg)
+              (Exec.name r'.cfg)
         end)
       runs;
   (* conservation: staged blits locals once and every move twice; zero
      shifts locals and Direct moves to zero_copy_runs, so per backend
      staged.run_blits >= zero.run_blits + zero.zero_copy_runs *)
-  if r.cfg.path = Zero then
+  if r.cfg.Exec.datapath = Exec.Zero_copy then
     List.iter
       (fun r' ->
-        if r'.cfg.backend = r.cfg.backend && r'.cfg.path = Staged then begin
+        if
+          r'.cfg.Exec.backend = r.cfg.Exec.backend
+          && r'.cfg.Exec.datapath = Exec.Staged
+        then begin
           let cs = counters_of r' in
           if cs.M.run_blits < c.M.run_blits + c.M.zero_copy_runs then
             failf
@@ -548,8 +472,8 @@ let check_pipeline ~what (runs : run list) =
       let sched_ref =
         List.find
           (fun r' ->
-            machine_mode r'.cfg.sched = machine_mode r.cfg.sched
-            && r'.cfg.lower = r.cfg.lower)
+            M.accounting r'.cfg.Exec.sched = M.accounting r.cfg.Exec.sched
+            && r'.cfg.Exec.lower = r.cfg.Exec.lower)
           runs
       in
       same_sched_counters ~what sched_ref r;
@@ -561,8 +485,8 @@ let check_pipeline ~what (runs : run list) =
          never completes out of order *)
       let c = counters_of r in
       let expected =
-        if r.cfg.sched <> Async then Some 0
-        else if r.cfg.lower = Comm.Lower_collective then
+        if r.cfg.Exec.sched <> Async then Some 0
+        else if r.cfg.Exec.lower = Exec.Collective then
           if r.dropped > 0 then None (* slice count unavailable *)
           else Some (List.length (messages_of r))
         else Some c.M.messages
@@ -571,12 +495,12 @@ let check_pipeline ~what (runs : run list) =
       | Some expected ->
         if c.M.async_completions <> expected then
           failf "%s %s: async_completions = %d, expected %d" what
-            (config_name r.cfg) c.M.async_completions expected
+            (Exec.name r.cfg) c.M.async_completions expected
       | None -> ());
       (* fusion is a service-only behaviour: no matrix run may charge it *)
       if c.M.fused_remaps <> 0 then
         failf "%s %s: fused_remaps = %d outside the service" what
-          (config_name r.cfg) c.M.fused_remaps;
+          (Exec.name r.cfg) c.M.fused_remaps;
       check_datapath ~what runs r;
       if r.dropped > 0 || ref_run.dropped > 0 then ()
       else begin
@@ -584,18 +508,18 @@ let check_pipeline ~what (runs : run list) =
            collective lowering slices); the per-(from, to) volume totals
            are pipeline-wide *)
         let lower_ref =
-          List.find (fun r' -> r'.cfg.lower = r.cfg.lower) runs
+          List.find (fun r' -> r'.cfg.Exec.lower = r.cfg.Exec.lower) runs
         in
         if
           lower_ref.dropped = 0
           && messages_of r <> messages_of lower_ref
         then
           failf "%s %s: Message multiset differs from %s" what
-            (config_name r.cfg)
-            (config_name lower_ref.cfg);
+            (Exec.name r.cfg)
+            (Exec.name lower_ref.cfg);
         if aggregated_messages_of r <> ref_agg then
           failf "%s %s: per-(from, to) Message volumes differ from reference"
-            what (config_name r.cfg)
+            what (Exec.name r.cfg)
       end)
     runs
 
@@ -624,8 +548,7 @@ let check_serve ~what (ref_run : run) prog entry =
         try
           incr n_runs;
           let res =
-            I.run ~sched:(machine_mode ref_run.cfg.sched) ~record_trace:true
-              ~backend:ref_run.cfg.backend
+            I.run ~exec:ref_run.cfg ~record_trace:true
               ~executor:(Serve.executor svc ~tenant:i)
               ~plans:(Serve.tenant_cache svc i) prog ~entry ()
           in
@@ -638,20 +561,10 @@ let check_serve ~what (ref_run : run) prog entry =
             }
         with e -> Error e)
   in
-  (* pin the lowering to the reference configuration's for the whole
-     tenant pass: the service reads the global switch at execute time,
-     so an HPFC_FORCE_LOWER environment (the CI collective pass) would
-     otherwise make the tenants diverge from the pinned reference run *)
-  let saved_lower = !Comm.force_lower in
-  Comm.force_lower := ref_run.cfg.lower;
   let tenants =
-    Fun.protect
-      ~finally:(fun () -> Comm.force_lower := saved_lower)
-      (fun () ->
-        let doms = [ tenant 0; tenant 1 ] in
-        List.map
-          (fun d -> match Domain.join d with Ok r -> r | Error e -> raise e)
-          doms)
+    List.map
+      (fun d -> match Domain.join d with Ok r -> r | Error e -> raise e)
+      [ tenant 0; tenant 1 ]
   in
   ignore (Serve.shutdown svc);
   let ref_msgs = messages_of ref_run in
@@ -676,8 +589,8 @@ let check_case (c : Gen.case) : outcome =
   | Some naive_prog, Some full_prog -> (
     try
       let entry = c.Gen.entry in
-      let naive_runs = List.map (run_one naive_prog entry) configs in
-      let full_runs = List.map (run_one full_prog entry) configs in
+      let naive_runs = List.map (run_one naive_prog entry) Exec.all in
+      let full_runs = List.map (run_one full_prog entry) Exec.all in
       check_pipeline ~what:"naive" naive_runs;
       check_pipeline ~what:"optimized" full_runs;
       let n0 = List.hd naive_runs and f0 = List.hd full_runs in
@@ -729,7 +642,7 @@ let check_pass name (c : Gen.case) : outcome =
     Reject
   | Some base_prog, Some pass_prog -> (
     try
-      let cfg = List.hd configs in
+      let cfg = Exec.reference in
       let base = run_one base_prog c.Gen.entry cfg in
       let passed = run_one pass_prog c.Gen.entry cfg in
       trace_self_check ~what:("base/" ^ name) base;

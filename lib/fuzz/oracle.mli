@@ -1,40 +1,9 @@
 (** Differential oracle for generated programs.
 
-    Runs a program through both pipelines under every valid combination
-    of store backend, executor, datapath, schedule, and lowering
-    (66 runs), and cross-checks final values, modeled counters, and
-    event traces.  See the implementation header for the exact
-    invariant list. *)
-
-(** The three {!Hpfc_runtime.Comm} datapaths: zero-copy default, forced
-    staged, per-element scalar oracle. *)
-type path = Zero | Staged | Scalar
-
-(** The schedule axis: [Burst] and [Stepped] are the machine's
-    accounting modes; [Async] is stepped accounting plus the
-    dependency-driven parallel executor ([Comm.force_async]), valid only
-    with [par] and byte-identical to [Stepped] on every modeled
-    counter. *)
-type sched = Burst | Stepped | Async
-
-(** The accounting mode a schedule charges under (async charges like
-    stepped). *)
-val machine_mode : sched -> Hpfc_runtime.Machine.sched_mode
-
-type config = {
-  backend : Hpfc_runtime.Store.backend;
-  par : bool;  (** domain-parallel executor (implies distributed) *)
-  path : path;
-  sched : sched;
-  lower : Hpfc_runtime.Comm.lowering;
-      (** [Lower_p2p] or [Lower_collective] (collective only under
-          stepped accounting); the matrix never uses [Lower_auto] *)
-}
-
-(** The 33 valid configurations; the head is the reference. *)
-val configs : config list
-
-val config_name : config -> string
+    Runs a program through both pipelines under every configuration of
+    {!Hpfc_runtime.Exec.all} (33 configurations, 66 runs), and
+    cross-checks final values, modeled counters, and event traces.  See
+    the implementation header for the exact invariant list. *)
 
 type outcome =
   | Pass

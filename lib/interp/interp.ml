@@ -400,61 +400,49 @@ and run_frame p frame =
 
 (* --- top-level run ----------------------------------------------------------- *)
 
-(* CI hook: HPFC_FORCE_PAR reroutes every run without an explicit
-   executor through the domain-parallel backend (and per-rank payloads),
-   so the whole test suite exercises it.  An integer value sets the team
-   size; any other non-empty value (e.g. "auto") uses the recommended
-   domain count; "", "0" and unset leave the sequential executor.
-   HPFC_FORCE_ASYNC implies the rerouting too — the async discipline
-   only exists on the parallel backend, so forcing it must also force
-   the pool (Comm.force_async itself makes the pool deliver out of step
-   order).  The pool is created once and shared — runs are sequential
-   within a process, and the coordinator owns all accounting, so reuse
-   is safe. *)
-let forced_par_pool =
-  lazy
-    (let ndomains =
-       match Sys.getenv_opt "HPFC_FORCE_PAR" with
-       | Some v -> (
-         match int_of_string_opt (String.trim v) with
-         | Some n when n > 0 -> Some n
-         | Some _ | None -> None)
-       | None -> None
-     in
-     Hpfc_par.Par.create ?ndomains ())
+(* The one shared domain pool: runs whose configuration asks for the
+   parallel executor without bringing one (the HPFC_FORCE_PAR /
+   HPFC_FORCE_ASYNC hook, through [Exec.default]) go through it.
+   Created on first use with the team size the environment asks for,
+   and shared — runs are sequential within a process, and the
+   coordinator owns all accounting, so reuse is safe. *)
+let shared_pool =
+  lazy (Hpfc_par.Par.create ?ndomains:(Exec.default_team ()) ())
 
-let force_par () =
-  let set v =
-    match Sys.getenv_opt v with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-  in
-  set "HPFC_FORCE_PAR" || set "HPFC_FORCE_ASYNC"
-
-let run ?(machine : Machine.t option) ?(sched = Machine.Burst)
-    ?(record_trace = false) ?(use_interval_engine = true)
-    ?(backend = Store.Canonical) ?executor ?plans ?(scalars = []) (p : program)
-    ~entry () : result =
+let run ?(machine : Machine.t option) ?exec ?(record_trace = false)
+    ?(use_interval_engine = true) ?backend ?executor ?plans ?(scalars = [])
+    (p : program) ~entry () : result =
   let target =
     match Hashtbl.find_opt p.compiled entry with
     | Some r -> r
     | None -> Hpfc_base.Error.fail Unknown_entity "no routine %s" entry
   in
+  let e = match exec with Some e -> e | None -> Exec.default () in
   let machine =
     match machine with
     | Some m -> m
     | None ->
-      Machine.create ~sched ~record_trace
+      (* an explicit configuration decides the accounting mode; the
+         environment's default never does *)
+      let sched =
+        match exec with
+        | Some e -> Machine.accounting e.Exec.sched
+        | None -> Machine.Burst
+      in
+      Machine.create ~sched ~datapath:e.Exec.datapath ~lower:e.Exec.lower
+        ~record_trace
         ~nprocs:target.Gen.graph.Graph.env.Env.default_procs.shape.(0) ()
   in
+  let backend = Option.value backend ~default:e.Exec.backend in
   let backend, executor =
     match executor with
-    | Some _ -> (backend, executor)
-    | None ->
-      if force_par () then
-        ( Store.Distributed,
-          Some (Hpfc_par.Par.executor (Lazy.force forced_par_pool)) )
-      else (backend, None)
+    | None when e.Exec.par ->
+      ( Store.Distributed,
+        Some
+          (Hpfc_par.Par.executor
+             ~async:(e.Exec.sched = Exec.Async)
+             (Lazy.force shared_pool)) )
+    | _ -> (backend, executor)
   in
   let frame =
     {

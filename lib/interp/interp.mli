@@ -58,25 +58,26 @@ val compile : ?pipeline:pipeline -> Hpfc_lang.Ast.program -> program
 
 (** Run [entry] with the given scalar bindings.  Dummy arguments are
     materialized with a deterministic fill (imported values) for
-    in/inout.  [sched] selects the communication accounting mode of the
-    default machine (ignored when [machine] is given).  [executor]
-    installs an alternative communication executor, shared by every
-    frame of the call tree (e.g. [Hpfc_par.Par.executor] for the
-    domain-parallel backend, which wants [backend = Distributed]).  When
-    no executor is given and the [HPFC_FORCE_PAR] or [HPFC_FORCE_ASYNC]
-    environment variable is set non-empty and non-zero, the run is
-    rerouted through a shared domain-parallel pool (an integer
-    [HPFC_FORCE_PAR] sets the team size) — the CI hook that executes the
-    whole suite on the parallel backend ([HPFC_FORCE_ASYNC] additionally
-    makes it deliver out of step order, via [Comm.force_async]).
-    [plans] installs an external plan cache for the whole call tree
-    (e.g. a service tenant's cache, or one sized by [--plan-cache]);
-    when absent the root frame creates its own.
+    in/inout.  [exec] is the execution configuration (default
+    {!Hpfc_runtime.Exec.default}, the one the environment selects): the
+    default machine takes its datapath and lowering, and — only when
+    [exec] is given — its accounting mode (else burst); [backend]
+    defaults to its backend.  [machine] replaces the default machine
+    outright.  [executor] installs an alternative communication
+    executor, shared by every frame of the call tree (e.g.
+    [Hpfc_par.Par.executor] for the domain-parallel backend, which wants
+    [backend = Distributed]); without one, a configuration asking for
+    the parallel executor runs on one shared domain pool (sized by
+    [HPFC_FORCE_PAR] when set) on per-rank payloads, under the async
+    discipline when its schedule is [Async].  [plans] installs an
+    external plan cache for the whole call tree (e.g. a service
+    tenant's cache, or one sized by [--plan-cache]); when absent the
+    root frame creates its own.
     @raise Hpfc_base.Error.Hpf_error on runtime faults or calls to
     unknown routines. *)
 val run :
   ?machine:Hpfc_runtime.Machine.t ->
-  ?sched:Hpfc_runtime.Machine.sched_mode ->
+  ?exec:Hpfc_runtime.Exec.t ->
   ?record_trace:bool ->
   ?use_interval_engine:bool ->
   ?backend:Hpfc_runtime.Store.backend ->

@@ -14,13 +14,13 @@
      program — the same greedy edge coloring the stepped cost model
      charges — the way a lockstep message-passing runtime would: per
      step every rank packs the box of each message it sends into a
-     staging buffer (row-major box order, exactly [Comm.run_message]'s
-     walk) drawn from its worker's buffer pool, posts it to the
+     staging buffer (row-major box order, exactly the sequential
+     executor's [Comm.pack_staged] walk) drawn from its worker's buffer pool, posts it to the
      receiving rank's mailbox, takes and unpacks the messages addressed
      to it, and crosses a sense-reversing barrier before the next step;
 
-   - the *async* mode ([Comm.force_async], --sched=async /
-     HPFC_FORCE_ASYNC) is dependency-driven: there is no barrier at
+   - the *async* mode (the [Exec.Async] schedule, latched when the
+     executor is built) is dependency-driven: there is no barrier at
      all.  Each rank posts its staged sends eagerly in plan order,
      bounded by a window of [lease_window] = 2 staging leases in flight
      (double buffering: the pack of message k+1 overlaps the receiver's
@@ -40,30 +40,40 @@
    barriers only ever *exercised* the schedule, they never ordered
    conflicting writes.
 
-   Data movement follows [Comm.force_scalar] / [Comm.force_staged] in
-   both modes: compiled-run blits by default — with
-   [Redist.Direct]-eligible messages copied payload to payload by the
-   sending rank, never posted to a mailbox — the per-element scalar
-   oracle or the unconditional staging path when forced.  The run memo
-   and datapath decision on each message are precompiled by the
-   coordinator before the job is submitted, so worker domains only ever
-   read them.
+   Data movement follows the machine's datapath in both modes:
+   compiled-run blits by default — with [Redist.Direct]-eligible
+   messages copied payload to payload by the sending rank, never posted
+   to a mailbox — the per-element scalar oracle or the unconditional
+   staging path when the machine says so.  The coordinator copies that
+   choice into the job, and precompiles the run memo and datapath
+   decision on each message before the job is submitted, so worker
+   domains only ever read them.
 
    The caller's domain stays the coordinator: it submits the job, waits
    for the team, and then owns all machine accounting — counters and
-   the modeled clock via [Comm.charge] / [Comm.charge_datapath], and
-   the trace via [Comm.record_schedule_trace], all shared with the
-   sequential executor — so modeled numbers are byte-identical across
-   executors and modes by construction.  Only the measured wall events
+   the modeled clock via [Comm.charge], and the trace via
+   [Comm.record_rounds], both shared with the sequential executor — so
+   modeled numbers are byte-identical across executors and modes by
+   construction.  Only the measured wall events
    differ: stepped runs record one [Wall_step] per step, async runs one
    [Wall_msg] (post-to-completion) per staged message and the
    [async_completions] counter.  Worker domains never touch the
-   machine, so tracing needs no locks. *)
+   machine, so tracing needs no locks.
+
+   A worker that raises (a faulty endpoint closure, say) aborts the job
+   rather than leaving its siblings waiting on a barrier or a mailbox
+   forever: the first exception is recorded, every waiter of the job is
+   woken and unwinds, and the coordinator re-raises it once the whole
+   team has left the job — the pool stays usable. *)
 
 module Machine = Hpfc_runtime.Machine
 module Redist = Hpfc_runtime.Redist
 module Comm = Hpfc_runtime.Comm
 module Buf = Hpfc_runtime.Buf
+module Exec = Hpfc_runtime.Exec
+
+(* Raised inside the workers of an aborted job to unwind from a wait. *)
+exception Aborted
 
 (* --- sense-reversing barrier --------------------------------------------- *)
 
@@ -85,8 +95,11 @@ let barrier_make parties =
   }
 
 (* Block until all parties arrive; the last arriver runs [on_last] while
-   holding the barrier mutex (used to stamp per-step wall clocks). *)
-let barrier_await b ~on_last =
+   holding the barrier mutex (used to stamp per-step wall clocks).
+   Raises [Aborted] instead once [abort] is set: the aborter sets it
+   before broadcasting under the barrier mutex, so no waiter misses
+   it. *)
+let barrier_await b ~abort ~on_last =
   Mutex.lock b.b_mutex;
   let phase = b.b_phase in
   b.b_count <- b.b_count + 1;
@@ -97,10 +110,12 @@ let barrier_await b ~on_last =
     Condition.broadcast b.b_cond
   end
   else
-    while b.b_phase = phase do
+    while b.b_phase = phase && not (Atomic.get abort) do
       Condition.wait b.b_cond b.b_mutex
     done;
-  Mutex.unlock b.b_mutex
+  let aborted = b.b_phase = phase && Atomic.get abort in
+  Mutex.unlock b.b_mutex;
+  if aborted then raise Aborted
 
 (* --- per-rank mailboxes ---------------------------------------------------- *)
 
@@ -139,12 +154,17 @@ let mailbox_post mb item =
 
 (* Blocking take (stepped mode: the worker serves its ranks one at a
    time, so waiting on the shared condition is safe — wakeups for a
-   sibling rank re-check and wait again). *)
-let mailbox_take mb =
+   sibling rank re-check and wait again).  Raises [Aborted] once
+   [abort] is set. *)
+let mailbox_take ~abort mb =
   Mutex.lock mb.mb_mutex;
-  while mb.mb_items = [] do
+  while mb.mb_items = [] && not (Atomic.get abort) do
     Condition.wait mb.mb_cond mb.mb_mutex
   done;
+  if mb.mb_items = [] then begin
+    Mutex.unlock mb.mb_mutex;
+    raise Aborted
+  end;
   let item = List.hd mb.mb_items in
   mb.mb_items <- List.tl mb.mb_items;
   Mutex.unlock mb.mb_mutex;
@@ -184,6 +204,7 @@ type job = {
          lowering a direct message moves whole in the round of its
          offset-zero slice. *)
   j_recvs : int array array;  (* round -> rank -> expected staged packets *)
+  j_scalar : bool;  (* the machine's datapath is the scalar oracle *)
   j_src : Comm.endpoint;
   j_dst : Comm.endpoint;
   j_mailboxes : mailbox array;  (* indexed by receiving rank *)
@@ -209,6 +230,7 @@ type ajob = {
       (* rank -> staged sends in schedule order as
          (message, off, len, wall slot) *)
   a_recvs : int array;  (* rank -> expected staged packets *)
+  a_scalar : bool;  (* the machine's datapath is the scalar oracle *)
   a_src : Comm.endpoint;
   a_dst : Comm.endpoint;
   a_mailboxes : mailbox array;  (* indexed by receiving rank *)
@@ -247,6 +269,9 @@ type t = {
   mutable p_done : int;  (* workers finished with the current job *)
   mutable p_shutdown : bool;
   p_barrier : barrier;
+  p_abort : bool Atomic.t;  (* the current job was aborted *)
+  mutable p_error : exn option;
+      (* the first exception a worker raised in the current job *)
   mutable p_domains : unit Domain.t list;
   p_pools : Comm.Pool.t array;
       (* staging-buffer pool of each worker domain; only its owner touches
@@ -273,47 +298,18 @@ let atomic_max cell n =
   go ()
 
 (* Pack positions [off, off + len) of one message's row-major box order
-   into a pooled staging buffer — the identical walk as
-   [Comm.run_message] / [Comm.run_slice], performed on the sending rank.
-   The buffer's first [len] slots carry the payload; a full-range send
-   takes the whole-message fast path. *)
-let pack_buf pool live_peak ~(src : Comm.endpoint) ~(dst : Comm.endpoint)
-    (m : Redist.message) ~off ~len =
+   into a pooled staging buffer — the identical walk as the sequential
+   executor's, performed on the sending rank. *)
+let pack_buf pool live_peak ~scalar ~src ~dst (m : Redist.message) ~off ~len =
   let _, buf = Comm.Pool.acquire pool len in
   atomic_max live_peak (Comm.Pool.live_leases ());
-  (if !Comm.force_scalar then begin
-     let k = ref 0 in
-     Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
-         Buf.set buf !k (src.Comm.read ~rank:m.Redist.m_from index);
-         incr k)
-   end
-   else if off = 0 && len = m.Redist.m_count then
-     Comm.pack_runs (Comm.runs_of ~src ~dst m)
-       (src.Comm.buffer ~rank:m.Redist.m_from)
-       buf
-   else
-     Comm.pack_slice (Comm.runs_of ~src ~dst m)
-       (src.Comm.buffer ~rank:m.Redist.m_from)
-       buf ~off ~len);
+  Comm.pack_staged ~scalar ~src ~dst m ~off ~len buf;
   buf
 
 (* Unpack on the receiving rank, then release the packet buffer into the
    receiving worker's pool. *)
-let unpack_buf pool ~(src : Comm.endpoint) ~(dst : Comm.endpoint)
-    (m : Redist.message) ~off ~len buf =
-  (if !Comm.force_scalar then begin
-     let k = ref 0 in
-     Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
-         dst.Comm.write ~rank:m.Redist.m_to index (Buf.get buf !k);
-         incr k)
-   end
-   else if off = 0 && len = m.Redist.m_count then
-     Comm.unpack_runs (Comm.runs_of ~src ~dst m) buf
-       (dst.Comm.buffer ~rank:m.Redist.m_to)
-   else
-     Comm.unpack_slice (Comm.runs_of ~src ~dst m) buf
-       (dst.Comm.buffer ~rank:m.Redist.m_to)
-       ~off ~len);
+let unpack_buf pool ~scalar ~src ~dst (m : Redist.message) ~off ~len buf =
+  Comm.unpack_staged ~scalar ~src ~dst m ~off ~len buf;
   Comm.Pool.release pool buf
 
 (* --- the stepped job body --------------------------------------------------- *)
@@ -331,11 +327,12 @@ let run_job pool w (job : job) =
       r := !r + pool.ndomains
     done
   in
+  let abort = pool.p_abort in
   each_rank (fun r ->
       List.iter
-        (fun m -> Comm.run_local ~src:job.j_src ~dst:job.j_dst m)
+        (Comm.run_local ~scalar:job.j_scalar ~src:job.j_src ~dst:job.j_dst)
         job.j_locals.(r));
-  barrier_await pool.p_barrier ~on_last:(fun () ->
+  barrier_await pool.p_barrier ~abort ~on_last:(fun () ->
       job.j_tick <- Unix.gettimeofday ());
   for i = 0 to nsteps - 1 do
     each_rank (fun r ->
@@ -345,8 +342,8 @@ let run_job pool w (job : job) =
         List.iter
           (fun ((m : Redist.message), off, len) ->
             let buf =
-              pack_buf my_pool job.j_live_peak ~src:job.j_src ~dst:job.j_dst m
-                ~off ~len
+              pack_buf my_pool job.j_live_peak ~scalar:job.j_scalar
+                ~src:job.j_src ~dst:job.j_dst m ~off ~len
             in
             mailbox_post
               job.j_mailboxes.(m.Redist.m_to)
@@ -354,11 +351,11 @@ let run_job pool w (job : job) =
           job.j_sends.(i).(r));
     each_rank (fun r ->
         for _ = 1 to job.j_recvs.(i).(r) do
-          let p = mailbox_take job.j_mailboxes.(r) in
-          unpack_buf my_pool ~src:job.j_src ~dst:job.j_dst p.p_msg ~off:p.p_off
-            ~len:p.p_len p.p_buf
+          let p = mailbox_take ~abort job.j_mailboxes.(r) in
+          unpack_buf my_pool ~scalar:job.j_scalar ~src:job.j_src
+            ~dst:job.j_dst p.p_msg ~off:p.p_off ~len:p.p_len p.p_buf
         done);
-    barrier_await pool.p_barrier ~on_last:(fun () ->
+    barrier_await pool.p_barrier ~abort ~on_last:(fun () ->
         let now = Unix.gettimeofday () in
         job.j_wall.(i) <- now -. job.j_tick;
         job.j_tick <- now)
@@ -394,7 +391,7 @@ let run_async_job pool w (job : ajob) =
   let r = ref w in
   while !r < job.a_nranks do
     List.iter
-      (fun m -> Comm.run_local ~src:job.a_src ~dst:job.a_dst m)
+      (Comm.run_local ~scalar:job.a_scalar ~src:job.a_src ~dst:job.a_dst)
       job.a_locals.(!r);
     List.iter
       (fun m -> Comm.run_direct ~src:job.a_src ~dst:job.a_dst m)
@@ -421,8 +418,8 @@ let run_async_job pool w (job : ajob) =
          Only the sending rank increments its own counter, so the window
          check cannot be raced past [lease_window] *)
       let buf =
-        pack_buf my_pool job.a_live_peak ~src:job.a_src ~dst:job.a_dst m ~off
-          ~len
+        pack_buf my_pool job.a_live_peak ~scalar:job.a_scalar ~src:job.a_src
+          ~dst:job.a_dst m ~off ~len
       in
       st.rs_pending <- rest;
       let held = 1 + Atomic.fetch_and_add job.a_leases.(st.rs_rank) 1 in
@@ -445,8 +442,8 @@ let run_async_job pool w (job : ajob) =
         (* complete the send as it arrives, stamp its wall clock,
            release the sender's staging lease and wake its worker in
            case it was blocked on a full window *)
-        unpack_buf my_pool ~src:job.a_src ~dst:job.a_dst p.p_msg ~off:p.p_off
-          ~len:p.p_len p.p_buf;
+        unpack_buf my_pool ~scalar:job.a_scalar ~src:job.a_src ~dst:job.a_dst
+          p.p_msg ~off:p.p_off ~len:p.p_len p.p_buf;
         if job.a_stamp then
           job.a_msg_wall.(p.p_slot) <- Unix.gettimeofday () -. p.p_posted;
         st.rs_recvs_left <- st.rs_recvs_left - 1;
@@ -465,7 +462,10 @@ let run_async_job pool w (job : ajob) =
       | None -> false)
   in
   let rank_done st = st.rs_pending = [] && st.rs_recvs_left = 0 in
-  let all_done () = List.for_all rank_done states in
+  let all_done () =
+    if Atomic.get pool.p_abort then raise Aborted;
+    List.for_all rank_done states
+  in
   if states <> [] then begin
     (* all mailboxes of my ranks share my (mutex, cond) pair *)
     let mutex = job.a_mailboxes.((List.hd states).rs_rank).mb_mutex
@@ -481,10 +481,12 @@ let run_async_job pool w (job : ajob) =
            signal through, so a concurrent wakeup cannot be missed *)
         Mutex.lock mutex;
         while
-          List.for_all
-            (fun st ->
-              job.a_mailboxes.(st.rs_rank).mb_items = [] && not (can_send st))
-            states
+          (not (Atomic.get pool.p_abort))
+          && List.for_all
+               (fun st ->
+                 job.a_mailboxes.(st.rs_rank).mb_items = []
+                 && not (can_send st))
+               states
         do
           Condition.wait cond mutex
         done;
@@ -494,6 +496,29 @@ let run_async_job pool w (job : ajob) =
   end
 
 (* --- the worker loop --------------------------------------------------------- *)
+
+(* Abort the current job after a worker raised [e]: record the first
+   real exception, then wake every waiter of the job — the barrier's and
+   every mailbox's — so it re-checks the abort flag and unwinds. *)
+let abort_job pool job e =
+  Mutex.lock pool.p_mutex;
+  (match e with
+  | Aborted -> ()
+  | e -> if Option.is_none pool.p_error then pool.p_error <- Some e);
+  Mutex.unlock pool.p_mutex;
+  Atomic.set pool.p_abort true;
+  let b = pool.p_barrier in
+  Mutex.lock b.b_mutex;
+  Condition.broadcast b.b_cond;
+  Mutex.unlock b.b_mutex;
+  Array.iter
+    (fun mb ->
+      Mutex.lock mb.mb_mutex;
+      Condition.broadcast mb.mb_cond;
+      Mutex.unlock mb.mb_mutex)
+    (match job with
+    | Stepped_job j -> j.j_mailboxes
+    | Async_job j -> j.a_mailboxes)
 
 let worker pool w =
   let rec loop generation =
@@ -506,9 +531,11 @@ let worker pool w =
       let generation = pool.p_generation in
       let job = Option.get pool.p_job in
       Mutex.unlock pool.p_mutex;
-      (match job with
-      | Stepped_job j -> run_job pool w j
-      | Async_job j -> run_async_job pool w j);
+      (try
+         match job with
+         | Stepped_job j -> run_job pool w j
+         | Async_job j -> run_async_job pool w j
+       with e -> abort_job pool job e);
       Mutex.lock pool.p_mutex;
       pool.p_done <- pool.p_done + 1;
       if pool.p_done = pool.ndomains then Condition.broadcast pool.p_cond;
@@ -534,6 +561,8 @@ let create ?ndomains () =
       p_done = 0;
       p_shutdown = false;
       p_barrier = barrier_make n;
+      p_abort = Atomic.make false;
+      p_error = None;
       p_domains = [];
       p_pools = Array.init n (fun _ -> Comm.Pool.create ());
       p_last_max_leases = 0;
@@ -550,7 +579,9 @@ let destroy pool =
   List.iter Domain.join pool.p_domains;
   pool.p_domains <- []
 
-(* Submit one job and block until the whole team has finished it. *)
+(* Submit one job and block until the whole team has finished it.  If a
+   worker raised, re-raise its exception once every worker has left the
+   job, after resetting the barrier its siblings abandoned. *)
 let run_job_sync pool job =
   Mutex.lock pool.p_mutex;
   if pool.p_shutdown then begin
@@ -565,7 +596,16 @@ let run_job_sync pool job =
     Condition.wait pool.p_cond pool.p_mutex
   done;
   pool.p_job <- None;
-  Mutex.unlock pool.p_mutex
+  let error = pool.p_error in
+  pool.p_error <- None;
+  Mutex.unlock pool.p_mutex;
+  if Atomic.get pool.p_abort then begin
+    Mutex.lock pool.p_barrier.b_mutex;
+    pool.p_barrier.b_count <- 0;
+    Mutex.unlock pool.p_barrier.b_mutex;
+    Atomic.set pool.p_abort false
+  end;
+  Option.iter raise error
 
 (* --- the executor ----------------------------------------------------------- *)
 
@@ -577,9 +617,12 @@ let make_mailboxes pool nranks =
   in
   Array.init nranks (fun r -> mailbox_make locks.(r mod pool.ndomains))
 
-let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
-  let async = match async with Some b -> b | None -> !Comm.force_async in
+let default_async () = (Exec.default ()).Exec.sched = Exec.Async
+
+let execute ?(async = default_async ()) pool (mach : Machine.t) ~src ~dst
+    (plan : Redist.plan) =
   let collective = Comm.collective_chosen mach plan in
+  let scalar = mach.Machine.datapath = Exec.Scalar in
   let nranks =
     Int.max 1 (Int.max plan.Redist.nprocs_src plan.Redist.nprocs_dst)
   in
@@ -593,43 +636,27 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
      only read the memos).  (The schedule memos — step program,
      collective program — are likewise populated below by the
      coordinator's own builder walk.) *)
-  Comm.precompile ~src ~dst plan;
-  let direct_ok = Comm.direct_enabled () in
-  (* The schedule as a list of rounds of (message, off, len) send items —
-     the step program's whole messages, or the collective phase program's
-     slices.  The stepped and async bodies below consume rounds without
-     knowing which lowering produced them.  A direct-eligible message is
-     never a send item: it moves payload to payload whole, in the round
-     of its offset-zero slice. *)
+  Comm.precompile mach ~src ~dst plan;
+  let direct_ok = Comm.direct_enabled mach in
+  (* The lowered schedule, each round split into staged send items and
+     direct-eligible messages.  A direct message is never a send item:
+     it moves payload to payload whole, in the round of its offset-zero
+     item. *)
+  let schedule = Comm.rounds ~collective plan in
   let rounds, direct_rounds =
-    if collective then
-      let cp = Redist.collective_program plan in
-      List.fold_right
-        (fun ph (rs, ds) ->
-          let sends, directs =
-            List.fold_right
-              (fun (sl : Redist.slice) (ss, dd) ->
-                let m = sl.Redist.sl_msg in
-                if direct_ok && Comm.message_direct ~src ~dst m then
-                  (ss, if sl.Redist.sl_off = 0 then m :: dd else dd)
-                else ((m, sl.Redist.sl_off, sl.Redist.sl_len) :: ss, dd))
-              ph ([], [])
-          in
-          (sends :: rs, directs :: ds))
-        cp.Redist.c_phases ([], [])
-    else
-      List.fold_right
-        (fun step (rs, ds) ->
-          let sends, directs =
-            List.fold_right
-              (fun (m : Redist.message) (ss, dd) ->
-                if direct_ok && Comm.message_direct ~src ~dst m then
-                  (ss, m :: dd)
-                else ((m, 0, m.Redist.m_count) :: ss, dd))
-              step ([], [])
-          in
-          (sends :: rs, directs :: ds))
-        (Redist.step_program plan) ([], [])
+    List.split
+      (List.map
+         (fun r ->
+           let sends = ref [] and directs = ref [] in
+           Comm.iter_items
+             (fun m off len ->
+               if direct_ok && Comm.message_direct ~src ~dst m then begin
+                 if off = 0 then directs := m :: !directs
+               end
+               else sends := (m, off, len) :: !sends)
+             r;
+           (List.rev !sends, List.rev !directs))
+         schedule)
   in
   let nrounds = List.length rounds in
   let pool_totals () =
@@ -639,33 +666,8 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
   in
   let hits0, misses0 = pool_totals () in
   let c = mach.Machine.counters in
-  (* Modeled accounting and trace replay after the job, shared with the
-     sequential executor, so real delivery order is invisible to every
-     modeled observable. *)
-  let replay_trace ?on_step () =
-    if collective then
-      Comm.record_collective_trace ?on_step mach
-        (Redist.collective_program plan)
-    else Comm.record_schedule_trace ?on_step mach (Redist.step_program plan)
-  in
-  let charge_modeled () =
-    if collective then begin
-      Comm.charge_collective mach plan (Redist.collective_program plan);
-      Comm.charge_datapath ~collective:true mach ~src ~dst plan
-    end
-    else begin
-      Comm.charge mach plan (Redist.step_program plan);
-      Comm.charge_datapath mach ~src ~dst plan
-    end
-  in
-  let mirror_pools live_peak =
-    let hits1, misses1 = pool_totals () in
-    c.Machine.pool_hits <- c.Machine.pool_hits + (hits1 - hits0);
-    c.Machine.pool_misses <- c.Machine.pool_misses + (misses1 - misses0);
-    c.Machine.pool_lease_peak <-
-      Int.max c.Machine.pool_lease_peak (Atomic.get live_peak)
-  in
-  if async then begin
+  let job =
+    if async then begin
     (* flatten the rounds per sending rank, in schedule order; every
        staged send gets the slot of its wall-clock cell *)
     let directs = Array.make nranks [] in
@@ -696,6 +698,7 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
         a_directs = Array.map List.rev directs;
         a_sends = Array.map (fun l -> Array.of_list (List.rev l)) sends;
         a_recvs = recvs;
+        a_scalar = scalar;
         a_src = src;
         a_dst = dst;
         a_mailboxes = make_mailboxes pool nranks;
@@ -707,27 +710,7 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
         a_live_peak = Atomic.make 0;
       }
     in
-    let t0 = Unix.gettimeofday () in
-    run_job_sync pool (Async_job job);
-    let wall = Unix.gettimeofday () -. t0 in
-    pool.p_last_max_leases <- Array.fold_left Int.max 0 job.a_max_leases;
-    replay_trace ();
-    Array.iteri
-      (fun slot (m : Redist.message) ->
-        Machine.record mach
-          (Machine.Wall_msg
-             {
-               from_rank = m.Redist.m_from;
-               to_rank = m.Redist.m_to;
-               wall = job.a_msg_wall.(slot);
-             }))
-      job.a_staged;
-    charge_modeled ();
-    c.Machine.async_completions <-
-      c.Machine.async_completions + Array.length job.a_staged;
-    mirror_pools job.a_live_peak;
-    c.Machine.wall_time <- c.Machine.wall_time +. wall;
-    Machine.record mach (Machine.Wall_remap { steps = nrounds; wall })
+    Async_job job
   end
   else begin
     let sends = Array.init nrounds (fun _ -> Array.make nranks []) in
@@ -756,6 +739,7 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
         j_sends = sends;
         j_directs = directs;
         j_recvs = recvs;
+        j_scalar = scalar;
         j_src = src;
         j_dst = dst;
         j_mailboxes = make_mailboxes pool nranks;
@@ -764,21 +748,50 @@ let execute ?async pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
         j_tick = 0.0;
       }
     in
-    let t0 = Unix.gettimeofday () in
-    run_job_sync pool (Stepped_job job);
-    let wall = Unix.gettimeofday () -. t0 in
-    (* All accounting happens here, on the coordinator, after the fact:
-       the trace replays the schedule exactly as the sequential executor
-       records it, with the measured wall clock of each round appended to
-       its modeled cost. *)
-    replay_trace () ~on_step:(fun i ->
-        Machine.record mach
-          (Machine.Wall_step { index = i; wall = job.j_wall.(i) }));
-    charge_modeled ();
-    mirror_pools job.j_live_peak;
-    c.Machine.wall_time <- c.Machine.wall_time +. wall;
-    Machine.record mach (Machine.Wall_remap { steps = nrounds; wall })
+    Stepped_job job
   end
+  in
+  let t0 = Unix.gettimeofday () in
+  run_job_sync pool job;
+  let wall = Unix.gettimeofday () -. t0 in
+  (* All accounting happens here, on the coordinator, after the fact,
+     shared with the sequential executor so real delivery order is
+     invisible to every modeled observable: the trace replays the
+     schedule exactly as the sequential executor records it, plus the
+     measured wall clocks — each stepped round's after its modeled
+     cost, each async staged message's after the replay. *)
+  let live_peak =
+    match job with
+    | Stepped_job j ->
+      Comm.record_rounds mach schedule ~on_step:(fun i ->
+          Machine.record mach
+            (Machine.Wall_step { index = i; wall = j.j_wall.(i) }));
+      j.j_live_peak
+    | Async_job j ->
+      pool.p_last_max_leases <- Array.fold_left Int.max 0 j.a_max_leases;
+      Comm.record_rounds mach schedule;
+      Array.iteri
+        (fun slot (m : Redist.message) ->
+          Machine.record mach
+            (Machine.Wall_msg
+               {
+                 from_rank = m.Redist.m_from;
+                 to_rank = m.Redist.m_to;
+                 wall = j.a_msg_wall.(slot);
+               }))
+        j.a_staged;
+      c.Machine.async_completions <-
+        c.Machine.async_completions + Array.length j.a_staged;
+      j.a_live_peak
+  in
+  Comm.charge ~collective mach ~src ~dst plan;
+  let hits1, misses1 = pool_totals () in
+  c.Machine.pool_hits <- c.Machine.pool_hits + (hits1 - hits0);
+  c.Machine.pool_misses <- c.Machine.pool_misses + (misses1 - misses0);
+  c.Machine.pool_lease_peak <-
+    Int.max c.Machine.pool_lease_peak (Atomic.get live_peak);
+  c.Machine.wall_time <- c.Machine.wall_time +. wall;
+  Machine.record mach (Machine.Wall_remap { steps = nrounds; wall })
 
-let executor ?async pool : Comm.executor =
- fun mach ~src ~dst plan -> execute ?async pool mach ~src ~dst plan
+let executor ?(async = default_async ()) pool : Comm.executor =
+ fun mach ~src ~dst plan -> execute ~async pool mach ~src ~dst plan

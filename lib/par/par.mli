@@ -13,8 +13,8 @@
       received, and crosses a barrier — so the schedule's
       contention-freedom is exercised by construction;
 
-    - {e async} ([Comm.force_async], [--sched=async] /
-      [HPFC_FORCE_ASYNC]): dependency-driven, no barriers.  Each rank
+    - {e async} (the [Exec.Async] schedule): dependency-driven, no
+      barriers.  Each rank
       posts its staged sends eagerly in plan order under a window of at
       most 2 un-acknowledged staging leases (double buffering: packing
       message k+1 overlaps the receiver's unpack of message k) and
@@ -24,20 +24,19 @@
       because a plan's messages write pairwise-disjoint destination
       regions.
 
-    Data movement follows [Comm.force_scalar] / [Comm.force_staged] in
-    both modes: compiled-run blits by default (run memos are precompiled
-    on the coordinator before workers share the messages), the
-    per-element scalar oracle or the unconditional staging path when
-    forced; staging buffers come from one [Comm.Pool] per worker domain
-    and migrate between pools as packets cross mailboxes.  The caller's
+    Data movement follows the machine's datapath in both modes:
+    compiled-run blits by default (run memos are precompiled on the
+    coordinator before workers share the messages), the per-element
+    scalar oracle or the unconditional staging path when selected;
+    staging buffers come from one [Comm.Pool] per worker domain and
+    migrate between pools as packets cross mailboxes.  The caller's
     domain owns all machine accounting: the usual counters and modeled
-    clock (shared with the sequential executor through [Comm.charge],
-    [Comm.charge_datapath] and the replayed [Comm.record_schedule_trace]
-    stream, so modeled numbers are byte-identical across executors and
-    modes) plus the pool hit/miss deltas, the [wall_time] counter and
-    the measured wall events — [Wall_step] / [Wall_remap] per stepped
-    run, [Wall_msg] per staged message plus the [async_completions]
-    counter per async run. *)
+    clock (shared with the sequential executor through [Comm.charge] and
+    the replayed [Comm.record_rounds] stream, so modeled numbers are
+    byte-identical across executors and modes) plus the pool hit/miss
+    deltas, the [wall_time] counter and the measured wall events —
+    [Wall_step] / [Wall_remap] per stepped run, [Wall_msg] per staged
+    message plus the [async_completions] counter per async run. *)
 
 type t
 
@@ -60,9 +59,13 @@ val last_max_leases : t -> int
 
 (** Execute a plan on the pool: local moves, then the staged messages
     under the stepped or the async discipline — [async] defaults to
-    [!Comm.force_async].  Payload endpoints must address per-rank
-    storage; the plan's disjoint-write structure makes both disciplines
-    race-free on the store's payloads.
+    whether {!Hpfc_runtime.Exec.default}'s schedule is [Async].  Payload
+    endpoints must address per-rank storage; the plan's disjoint-write
+    structure makes both disciplines race-free on the store's payloads.
+    A worker that raises aborts the job: its siblings are released from
+    their barrier and mailbox waits, the exception is re-raised here
+    once the whole team has left the job, and the pool stays usable
+    (the destination copy is then partially written).
     @raise Hpfc_base.Error.Hpf_error if the pool was destroyed. *)
 val execute :
   ?async:bool ->
@@ -73,7 +76,6 @@ val execute :
   Hpfc_runtime.Redist.plan ->
   unit
 
-(** {!execute} as a store-pluggable executor; [async] is latched at
-    executor-construction time when given, otherwise each plan reads
-    [!Comm.force_async] as it executes. *)
+(** {!execute} as a store-pluggable executor, its discipline latched
+    when the executor is built ([async] defaults as in {!execute}). *)
 val executor : ?async:bool -> t -> Hpfc_runtime.Comm.executor

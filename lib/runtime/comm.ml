@@ -20,13 +20,17 @@
      addressed endpoints — copy their runs payload to payload with
      [Buf.copy_run] kernel calls and touch no staging buffer at all
      (charged to [zero_copy_runs]); everything else stages as below;
-   - the *staged* path ([force_staged], --staged / HPFC_FORCE_STAGED):
-     every cross-processor message packs its compiled runs into a pooled
-     staging buffer through the same kernel and unpacks on the receive
-     side — PR 4's behaviour, kept continuously differential-tested;
-   - the *scalar* path ([force_scalar], --scalar / HPFC_FORCE_SCALAR):
-     the original per-element endpoint closures, the oracle both blit
-     paths are tested against; it stages every message.
+   - the *staged* path ([Exec.Staged]): every cross-processor message
+     packs its compiled runs into a pooled staging buffer through the
+     same kernel and unpacks on the receive side — PR 4's behaviour,
+     kept continuously differential-tested;
+   - the *scalar* path ([Exec.Scalar]): the original per-element
+     endpoint closures, the oracle both blit paths are tested against;
+     it stages every message.
+
+   The path, like the lowering, is a field of the machine the executor
+   is handed ([Machine.datapath], [Machine.lower]), so runs on different
+   machines may differ on both at once.
 
    Staging buffers come from a size-classed pool, so steady-state remaps
    allocate nothing per message (and nothing at all on the zero-copy
@@ -55,66 +59,11 @@ type endpoint = {
   buffer : rank:int -> Buf.t;
 }
 
-(* Oracle switch: route every pack/unpack through the per-element scalar
-   closures instead of the compiled runs.  Initialized from
-   HPFC_FORCE_SCALAR (CI runs the whole suite once that way), settable
-   by the --scalar CLI flag.  Read by worker domains mid-job, but only
-   ever written between jobs on the coordinator. *)
-let force_scalar =
-  ref
-    (match Sys.getenv_opt "HPFC_FORCE_SCALAR" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-(* Datapath switch: route every [Redist.Direct]-eligible message through
-   the staged pack/unpack path anyway, as PR 4 did unconditionally.
-   Initialized from HPFC_FORCE_STAGED (CI runs the whole suite once that
-   way), settable by the --staged CLI flag.  Same write discipline as
-   [force_scalar]. *)
-let force_staged =
-  ref
-    (match Sys.getenv_opt "HPFC_FORCE_STAGED" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-(* Schedule switch: deliver staged messages out of step order on the
-   parallel backend — the async dependency-driven executor (per-message
-   completion flags in the mailbox instead of a barrier per step).
-   Purely an execution-order choice: modeled counters and the replayed
-   schedule trace stay byte-identical to the stepped executor; only the
-   wall-clock events differ.  Initialized from HPFC_FORCE_ASYNC (CI runs
-   the whole suite once that way), settable by the --sched=async CLI
-   flag.  Same write discipline as [force_scalar]. *)
-let force_async =
-  ref
-    (match Sys.getenv_opt "HPFC_FORCE_ASYNC" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
 (* Zero-copy is a blit-path refinement: the scalar oracle stages every
-   message, and forcing staged disables the direct fast path. *)
-let direct_enabled () = (not !force_scalar) && not !force_staged
+   message, and the staged datapath disables the direct fast path. *)
+let direct_enabled (mach : Machine.t) = mach.Machine.datapath = Exec.Zero_copy
 
-(* Lowering switch: how a plan's cross-processor traffic is scheduled
-   and executed.  [Lower_p2p] (default) walks the point-to-point step
-   program; [Lower_collective] walks the plan's collective phase program
-   (ring shift classes, budget-sliced — [Redist.collective_program]),
-   bounding peak staging memory at the price of more, smaller rounds;
-   [Lower_auto] picks per plan from the cost model.  Initialized from
-   HPFC_FORCE_LOWER ("collective" / "auto"; unset, empty, "0" or "p2p"
-   mean point-to-point), set by the --lower CLI flag.  Same write
-   discipline as [force_scalar]. *)
-type lowering = Lower_p2p | Lower_collective | Lower_auto
-
-let force_lower =
-  ref
-    (match Sys.getenv_opt "HPFC_FORCE_LOWER" with
-    | None -> Lower_p2p
-    | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "collective" -> Lower_collective
-      | "auto" -> Lower_auto
-      | _ -> Lower_p2p))
+let scalar (mach : Machine.t) = mach.Machine.datapath = Exec.Scalar
 
 (* The auto rule: lower collectively exactly when its modeled time does
    not exceed the stepped point-to-point time (the collective never
@@ -123,10 +72,10 @@ let force_lower =
    per-phase alphas and fall back to p2p; matching-like and
    replicated-destination plans win on the cheaper collective alphas. *)
 let collective_chosen (mach : Machine.t) (plan : Redist.plan) =
-  match !force_lower with
-  | Lower_p2p -> false
-  | Lower_collective -> true
-  | Lower_auto ->
+  match mach.Machine.lower with
+  | Exec.P2p -> false
+  | Exec.Collective -> true
+  | Exec.Auto ->
     plan.Redist.moves <> []
     && Redist.modeled_time_collective mach.Machine.cost plan
        <= Redist.modeled_time_stepped mach.Machine.cost plan
@@ -204,29 +153,6 @@ let note_lease (mach : Machine.t) =
 
 (* --- segment copies --------------------------------------------------------- *)
 
-(* Pack a message's runs from the source payload into the first
-   [m_count] slots of [staging], in run order (= row-major box order):
-   one kernel call per run, each run landing as one dense block. *)
-let pack_runs (runs : Redist.run array) (sbuf : Buf.t) staging =
-  let k = ref 0 in
-  for i = 0 to Array.length runs - 1 do
-    let r = runs.(i) in
-    let len = r.Redist.r_len and count = r.Redist.r_count in
-    Buf.copy_run sbuf r.Redist.r_src r.Redist.r_src_stride staging !k len ~len
-      ~count;
-    k := !k + (len * count)
-  done
-
-let unpack_runs (runs : Redist.run array) staging (dbuf : Buf.t) =
-  let k = ref 0 in
-  for i = 0 to Array.length runs - 1 do
-    let r = runs.(i) in
-    let len = r.Redist.r_len and count = r.Redist.r_count in
-    Buf.copy_run staging !k len dbuf r.Redist.r_dst r.Redist.r_dst_stride ~len
-      ~count;
-    k := !k + (len * count)
-  done
-
 (* The message's runs for a (src, dst) endpoint pair (memoized on the
    message). *)
 let runs_of ~src ~dst (m : Redist.message) =
@@ -234,12 +160,12 @@ let runs_of ~src ~dst (m : Redist.message) =
 
 (* Compile the whole plan's runs for this endpoint pair before any data
    moves (the scalar oracle never reads them). *)
-let precompile ~src ~dst (plan : Redist.plan) =
-  if not !force_scalar then
+let precompile mach ~src ~dst (plan : Redist.plan) =
+  if not (scalar mach) then
     Redist.precompile_runs ~src:src.addressing ~dst:dst.addressing plan
 
 (* Is this message's memoized datapath [Direct] under these endpoints?
-   (Independent of the runtime switches; callers combine it with
+   (Independent of the machine's datapath; callers combine it with
    [direct_enabled].) *)
 let message_direct ~src ~dst (m : Redist.message) =
   match
@@ -266,8 +192,8 @@ let run_direct ~src ~dst (m : Redist.message) =
 
 (* On-processor move: no staging buffer, no message.  The blit path
    copies payload to payload directly, run by run. *)
-let run_local ~src ~dst (m : Redist.message) =
-  if !force_scalar then
+let run_local ~scalar ~src ~dst (m : Redist.message) =
+  if scalar then
     Redist.iter_box m.Redist.m_box (fun index ->
         dst.write ~rank:m.Redist.m_to index (src.read ~rank:m.Redist.m_from index))
   else run_direct ~src ~dst m
@@ -276,204 +202,214 @@ let run_local ~src ~dst (m : Redist.message) =
    its own, one per worker domain). *)
 let default_pool = Pool.create ()
 
-(* Pack, deliver, unpack one cross-processor message.  The staging
-   buffer comes from [pool]; its first [m_count] slots carry the
-   payload in row-major box order under either data path. *)
-let run_message ?(pool = default_pool) mach ~src ~dst (m : Redist.message) =
-  let c = (mach : Machine.t).Machine.counters in
-  let hit, staging = Pool.acquire pool m.Redist.m_count in
+(* Copy positions [off, off + len) of a message's row-major box order
+   from the source payload into the first [len] slots of [staging],
+   through its compiled runs: a whole message is one kernel call per run
+   (each run lands as one dense block), a slice one per run piece
+   ([Redist.iter_run_slice]'s walk). *)
+let pack_runs (runs : Redist.run array) sbuf (m : Redist.message) ~off ~len
+    staging =
+  if off = 0 && len = m.Redist.m_count then begin
+    let k = ref 0 in
+    for i = 0 to Array.length runs - 1 do
+      let r = runs.(i) in
+      let len = r.Redist.r_len and count = r.Redist.r_count in
+      Buf.copy_run sbuf r.Redist.r_src r.Redist.r_src_stride staging !k len
+        ~len ~count;
+      k := !k + (len * count)
+    done
+  end
+  else begin
+    let k = ref 0 in
+    Redist.iter_run_slice runs ~off ~len (fun s _ n ->
+        Buf.copy_run sbuf s 0 staging !k 0 ~len:n ~count:1;
+        k := !k + n)
+  end
+
+(* The inverse walk on the receive side. *)
+let unpack_runs (runs : Redist.run array) staging dbuf (m : Redist.message)
+    ~off ~len =
+  if off = 0 && len = m.Redist.m_count then begin
+    let k = ref 0 in
+    for i = 0 to Array.length runs - 1 do
+      let r = runs.(i) in
+      let len = r.Redist.r_len and count = r.Redist.r_count in
+      Buf.copy_run staging !k len dbuf r.Redist.r_dst r.Redist.r_dst_stride
+        ~len ~count;
+      k := !k + (len * count)
+    done
+  end
+  else begin
+    let k = ref 0 in
+    Redist.iter_run_slice runs ~off ~len (fun _ d n ->
+        Buf.copy_run staging !k 0 dbuf d 0 ~len:n ~count:1;
+        k := !k + n)
+  end
+
+(* The send side of one staged transfer, positions [off, off + len) of
+   the message: through the per-element closures under the scalar
+   oracle, else through the compiled runs. *)
+let pack_staged ~scalar ~src ~dst (m : Redist.message) ~off ~len staging =
+  if scalar then begin
+    let k = ref 0 in
+    Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
+        Buf.set staging !k (src.read ~rank:m.Redist.m_from index);
+        incr k)
+  end
+  else
+    pack_runs (runs_of ~src ~dst m)
+      (src.buffer ~rank:m.Redist.m_from)
+      m ~off ~len staging
+
+(* The receive side: the inverse walk. *)
+let unpack_staged ~scalar ~src ~dst (m : Redist.message) ~off ~len staging =
+  if scalar then begin
+    let k = ref 0 in
+    Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
+        dst.write ~rank:m.Redist.m_to index (Buf.get staging !k);
+        incr k)
+  end
+  else
+    unpack_runs (runs_of ~src ~dst m) staging
+      (dst.buffer ~rank:m.Redist.m_to)
+      m ~off ~len
+
+(* Both sides on one thread of control, looking the runs up once. *)
+let transfer_staged ~scalar ~src ~dst (m : Redist.message) ~off ~len staging =
+  if scalar then begin
+    pack_staged ~scalar ~src ~dst m ~off ~len staging;
+    unpack_staged ~scalar ~src ~dst m ~off ~len staging
+  end
+  else begin
+    let runs = runs_of ~src ~dst m in
+    pack_runs runs (src.buffer ~rank:m.Redist.m_from) m ~off ~len staging;
+    unpack_runs runs staging (dst.buffer ~rank:m.Redist.m_to) m ~off ~len
+  end
+
+(* Take a staging lease from [pool] on behalf of [mach], mirroring the
+   hit or miss into its counters. *)
+let lease pool (mach : Machine.t) n =
+  let c = mach.Machine.counters in
+  let hit, staging = Pool.acquire pool n in
   note_lease mach;
   if hit then c.Machine.pool_hits <- c.Machine.pool_hits + 1
   else c.Machine.pool_misses <- c.Machine.pool_misses + 1;
-  (if !force_scalar then begin
-     let k = ref 0 in
-     Redist.iter_box m.Redist.m_box (fun index ->
-         Buf.set staging !k (src.read ~rank:m.Redist.m_from index);
-         incr k);
-     let k = ref 0 in
-     Redist.iter_box m.Redist.m_box (fun index ->
-         dst.write ~rank:m.Redist.m_to index (Buf.get staging !k);
-         incr k)
-   end
-   else begin
-     let runs = runs_of ~src ~dst m in
-     pack_runs runs (src.buffer ~rank:m.Redist.m_from) staging;
-     unpack_runs runs staging (dst.buffer ~rank:m.Redist.m_to)
-   end);
-  Pool.release pool staging;
-  Machine.record mach
-    (Machine.Message { from_rank = m.Redist.m_from; to_rank = m.Redist.m_to; count = m.Redist.m_count })
+  staging
 
-(* Pack positions [sl_off, sl_off + sl_len) of a message's row-major box
-   order into the first [sl_len] slots of [staging] — the collective
-   lowering's unit of transfer.  A full-range slice degenerates to
-   {!pack_runs}. *)
-let pack_slice (runs : Redist.run array) (sbuf : Buf.t) staging ~off ~len =
-  let k = ref 0 in
-  Redist.iter_run_slice runs ~off ~len (fun s _ n ->
-      Buf.copy_run sbuf s 0 staging !k 0 ~len:n ~count:1;
-      k := !k + n)
-
-let unpack_slice (runs : Redist.run array) staging (dbuf : Buf.t) ~off ~len =
-  let k = ref 0 in
-  Redist.iter_run_slice runs ~off ~len (fun _ d n ->
-      Buf.copy_run staging !k 0 dbuf d 0 ~len:n ~count:1;
-      k := !k + n)
-
-(* Pack, deliver, unpack one slice of a cross-processor message — the
-   collective analogue of {!run_message}.  The staging buffer only ever
-   holds [sl_len] elements, which is how the phase budget bounds peak
-   staging memory. *)
-let run_slice ?(pool = default_pool) mach ~src ~dst (sl : Redist.slice) =
-  let m = sl.Redist.sl_msg in
-  let c = (mach : Machine.t).Machine.counters in
-  let hit, staging = Pool.acquire pool sl.Redist.sl_len in
-  note_lease mach;
-  if hit then c.Machine.pool_hits <- c.Machine.pool_hits + 1
-  else c.Machine.pool_misses <- c.Machine.pool_misses + 1;
-  (if !force_scalar then begin
-     let k = ref 0 in
-     Redist.iter_box_slice m.Redist.m_box ~off:sl.Redist.sl_off
-       ~len:sl.Redist.sl_len (fun index ->
-         Buf.set staging !k (src.read ~rank:m.Redist.m_from index);
-         incr k);
-     let k = ref 0 in
-     Redist.iter_box_slice m.Redist.m_box ~off:sl.Redist.sl_off
-       ~len:sl.Redist.sl_len (fun index ->
-         dst.write ~rank:m.Redist.m_to index (Buf.get staging !k);
-         incr k)
-   end
-   else begin
-     let runs = runs_of ~src ~dst m in
-     pack_slice runs
-       (src.buffer ~rank:m.Redist.m_from)
-       staging ~off:sl.Redist.sl_off ~len:sl.Redist.sl_len;
-     unpack_slice runs staging
-       (dst.buffer ~rank:m.Redist.m_to)
-       ~off:sl.Redist.sl_off ~len:sl.Redist.sl_len
-   end);
-  Pool.release pool staging;
+let record_message mach (m : Redist.message) count =
   Machine.record mach
     (Machine.Message
-       {
-         from_rank = m.Redist.m_from;
-         to_rank = m.Redist.m_to;
-         count = sl.Redist.sl_len;
-       })
+       { from_rank = m.Redist.m_from; to_rank = m.Redist.m_to; count })
+
+(* Pack, deliver, unpack positions [off, off + len) of one
+   cross-processor message through a staging buffer of the sequential
+   executor's pool — a whole message under the point-to-point lowering,
+   one budget-bounded slice under the collective one (the staging buffer
+   only ever holds [len] elements, which is how the phase budget bounds
+   peak staging memory). *)
+let run_staged mach ~src ~dst (m : Redist.message) ~off ~len =
+  let staging = lease default_pool mach len in
+  transfer_staged ~scalar:(scalar mach) ~src ~dst m ~off ~len staging;
+  Pool.release default_pool staging;
+  record_message mach m len
 
 (* How an executor runs a plan end to end; [execute] below is the
    sequential reference, the domain-parallel backend provides another. *)
 type executor = Machine.t -> src:endpoint -> dst:endpoint -> Redist.plan -> unit
 
-(* Message/volume counters and the modeled clock charge for one executed
-   plan, per the machine's scheduling mode — shared by every executor so
-   the accounting cannot drift between backends. *)
-let charge (mach : Machine.t) (plan : Redist.plan) (prog : Redist.step list) =
-  let c = mach.Machine.counters in
-  c.Machine.local_moves <- c.Machine.local_moves + Redist.local_total plan;
-  c.Machine.messages <- c.Machine.messages + Redist.nb_messages plan;
-  c.Machine.volume <- c.Machine.volume + Redist.total_moved plan;
-  match mach.Machine.sched with
-  | Machine.Burst ->
-    c.Machine.time <- c.Machine.time +. Redist.modeled_time mach.Machine.cost plan
-  | Machine.Stepped ->
-    c.Machine.steps <- c.Machine.steps + List.length prog;
-    c.Machine.peak_step_volume <-
-      Int.max c.Machine.peak_step_volume (Redist.peak_step_volume prog);
-    c.Machine.time <-
-      c.Machine.time +. Redist.modeled_time_of_steps mach.Machine.cost prog
+(* --- lowered schedules ------------------------------------------------- *)
 
-(* Replay the modeled schedule into the machine trace after the fact —
-   the executor hook for out-of-step delivery.  An executor that moves
-   real data in a different wall-clock order (the parallel backend,
-   stepped or async) records the identical [Step_begin] / [Message] /
+(* One round of the schedule a plan is lowered to: a step of the
+   point-to-point step program (whole messages) or a phase of the
+   collective phase program (ring shift classes, budget-bounded slices).
+   Every executor walks rounds without knowing which lowering produced
+   them; a round wraps the memoized program, so walking one allocates
+   no per-message items. *)
+type round = Step of Redist.step | Phase of Redist.phase_kind * Redist.phase
+
+let rounds ~collective (plan : Redist.plan) =
+  if collective then
+    let cp = Redist.collective_program plan in
+    List.map (fun ph -> Phase (cp.Redist.c_kind, ph)) cp.Redist.c_phases
+  else List.map (fun s -> Step s) (Redist.step_program plan)
+
+(* [f m off len] for each send of the round, in schedule order: positions
+   [off, off + len) of message [m]'s row-major box order. *)
+let iter_items f = function
+  | Step s -> List.iter (fun (m : Redist.message) -> f m 0 m.Redist.m_count) s
+  | Phase (_, ph) ->
+    List.iter
+      (fun (sl : Redist.slice) ->
+        f sl.Redist.sl_msg sl.Redist.sl_off sl.Redist.sl_len)
+      ph
+
+let step_begin mach i r =
+  Machine.record mach
+    (match r with
+    | Step s ->
+      Machine.Step_begin
+        { index = i; nb_messages = List.length s; volume = Redist.step_volume s }
+    | Phase (_, ph) ->
+      Machine.Step_begin
+        {
+          index = i;
+          nb_messages = List.length ph;
+          volume = Redist.phase_volume ph;
+        })
+
+let step_end (mach : Machine.t) i r =
+  let time =
+    match r with
+    | Step s -> Redist.step_time mach.Machine.cost s
+    | Phase (kind, ph) -> Redist.phase_time mach.Machine.cost kind ph
+  in
+  Machine.record mach (Machine.Step_end { index = i; time })
+
+(* Replay a schedule into the machine trace after the fact — the
+   executor hook for out-of-step delivery.  An executor that moves real
+   data in a different wall-clock order (the parallel backend, stepped
+   or async) records the identical [Step_begin] / [Message] /
    [Step_end] stream the sequential executor produces, so trace-level
    oracles cannot tell executors apart; only measured wall events
-   differ.  [on_step i] runs right after step [i]'s [Step_end] (the
+   differ.  [on_step i] runs right after round [i]'s [Step_end] (the
    stepped backend appends its measured [Wall_step] there). *)
-let record_schedule_trace ?(on_step = fun _ -> ()) (mach : Machine.t)
-    (prog : Redist.step list) =
+let record_rounds ?(on_step = fun _ -> ()) mach rounds =
   List.iteri
-    (fun i s ->
-      Machine.record mach
-        (Machine.Step_begin
-           {
-             index = i;
-             nb_messages = List.length s;
-             volume = Redist.step_volume s;
-           });
-      List.iter
-        (fun (m : Redist.message) ->
-          Machine.record mach
-            (Machine.Message
-               {
-                 from_rank = m.Redist.m_from;
-                 to_rank = m.Redist.m_to;
-                 count = m.Redist.m_count;
-               }))
-        s;
-      Machine.record mach
-        (Machine.Step_end { index = i; time = Redist.step_time mach.Machine.cost s });
+    (fun i r ->
+      step_begin mach i r;
+      iter_items (fun m _ len -> record_message mach m len) r;
+      step_end mach i r;
       on_step i)
-    prog
+    rounds
 
-(* [charge] for the collective lowering: the message/volume/local-move
-   counters are lowering-independent (both lowerings move the same
-   payloads), and burst mode charges the same unordered exchange; only
-   stepped mode sees the phase structure — [steps] counts phases,
-   [peak_step_volume] is the phase-budgeted peak, time sums
-   {!Redist.phase_time} over serialized phases. *)
-let charge_collective (mach : Machine.t) (plan : Redist.plan)
-    (cp : Redist.collective) =
-  let c = mach.Machine.counters in
+(* Message/volume counters and the modeled clock charge for one executed
+   plan, per the machine's scheduling mode.  The message/volume/local-move
+   counters and the burst charge are lowering-independent (both
+   lowerings move the same payloads); only stepped mode sees the
+   schedule — [steps] counts its steps or phases, [peak_step_volume] is
+   the step (or budgeted phase) peak, and time sums the serialized
+   rounds. *)
+let charge_modeled ~collective (mach : Machine.t) (plan : Redist.plan) =
+  let c = mach.Machine.counters and cost = mach.Machine.cost in
   c.Machine.local_moves <- c.Machine.local_moves + Redist.local_total plan;
   c.Machine.messages <- c.Machine.messages + Redist.nb_messages plan;
   c.Machine.volume <- c.Machine.volume + Redist.total_moved plan;
   match mach.Machine.sched with
   | Machine.Burst ->
-    c.Machine.time <- c.Machine.time +. Redist.modeled_time mach.Machine.cost plan
-  | Machine.Stepped ->
+    c.Machine.time <- c.Machine.time +. Redist.modeled_time cost plan
+  | Machine.Stepped when collective ->
+    let cp = Redist.collective_program plan in
     c.Machine.steps <- c.Machine.steps + Redist.nb_phases cp;
     c.Machine.peak_step_volume <-
       Int.max c.Machine.peak_step_volume
         (Redist.peak_phase_volume cp.Redist.c_phases);
-    c.Machine.time <-
-      c.Machine.time +. Redist.modeled_time_of_phases mach.Machine.cost cp
-
-(* {!record_schedule_trace} for the collective lowering: one
-   [Step_begin] / [Step_end] bracket per phase, one [Message] event per
-   slice (its [count] is the slice length, so per-(from, to) counts
-   still sum to the message volumes).  Used by the parallel backend to
-   replay the modeled phase program after out-of-order delivery. *)
-let record_collective_trace ?(on_step = fun _ -> ()) (mach : Machine.t)
-    (cp : Redist.collective) =
-  List.iteri
-    (fun i ph ->
-      Machine.record mach
-        (Machine.Step_begin
-           {
-             index = i;
-             nb_messages = List.length ph;
-             volume = Redist.phase_volume ph;
-           });
-      List.iter
-        (fun (sl : Redist.slice) ->
-          Machine.record mach
-            (Machine.Message
-               {
-                 from_rank = sl.Redist.sl_msg.Redist.m_from;
-                 to_rank = sl.Redist.sl_msg.Redist.m_to;
-                 count = sl.Redist.sl_len;
-               }))
-        ph;
-      Machine.record mach
-        (Machine.Step_end
-           {
-             index = i;
-             time = Redist.phase_time mach.Machine.cost cp.Redist.c_kind ph;
-           });
-      on_step i)
-    cp.Redist.c_phases
+    c.Machine.time <- c.Machine.time +. Redist.modeled_time_of_phases cost cp
+  | Machine.Stepped ->
+    let prog = Redist.step_program plan in
+    c.Machine.steps <- c.Machine.steps + List.length prog;
+    c.Machine.peak_step_volume <-
+      Int.max c.Machine.peak_step_volume (Redist.peak_step_volume prog);
+    c.Machine.time <- c.Machine.time +. Redist.modeled_time_of_steps cost prog
 
 (* Datapath accounting for one executed plan — [run_blits],
    [zero_copy_runs] and [staged_bytes].  Derived from the memoized runs
@@ -483,7 +419,7 @@ let record_collective_trace ?(on_step = fun _ -> ()) (mach : Machine.t)
 
    - scalar oracle: no blits, no zero-copy; every moved element stages
      ([staged_bytes = 8 * volume]);
-   - forced staged: PR 4's accounting — locals copy once, messages pack
+   - staged: PR 4's accounting — locals copy once, messages pack
      and unpack ([run_blits = L + 2 * M] segments), every moved element
      stages;
    - zero-copy (default): locals and [Direct] messages charge their
@@ -500,149 +436,84 @@ let record_collective_trace ?(on_step = fun _ -> ()) (mach : Machine.t)
    is all-or-nothing across a plan's messages (a cross-processor message
    is [Direct] iff both endpoints address row-major, a per-plan
    property), so probing one move decides the whole plan. *)
-let staged_peak_volume ~src ~dst ~collective (plan : Redist.plan) =
+let staged_peak_volume mach ~src ~dst ~collective (plan : Redist.plan) =
   match plan.Redist.moves with
   | [] -> 0
   | m :: _ ->
     let staged =
-      !force_scalar || !force_staged || not (message_direct ~src ~dst m)
+      (not (direct_enabled mach)) || not (message_direct ~src ~dst m)
     in
     if not staged then 0
     else if collective then Redist.peak_collective_volume plan
     else Redist.peak_step_volume (Redist.step_program plan)
 
-let charge_datapath ?(collective = false) (mach : Machine.t) ~src ~dst
+let charge_datapath ~collective (mach : Machine.t) ~src ~dst
     (plan : Redist.plan) =
   let c = mach.Machine.counters in
   c.Machine.peak_bytes <-
     Int.max c.Machine.peak_bytes
-      (8 * staged_peak_volume ~src ~dst ~collective plan);
+      (8 * staged_peak_volume mach ~src ~dst ~collective plan);
   let stage_all () =
     c.Machine.staged_bytes <-
       c.Machine.staged_bytes + (8 * Redist.total_moved plan)
   in
-  if !force_scalar then stage_all ()
-  else begin
-    let segments m = Redist.nb_run_segments (runs_of ~src ~dst m) in
-    if !force_staged then begin
-      let total =
-        List.fold_left (fun acc m -> acc + segments m) 0 plan.Redist.locals
-        + List.fold_left
-            (fun acc m -> acc + (2 * segments m))
-            0 plan.Redist.moves
-      in
-      c.Machine.run_blits <- c.Machine.run_blits + total;
-      stage_all ()
-    end
-    else begin
-      List.iter
-        (fun m ->
-          c.Machine.zero_copy_runs <- c.Machine.zero_copy_runs + segments m)
-        plan.Redist.locals;
-      List.iter
-        (fun (m : Redist.message) ->
-          if message_direct ~src ~dst m then
-            c.Machine.zero_copy_runs <- c.Machine.zero_copy_runs + segments m
-          else begin
-            c.Machine.run_blits <- c.Machine.run_blits + (2 * segments m);
-            c.Machine.staged_bytes <-
-              c.Machine.staged_bytes + (8 * m.Redist.m_count)
-          end)
-        plan.Redist.moves
-    end
-  end
+  let segments m = Redist.nb_run_segments (runs_of ~src ~dst m) in
+  let sum f msgs = List.fold_left (fun acc m -> acc + f m) 0 msgs in
+  match mach.Machine.datapath with
+  | Exec.Scalar -> stage_all ()
+  | Exec.Staged ->
+    c.Machine.run_blits <-
+      c.Machine.run_blits + sum segments plan.Redist.locals
+      + (2 * sum segments plan.Redist.moves);
+    stage_all ()
+  | Exec.Zero_copy ->
+    c.Machine.zero_copy_runs <-
+      c.Machine.zero_copy_runs + sum segments plan.Redist.locals;
+    List.iter
+      (fun (m : Redist.message) ->
+        if message_direct ~src ~dst m then
+          c.Machine.zero_copy_runs <- c.Machine.zero_copy_runs + segments m
+        else begin
+          c.Machine.run_blits <- c.Machine.run_blits + (2 * segments m);
+          c.Machine.staged_bytes <-
+            c.Machine.staged_bytes + (8 * m.Redist.m_count)
+        end)
+      plan.Redist.moves
 
-(* Execute a plan's collective phase program: local moves first, then
-   each phase's slices in order.  A direct-eligible message moves whole
-   — [run_direct] fires once, at its offset-zero slice (plan messages
-   write disjoint destination regions, so completing it "early" is
-   unobservable) — but every slice still records its [Message] event:
-   the modeled exchange is sliced either way, so the trace is
-   datapath-independent. *)
-let execute_collective ?(pool = default_pool) (mach : Machine.t) ~src ~dst
-    (plan : Redist.plan) =
-  precompile ~src ~dst plan;
-  List.iter (run_local ~src ~dst) plan.Redist.locals;
-  let cp = Redist.collective_program plan in
-  let direct_ok = direct_enabled () in
-  List.iteri
-    (fun i ph ->
-      Machine.record mach
-        (Machine.Step_begin
-           {
-             index = i;
-             nb_messages = List.length ph;
-             volume = Redist.phase_volume ph;
-           });
-      List.iter
-        (fun (sl : Redist.slice) ->
-          let m = sl.Redist.sl_msg in
-          if direct_ok && message_direct ~src ~dst m then begin
-            if sl.Redist.sl_off = 0 then run_direct ~src ~dst m;
-            Machine.record mach
-              (Machine.Message
-                 {
-                   from_rank = m.Redist.m_from;
-                   to_rank = m.Redist.m_to;
-                   count = sl.Redist.sl_len;
-                 })
-          end
-          else run_slice ~pool mach ~src ~dst sl)
-        ph;
-      Machine.record mach
-        (Machine.Step_end
-           {
-             index = i;
-             time = Redist.phase_time mach.Machine.cost cp.Redist.c_kind ph;
-           }))
-    cp.Redist.c_phases;
-  charge_collective mach plan cp;
-  charge_datapath ~collective:true mach ~src ~dst plan
+(* All accounting for one executed plan, shared by every executor so it
+   cannot drift between backends: the modeled charge and the datapath
+   charge of the lowering that ran. *)
+let charge ~collective mach ~src ~dst plan =
+  charge_modeled ~collective mach plan;
+  charge_datapath ~collective mach ~src ~dst plan
 
 (* Execute a plan: local moves first (they need no schedule), then the
-   step program in schedule order.  Direct-eligible messages skip the
-   staging pool entirely (their datapath was decided when the message
-   was memoized); they still record a [Message] event, since the modeled
-   exchange is the same.  When the lowering switch (or the auto cost
-   rule) picks the collective lowering, the phase program runs
-   instead. *)
+   lowered schedule round by round — the step program, or the phase
+   program when the machine's lowering (or the auto cost rule) picks
+   the collective one.  A direct-eligible message skips the staging
+   pool and moves payload to payload whole, at its offset-zero item
+   (plan messages write disjoint destination regions, so completing a
+   sliced message "early" is unobservable); every item still records
+   its [Message] event, so the trace is datapath-independent. *)
 let execute (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
-  if collective_chosen mach plan then execute_collective mach ~src ~dst plan
-  else begin
-    precompile ~src ~dst plan;
-    List.iter (run_local ~src ~dst) plan.Redist.locals;
-    let prog = Redist.step_program plan in
-    let direct_ok = direct_enabled () in
-    List.iteri
-      (fun i s ->
-        Machine.record mach
-          (Machine.Step_begin
-             {
-               index = i;
-               nb_messages = List.length s;
-               volume = Redist.step_volume s;
-             });
-        List.iter
-          (fun (m : Redist.message) ->
-            if direct_ok && message_direct ~src ~dst m then begin
-              run_direct ~src ~dst m;
-              Machine.record mach
-                (Machine.Message
-                   {
-                     from_rank = m.Redist.m_from;
-                     to_rank = m.Redist.m_to;
-                     count = m.Redist.m_count;
-                   })
-            end
-            else run_message mach ~src ~dst m)
-          s;
-        Machine.record mach
-          (Machine.Step_end
-             { index = i; time = Redist.step_time mach.Machine.cost s }))
-      prog;
-    charge mach plan prog;
-    charge_datapath mach ~src ~dst plan
-  end
+  let collective = collective_chosen mach plan in
+  precompile mach ~src ~dst plan;
+  List.iter (run_local ~scalar:(scalar mach) ~src ~dst) plan.Redist.locals;
+  let direct_ok = direct_enabled mach in
+  List.iteri
+    (fun i r ->
+      step_begin mach i r;
+      iter_items
+        (fun m off len ->
+          if direct_ok && message_direct ~src ~dst m then begin
+            if off = 0 then run_direct ~src ~dst m;
+            record_message mach m len
+          end
+          else run_staged mach ~src ~dst m ~off ~len)
+        r;
+      step_end mach i r)
+    (rounds ~collective plan);
+  charge ~collective mach ~src ~dst plan
 
 (* --- fused batch execution -------------------------------------------------- *)
 
@@ -651,211 +522,104 @@ let execute (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
    object shared by its members (same canonical layout pair, so the same
    messages against different payloads), and distinct groups carry plans
    whose rank footprints the caller has checked are disjoint, so
-   overlaying their programs index by index keeps every fused step
-   contention-free in the modeled machine.  Each group runs under the
-   lowering [execute] would pick for it solo — step program or
-   budget-sliced phase program — so fused accounting follows the
-   lowering switch exactly like solo accounting does.
+   overlaying their rounds index by index keeps every fused step
+   contention-free in the modeled machine.  Every member's machine must
+   agree on the datapath and the lowering — a member never runs under
+   another member's configuration — and each group runs the schedule
+   [execute] would lower it to solo.
 
    Per member, the observable accounting is exactly the sequential
    [execute]'s: the same [Step_begin] / [Message] / [Step_end] stream on
-   its machine (members only ever see their own steps), then [charge] (or
-   [charge_collective]) and [charge_datapath] from the same memoized
-   runs.  What fusion actually shares is the work: one program walk per
-   group, and one pooled staging lease per message (or per slice) reused
-   across every staged member (pack member k's source, deliver, unpack
-   member k's target, fully overwriting the lease before member k+1) — so
-   only the pool totals, which executors may distribute differently by
-   design, distinguish a fused run from solo runs.  The caller charges
-   [fused_remaps]; this function is policy-free. *)
+   its machine (members only ever see their own steps), then [charge]
+   from the same memoized runs.  What fusion actually shares is the
+   work: one schedule walk per group, and one pooled staging lease per
+   message (or per slice) reused across every staged member (pack member
+   k's source, deliver, unpack member k's target, fully overwriting the
+   lease before member k+1) — so only the pool totals, which executors
+   may distribute differently by design, distinguish a fused run from
+   solo runs.  The caller charges [fused_remaps]; this function is
+   policy-free. *)
 let execute_fused ?(pool = default_pool)
     (groups : (Redist.plan * (Machine.t * endpoint * endpoint) list) list) =
-  (* local moves first, per member, exactly like [execute] *)
-  List.iter
-    (fun ((plan : Redist.plan), members) ->
-      List.iter
-        (fun (_, src, dst) ->
-          precompile ~src ~dst plan;
-          List.iter (run_local ~src ~dst) plan.Redist.locals)
-        members)
-    groups;
-  (* Each group runs under the lowering [execute] would pick for it
-     solo.  Members share the plan object and (by the fusion layer's
-     construction) equivalent cost models, so the first member's machine
-     decides for the whole group. *)
-  let progs =
-    List.map
-      (fun ((plan : Redist.plan), members) ->
-        match members with
-        | (mach, _, _) :: _ when collective_chosen mach plan ->
-          let cp = Redist.collective_program plan in
-          (plan, `Coll (cp, Array.of_list cp.Redist.c_phases), members)
-        | _ -> (plan, `P2p (Array.of_list (Redist.step_program plan)), members))
-      groups
-  in
-  let nsteps =
-    List.fold_left
-      (fun acc (_, prog, _) ->
-        Int.max acc
-          (match prog with
-          | `P2p steps -> Array.length steps
-          | `Coll (_, phases) -> Array.length phases))
-      0 progs
-  in
-  let direct_ok = direct_enabled () in
-  (* one staging lease per message (or per slice of it), shared by
-     every staged member of the group; acquired lazily so an all-direct
-     transfer touches no buffer, charged to the first staged member's
-     machine *)
-  let shared_lease count (mach : Machine.t) staging =
-    match !staging with
-    | Some b -> b
-    | None ->
-      let c = mach.Machine.counters in
-      let hit, b = Pool.acquire pool count in
-      note_lease mach;
-      if hit then c.Machine.pool_hits <- c.Machine.pool_hits + 1
-      else c.Machine.pool_misses <- c.Machine.pool_misses + 1;
-      staging := Some b;
-      b
-  in
-  for i = 0 to nsteps - 1 do
+  match groups with
+  | [] -> ()
+  | (_, []) :: _ -> invalid_arg "Comm.execute_fused: empty group"
+  | (_, ((lead : Machine.t), _, _) :: _) :: _ ->
+    if
+      List.exists
+        (fun (_, members) ->
+          List.exists
+            (fun ((m : Machine.t), _, _) ->
+              m.Machine.datapath <> lead.Machine.datapath
+              || m.Machine.lower <> lead.Machine.lower)
+            members)
+        groups
+    then
+      invalid_arg
+        "Comm.execute_fused: members disagree on datapath or lowering";
+    let scalar = scalar lead and direct_ok = direct_enabled lead in
+    (* local moves first, per member, exactly like [execute] *)
     List.iter
-      (fun (_, prog, members) ->
-        match prog with
-        | `P2p steps when i < Array.length steps ->
-          let s = steps.(i) in
-          List.iter
-            (fun ((mach : Machine.t), _, _) ->
-              Machine.record mach
-                (Machine.Step_begin
-                   {
-                     index = i;
-                     nb_messages = List.length s;
-                     volume = Redist.step_volume s;
-                   }))
-            members;
-          List.iter
-            (fun (m : Redist.message) ->
-              let staging = ref None in
-              List.iter
-                (fun ((mach : Machine.t), src, dst) ->
-                  (if direct_ok && message_direct ~src ~dst m then
-                     run_direct ~src ~dst m
-                   else begin
-                     let buf = shared_lease m.Redist.m_count mach staging in
-                     if !force_scalar then begin
-                       let k = ref 0 in
-                       Redist.iter_box m.Redist.m_box (fun index ->
-                           Buf.set buf !k (src.read ~rank:m.Redist.m_from index);
-                           incr k);
-                       let k = ref 0 in
-                       Redist.iter_box m.Redist.m_box (fun index ->
-                           dst.write ~rank:m.Redist.m_to index (Buf.get buf !k);
-                           incr k)
-                     end
-                     else begin
-                       let runs = runs_of ~src ~dst m in
-                       pack_runs runs (src.buffer ~rank:m.Redist.m_from) buf;
-                       unpack_runs runs buf (dst.buffer ~rank:m.Redist.m_to)
-                     end
-                   end);
-                  Machine.record mach
-                    (Machine.Message
-                       {
-                         from_rank = m.Redist.m_from;
-                         to_rank = m.Redist.m_to;
-                         count = m.Redist.m_count;
-                       }))
-                members;
-              Option.iter (Pool.release pool) !staging)
-            s;
-          List.iter
-            (fun ((mach : Machine.t), _, _) ->
-              Machine.record mach
-                (Machine.Step_end
-                   { index = i; time = Redist.step_time mach.Machine.cost s }))
-            members
-        | `Coll (cp, phases) when i < Array.length phases ->
-          let ph = phases.(i) in
-          List.iter
-            (fun ((mach : Machine.t), _, _) ->
-              Machine.record mach
-                (Machine.Step_begin
-                   {
-                     index = i;
-                     nb_messages = List.length ph;
-                     volume = Redist.phase_volume ph;
-                   }))
-            members;
-          List.iter
-            (fun (sl : Redist.slice) ->
-              let m = sl.Redist.sl_msg in
-              let staging = ref None in
-              List.iter
-                (fun ((mach : Machine.t), src, dst) ->
-                  (if direct_ok && message_direct ~src ~dst m then begin
-                     if sl.Redist.sl_off = 0 then run_direct ~src ~dst m
-                   end
-                   else begin
-                     let buf = shared_lease sl.Redist.sl_len mach staging in
-                     if !force_scalar then begin
-                       let k = ref 0 in
-                       Redist.iter_box_slice m.Redist.m_box
-                         ~off:sl.Redist.sl_off ~len:sl.Redist.sl_len
-                         (fun index ->
-                           Buf.set buf !k (src.read ~rank:m.Redist.m_from index);
-                           incr k);
-                       let k = ref 0 in
-                       Redist.iter_box_slice m.Redist.m_box
-                         ~off:sl.Redist.sl_off ~len:sl.Redist.sl_len
-                         (fun index ->
-                           dst.write ~rank:m.Redist.m_to index (Buf.get buf !k);
-                           incr k)
-                     end
-                     else begin
-                       let runs = runs_of ~src ~dst m in
-                       pack_slice runs
-                         (src.buffer ~rank:m.Redist.m_from)
-                         buf ~off:sl.Redist.sl_off ~len:sl.Redist.sl_len;
-                       unpack_slice runs buf
-                         (dst.buffer ~rank:m.Redist.m_to)
-                         ~off:sl.Redist.sl_off ~len:sl.Redist.sl_len
-                     end
-                   end);
-                  Machine.record mach
-                    (Machine.Message
-                       {
-                         from_rank = m.Redist.m_from;
-                         to_rank = m.Redist.m_to;
-                         count = sl.Redist.sl_len;
-                       }))
-                members;
-              Option.iter (Pool.release pool) !staging)
-            ph;
-          List.iter
-            (fun ((mach : Machine.t), _, _) ->
-              Machine.record mach
-                (Machine.Step_end
-                   {
-                     index = i;
-                     time =
-                       Redist.phase_time mach.Machine.cost cp.Redist.c_kind ph;
-                   }))
-            members
-        | _ -> ())
-      progs
-  done;
-  List.iter
-    (fun (plan, prog, members) ->
+      (fun ((plan : Redist.plan), members) ->
+        List.iter
+          (fun (mach, src, dst) ->
+            precompile mach ~src ~dst plan;
+            List.iter (run_local ~scalar ~src ~dst) plan.Redist.locals)
+          members)
+      groups;
+    (* the group's first machine applies the auto rule's cost model *)
+    let progs =
+      List.map
+        (fun (plan, members) ->
+          let mach, _, _ = List.hd members in
+          let collective = collective_chosen mach plan in
+          (plan, collective, Array.of_list (rounds ~collective plan), members))
+        groups
+    in
+    let nsteps =
+      List.fold_left
+        (fun acc (_, _, rs, _) -> Int.max acc (Array.length rs))
+        0 progs
+    in
+    for i = 0 to nsteps - 1 do
       List.iter
-        (fun (mach, src, dst) ->
-          match prog with
-          | `P2p steps ->
-            charge mach plan (Array.to_list steps);
-            charge_datapath mach ~src ~dst plan
-          | `Coll (cp, _) ->
-            charge_collective mach plan cp;
-            charge_datapath ~collective:true mach ~src ~dst plan)
-        members)
-    progs
+        (fun (_, _, rs, members) ->
+          if i < Array.length rs then begin
+            let r = rs.(i) in
+            List.iter (fun (mach, _, _) -> step_begin mach i r) members;
+            iter_items
+              (fun m off len ->
+                (* one lease per item, shared by every staged member;
+                   taken lazily so an all-direct item touches no buffer,
+                   charged to the first staged member's machine *)
+                let staging = ref None in
+                List.iter
+                  (fun (mach, src, dst) ->
+                    (if direct_ok && message_direct ~src ~dst m then begin
+                       if off = 0 then run_direct ~src ~dst m
+                     end
+                     else begin
+                       let buf =
+                         match !staging with
+                         | Some b -> b
+                         | None ->
+                           let b = lease pool mach len in
+                           staging := Some b;
+                           b
+                       in
+                       transfer_staged ~scalar ~src ~dst m ~off ~len buf
+                     end);
+                    record_message mach m len)
+                  members;
+                Option.iter (Pool.release pool) !staging)
+              r;
+            List.iter (fun (mach, _, _) -> step_end mach i r) members
+          end)
+        progs
+    done;
+    List.iter
+      (fun (plan, collective, _, members) ->
+        List.iter
+          (fun (mach, src, dst) -> charge ~collective mach ~src ~dst plan)
+          members)
+      progs

@@ -43,6 +43,11 @@ let default_cost =
      for staging buffers. *)
 type sched_mode = Burst | Stepped
 
+(* Async execution charges like stepped. *)
+let accounting = function
+  | Exec.Burst -> Burst
+  | Exec.Stepped | Exec.Async -> Stepped
+
 type counters = {
   mutable messages : int;
   mutable volume : int;  (* elements sent between distinct processors *)
@@ -65,7 +70,7 @@ type counters = {
   mutable zero_copy_runs : int;
       (* contiguous segments copied payload-to-payload with no staging
          buffer (on-processor moves and direct-eligible messages); 0
-         under the scalar oracle and forced-staged paths *)
+         under the scalar and staged datapaths *)
   mutable staged_bytes : int;
       (* bytes routed through staging buffers (8 per element, both
          under the scalar oracle and the staged blit path); elided
@@ -180,6 +185,8 @@ type t = {
   nprocs : int;
   cost : cost_model;
   sched : sched_mode;  (* how remapping messages are charged to [time] *)
+  datapath : Exec.datapath;  (* how every executor moves this run's data *)
+  lower : Exec.lower;  (* how this run's plans are lowered *)
   counters : counters;
   memory_limit : int option;  (* max live elements across all copies *)
   mutable memory_used : int;
@@ -187,13 +194,16 @@ type t = {
   record_trace : bool;
 }
 
-let create ?(cost = default_cost) ?(sched = Burst) ?memory_limit
-    ?(record_trace = false) ?(trace_capacity = default_trace_capacity)
-    ~nprocs () =
+let create ?(cost = default_cost) ?(sched = Burst) ?datapath ?lower
+    ?memory_limit ?(record_trace = false)
+    ?(trace_capacity = default_trace_capacity) ~nprocs () =
+  let d = Exec.default () in
   {
     nprocs;
     cost;
     sched;
+    datapath = Option.value datapath ~default:d.Exec.datapath;
+    lower = Option.value lower ~default:d.Exec.lower;
     counters = fresh_counters ();
     memory_limit;
     memory_used = 0;

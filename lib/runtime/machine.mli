@@ -32,6 +32,10 @@ val default_cost : cost_model
     message, serialized (cf. Rink et al., arXiv:2112.01075). *)
 type sched_mode = Burst | Stepped
 
+(** The accounting mode of an execution schedule: async charges like
+    stepped. *)
+val accounting : Exec.sched -> sched_mode
+
 type counters = {
   mutable messages : int;
   mutable volume : int;  (** elements sent between distinct processors *)
@@ -59,11 +63,11 @@ type counters = {
   mutable zero_copy_runs : int;
       (** contiguous segments copied payload-to-payload with no staging
           buffer: on-processor moves and direct-eligible messages under
-          the zero-copy datapath; 0 under the scalar oracle and the
-          forced-staged ([HPFC_FORCE_STAGED]/[--staged]) paths *)
+          the zero-copy datapath; 0 under the scalar and staged
+          datapaths *)
   mutable staged_bytes : int;
       (** bytes routed through staging buffers (8 per staged element;
-          scalar and forced-staged runs stage every moved element, so
+          scalar and staged-datapath runs stage every moved element, so
           there it equals [8 * volume]) *)
   mutable pool_hits : int;
       (** staging buffers served from a size-classed buffer pool *)
@@ -83,8 +87,8 @@ type counters = {
           cross-executor comparisons *)
   mutable async_completions : int;
       (** staged messages completed out of step order by the async
-          dependency-driven executor ([HPFC_FORCE_ASYNC]/[--sched=async]:
-          per-message completion flags instead of a barrier per step);
+          dependency-driven executor (the [Async] schedule: per-message
+          completion flags instead of a barrier per step);
           0 under the sequential and stepped parallel executors *)
   mutable fused_remaps : int;
       (** remaps executed as members of a multi-tenant fused batch (same
@@ -152,6 +156,10 @@ type t = {
   nprocs : int;
   cost : cost_model;
   sched : sched_mode;  (** how remapping messages are charged to [time] *)
+  datapath : Exec.datapath;
+      (** how every executor moves this run's data (zero-copy, staged or
+          the scalar oracle) *)
+  lower : Exec.lower;  (** how this run's plans are lowered *)
   counters : counters;
   memory_limit : int option;  (** max live elements across all copies *)
   mutable memory_used : int;
@@ -159,9 +167,14 @@ type t = {
   record_trace : bool;
 }
 
+(** A fresh machine.  [sched] defaults to [Burst]; [datapath] and
+    [lower] default to {!Exec.default}'s, so a forced environment
+    reaches every machine that does not pin them. *)
 val create :
   ?cost:cost_model ->
   ?sched:sched_mode ->
+  ?datapath:Exec.datapath ->
+  ?lower:Exec.lower ->
   ?memory_limit:int ->
   ?record_trace:bool ->
   ?trace_capacity:int ->

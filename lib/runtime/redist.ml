@@ -992,18 +992,6 @@ module Plan_cache = struct
 
   let default_capacity = 512
 
-  (* HPFC_PLAN_CACHE overrides the capacity of caches created without an
-     explicit one (the --plan-cache CLI flag passes ?capacity and takes
-     precedence).  Invalid or non-positive values are ignored. *)
-  let env_capacity =
-    lazy
-      (match Sys.getenv_opt "HPFC_PLAN_CACHE" with
-      | None | Some "" -> None
-      | Some v -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n when n >= 1 -> Some n
-        | Some _ | None -> None))
-
   (* One shard per 64 plans of capacity, capped at 8: the default 512
      stripes 8 ways, while small test caches (capacity 2) stay a single
      exact LRU — sharding splits the capacity, so a sharded cache is
@@ -1012,12 +1000,7 @@ module Plan_cache = struct
 
   let create ?capacity ?shards ?parent () =
     let capacity =
-      match capacity with
-      | Some c -> max 1 c
-      | None -> (
-        match Lazy.force env_capacity with
-        | Some c -> c
-        | None -> default_capacity)
+      match capacity with Some c -> max 1 c | None -> default_capacity
     in
     let n =
       min

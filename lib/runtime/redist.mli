@@ -309,8 +309,7 @@ module Plan_cache : sig
 
   (** The cache holds at most [capacity] plans (>= 1, clamped); beyond
       that the least recently used plan of the full shard is evicted.
-      [capacity] defaults to the HPFC_PLAN_CACHE environment variable
-      when set to a positive integer, else {!default_capacity}.
+      [capacity] defaults to {!default_capacity}.
       [shards] (default: one per 64 plans of capacity, at most 8, so
       small caches keep one globally exact LRU) stripes the capacity;
       [parent] chains a second cache level — misses compute through the

@@ -24,7 +24,7 @@ open Hpfc_mapping
      generated SPMD code would perform.  Equivalence with the canonical
      backend (tested end-to-end) validates the whole local-addressing
      algebra. *)
-type backend = Canonical | Distributed
+type backend = Exec.backend = Canonical | Distributed
 
 type payload =
   | Global of Buf.t

@@ -14,7 +14,7 @@
     owner computation and the closed-form local linear index — the address
     arithmetic of the generated SPMD code.  Their end-to-end equivalence
     validates the local-addressing algebra. *)
-type backend = Canonical | Distributed
+type backend = Exec.backend = Canonical | Distributed
 
 type payload =
   | Global of Buf.t  (** canonical row-major payload *)

@@ -9,11 +9,18 @@
    step programs index by index keeps every fused step contention-free:
    no rank gains a second send or receive it would not have had solo.
 
-   The grouping is greedy and order-preserving: members collapse into
-   per-plan groups, then groups fold left-to-right into the first batch
-   whose accumulated footprint they do not intersect.  Each returned
-   batch is one [Comm.execute_fused] call; a batch with >= 2 members
-   total is a fusion (charged to [fused_remaps] by the service loop). *)
+   Only members whose machines agree on the datapath and the lowering
+   ever share a batch: a fused walk moves every member's data one way
+   and lowers each group once, so mixing configurations would run a
+   tenant under another tenant's.  Members first split into
+   configuration classes (order of first appearance).
+
+   Within a class the grouping is greedy and order-preserving: members
+   collapse into per-plan groups, then groups fold left-to-right into
+   the first batch whose accumulated footprint they do not intersect.
+   Each returned batch is one [Comm.execute_fused] call; a batch with
+   >= 2 members total is a fusion (charged to [fused_remaps] by the
+   service loop). *)
 
 open Hpfc_runtime
 
@@ -28,10 +35,11 @@ let footprint (p : Redist.plan) =
     Iset.empty
     (p.Redist.moves @ p.Redist.locals)
 
-(* Partition (plan, member) pairs into batches of groups:
-   [batches ps = [batch; ...]] where each batch is a list of
-   [(plan, members)] groups fusable together.  Order of members within a
-   group and of groups within a batch follows submission order. *)
+(* Partition (plan, member) pairs of one configuration class into
+   batches of groups: [batches ps = [batch; ...]] where each batch
+   is a list of [(plan, members)] groups fusable together.  Order of
+   members within a group and of groups within a batch follows
+   submission order. *)
 let batches (pairs : (Redist.plan * 'a) list) :
     (Redist.plan * 'a list) list list =
   (* 1. group by physical plan *)
@@ -58,3 +66,21 @@ let batches (pairs : (Redist.plan * 'a) list) :
       place !batches)
     groups;
   List.map (fun b -> List.rev (snd !b)) !batches
+
+(* [batches] per configuration class (a member's [machine] decides its
+   class), classes in order of first appearance.  A batch whose members
+   all share one configuration — the common case — goes to [batches]
+   as it is. *)
+let rec config_batches ~(machine : 'a -> Machine.t) = function
+  | [] -> []
+  | (_, x) :: _ as pairs ->
+    let mx = machine x in
+    let same_config (_, y) =
+      let my = machine y in
+      my.Machine.datapath = mx.Machine.datapath
+      && my.Machine.lower = mx.Machine.lower
+    in
+    if List.for_all same_config pairs then batches pairs
+    else
+      let same, rest = List.partition same_config pairs in
+      batches same @ config_batches ~machine rest

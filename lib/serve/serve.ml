@@ -191,13 +191,16 @@ let close_bracket (m : member) =
    batch runs through [singleton_executor] when installed (e.g. the
    domain-parallel pool under --sched=async), else through the same
    fused walk, which degenerates to the sequential [Comm.execute].
-   The fused walk follows the lowering switch per group (step or phase
-   program, same as [Comm.execute] solo), so collective-lowered members
-   fuse like any other. *)
+   The fused walk lowers each group the way [Comm.execute] would solo
+   (step or phase program), so collective-lowered members fuse like any
+   other; fusion only ever batches members whose machines agree on the
+   datapath and the lowering. *)
 let run_batch t pool (members : member list) =
   let batches =
     if t.cfg.fusion then
-      Fusion.batches (List.map (fun m -> (m.plan, m)) members)
+      Fusion.config_batches
+        ~machine:(fun m -> m.mach)
+        (List.map (fun m -> (m.plan, m)) members)
     else List.map (fun m -> [ (m.plan, [ m ]) ]) members
   in
   let fused_batches = ref 0 and fused_members = ref 0 in

@@ -67,7 +67,7 @@ let prop_async_trace_matches_plan =
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
       (* p2p-specific: the collective trace lists slices, not messages *)
-      let m, s, d = remap_async ~lower:Comm.Lower_p2p ~src ~dst float_of_int in
+      let m, s, d = remap_async ~lower:Exec.P2p ~src ~dst float_of_int in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let prog = Redist.step_program plan in
       let c = m.Machine.counters in
@@ -109,10 +109,10 @@ let prop_async_counters_equal_stepped_and_seq =
       in
       (* p2p-specific: under the collective the async executor completes
          slices, so the completion count is the slice count instead *)
-      let ma, _, _ = remap_async ~lower:Comm.Lower_p2p ~src ~dst float_of_int
+      let ma, _, _ = remap_async ~lower:Exec.P2p ~src ~dst float_of_int
       and mp, _, _ =
-        remap_stepped ~lower:Comm.Lower_p2p ~src ~dst float_of_int
-      and ms, _, _ = remap_seq ~lower:Comm.Lower_p2p ~src ~dst float_of_int in
+        remap_stepped ~lower:Exec.P2p ~src ~dst float_of_int
+      and ms, _, _ = remap_seq ~lower:Exec.P2p ~src ~dst float_of_int in
       scrub ma = scrub mp
       && scrub ma = scrub ms
       (* on the distributed backend every cross-rank message stages, so
@@ -147,7 +147,7 @@ let prop_async_completions_exactly_once =
     ~print:Test_redist_props.print_pair ~count:150 Test_redist_props.gen_pair
     (fun (src, dst) ->
       (* p2p-specific: the collective completes one Wall_msg per slice *)
-      let m, s, d = remap_async ~lower:Comm.Lower_p2p ~src ~dst float_of_int in
+      let m, s, d = remap_async ~lower:Exec.P2p ~src ~dst float_of_int in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let walls =
         List.filter_map

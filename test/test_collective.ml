@@ -1,4 +1,4 @@
-(* The collective lowering (Comm.Lower_collective): a plan's step
+(* The collective lowering (Exec.Collective): a plan's step
    program recompiled into ring-shift-classed, budget-sliced phases.
 
    The bar: the phase program moves exactly the elements the
@@ -13,13 +13,6 @@
 open Hpfc_mapping
 open Hpfc_runtime
 
-(* Pin the lowering for the duration of [f] (the executors read
-   [Comm.force_lower] at execute time). *)
-let with_lower l f =
-  let saved = !Comm.force_lower in
-  Comm.force_lower := l;
-  Fun.protect ~finally:(fun () -> Comm.force_lower := saved) f
-
 let final (_, _, d) = Store.to_global (Store.get_copy d 1)
 
 (* --- (a) collective = p2p element-wise ------------------------------------------ *)
@@ -32,13 +25,12 @@ let prop_equals_p2p_seq =
       let fill k = float_of_int ((11 * k) + 2) in
       List.for_all
         (fun backend ->
-          let run l =
-            with_lower l (fun () ->
-                final
-                  (Test_comm.remap ~backend ~sched:Machine.Stepped ~src ~dst
-                     fill))
+          let run lower =
+            final
+              (Test_comm.remap ~backend ~sched:Machine.Stepped ~lower ~src
+                 ~dst fill)
           in
-          run Comm.Lower_p2p = run Comm.Lower_collective)
+          run Exec.P2p = run Exec.Collective)
         [ Store.Canonical; Store.Distributed ])
 
 (* Irregular (replicated / constant-aligned) layouts through the
@@ -51,14 +43,14 @@ let prop_equals_p2p_par =
     (fun (src, dst) ->
       let fill k = float_of_int ((7 * k) + 3) in
       let seq =
-        with_lower Comm.Lower_p2p (fun () ->
-            final
-              (Test_par.remap_seq ~sched:Machine.Stepped ~src ~dst fill))
+        final
+          (Test_par.remap_seq ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
+             fill)
       in
       let par async =
-        with_lower Comm.Lower_collective (fun () ->
-            final
-              (Test_par.remap_par ~sched:Machine.Stepped ~async ~src ~dst fill))
+        final
+          (Test_par.remap_par ~sched:Machine.Stepped ~async
+             ~lower:Exec.Collective ~src ~dst fill)
       in
       par false = seq && par true = seq)
 
@@ -126,33 +118,32 @@ let prop_trace_replays_phases =
     ~name:"collective trace: step-bracketed phases, counters match the plan"
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      with_lower Comm.Lower_collective (fun () ->
-          let m, s, d =
-            Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped
-              ~src ~dst float_of_int
-          in
-          let plan = Store.plan_for s d ~src:0 ~dst:1 in
-          let cp = Redist.collective_program plan in
-          let c = m.Machine.counters in
-          match Test_comm.steps_of_trace (Machine.events m) with
-          | None -> false
-          | Some groups ->
-            (* one bracketed group per phase, in order, each listing
-               exactly the phase's slices *)
-            List.map (fun (i, _, _) -> i) groups
-            = List.init (Redist.nb_phases cp) (fun i -> i)
-            && List.map (fun (_, ms, _) -> ms) groups
-               = List.map
-                   (List.map (fun (sl : Redist.slice) ->
-                        ( sl.Redist.sl_msg.Redist.m_from,
-                          sl.Redist.sl_msg.Redist.m_to,
-                          sl.Redist.sl_len )))
-                   cp.Redist.c_phases
-            (* counters still describe the plan, not the slicing *)
-            && c.Machine.messages = Redist.nb_messages plan
-            && c.Machine.volume = Redist.total_moved plan
-            && c.Machine.steps = Redist.nb_phases cp
-            && c.Machine.peak_step_volume = Redist.peak_collective_volume plan))
+      let m, s, d =
+        Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped
+          ~lower:Exec.Collective ~src ~dst float_of_int
+      in
+      let plan = Store.plan_for s d ~src:0 ~dst:1 in
+      let cp = Redist.collective_program plan in
+      let c = m.Machine.counters in
+      match Test_comm.steps_of_trace (Machine.events m) with
+      | None -> false
+      | Some groups ->
+        (* one bracketed group per phase, in order, each listing
+           exactly the phase's slices *)
+        List.map (fun (i, _, _) -> i) groups
+        = List.init (Redist.nb_phases cp) (fun i -> i)
+        && List.map (fun (_, ms, _) -> ms) groups
+           = List.map
+               (List.map (fun (sl : Redist.slice) ->
+                    ( sl.Redist.sl_msg.Redist.m_from,
+                      sl.Redist.sl_msg.Redist.m_to,
+                      sl.Redist.sl_len )))
+               cp.Redist.c_phases
+        (* counters still describe the plan, not the slicing *)
+        && c.Machine.messages = Redist.nb_messages plan
+        && c.Machine.volume = Redist.total_moved plan
+        && c.Machine.steps = Redist.nb_phases cp
+        && c.Machine.peak_step_volume = Redist.peak_collective_volume plan)
 
 (* --- (d) modeled counters identical across executors ---------------------------- *)
 
@@ -161,23 +152,24 @@ let prop_par_counters_equal_seq =
     ~name:"collective modeled counters: parallel = sequential"
     ~print:Test_redist_props.print_pair ~count:80 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      with_lower Comm.Lower_collective (fun () ->
-          let scrub (m : Machine.t) =
-            {
-              m.Machine.counters with
-              Machine.wall_time = 0.0;
-              Machine.pool_hits = 0;
-              Machine.pool_misses = 0;
-              Machine.pool_lease_peak = 0;
-              Machine.async_completions = 0;
-            }
-          in
-          let mp, _, _ =
-            Test_par.remap_par ~sched:Machine.Stepped ~src ~dst float_of_int
-          and ms, _, _ =
-            Test_par.remap_seq ~sched:Machine.Stepped ~src ~dst float_of_int
-          in
-          scrub mp = scrub ms))
+      let scrub (m : Machine.t) =
+        {
+          m.Machine.counters with
+          Machine.wall_time = 0.0;
+          Machine.pool_hits = 0;
+          Machine.pool_misses = 0;
+          Machine.pool_lease_peak = 0;
+          Machine.async_completions = 0;
+        }
+      in
+      let mp, _, _ =
+        Test_par.remap_par ~sched:Machine.Stepped ~lower:Exec.Collective
+          ~src ~dst float_of_int
+      and ms, _, _ =
+        Test_par.remap_seq ~sched:Machine.Stepped ~lower:Exec.Collective
+          ~src ~dst float_of_int
+      in
+      scrub mp = scrub ms)
 
 (* --- (e) peak staging memory ---------------------------------------------------- *)
 
@@ -195,15 +187,14 @@ let test_peak_bound_at_p () =
       let n = 672 (* divisible by 2, 7, and 3*p for every p below *) in
       let src = Test_redist_props.layout_1d ~n Dist.block p
       and dst = Test_redist_props.layout_1d ~n (Dist.Cyclic 3) p in
-      let peak l =
-        with_lower l (fun () ->
-            let m, _, _ =
-              Test_comm.remap ~backend:Store.Distributed
-                ~sched:Machine.Stepped ~src ~dst float_of_int
-            in
-            m.Machine.counters.Machine.peak_bytes)
+      let peak lower =
+        let m, _, _ =
+          Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped
+            ~lower ~src ~dst float_of_int
+        in
+        m.Machine.counters.Machine.peak_bytes
       in
-      let p2p = peak Comm.Lower_p2p and coll = peak Comm.Lower_collective in
+      let p2p = peak Exec.P2p and coll = peak Exec.Collective in
       Alcotest.(check bool)
         (Printf.sprintf "P=%d: collective peak_bytes %d <= p2p %d" p coll p2p)
         true (coll <= p2p);
@@ -223,17 +214,16 @@ let test_corner_turn_strict () =
     (Printf.sprintf "collective peak %d < p2p peak %d" coll p2p)
     true (coll < p2p);
   (* and the executed machines charge exactly 8x those volumes *)
-  let peak l =
-    with_lower l (fun () ->
-        let m, _, _ =
-          Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped
-            ~src ~dst float_of_int
-        in
-        m.Machine.counters.Machine.peak_bytes)
+  let peak lower =
+    let m, _, _ =
+      Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped ~lower
+        ~src ~dst float_of_int
+    in
+    m.Machine.counters.Machine.peak_bytes
   in
   Alcotest.(check int) "collective peak_bytes" (8 * coll)
-    (peak Comm.Lower_collective);
-  Alcotest.(check int) "p2p peak_bytes" (8 * p2p) (peak Comm.Lower_p2p)
+    (peak Exec.Collective);
+  Alcotest.(check int) "p2p peak_bytes" (8 * p2p) (peak Exec.P2p)
 
 (* --- (f) the auto rule ---------------------------------------------------------- *)
 
@@ -243,15 +233,14 @@ let prop_auto_deterministic =
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
       let plan = Redist.plan_intervals ~src ~dst in
-      let m = Machine.create ~nprocs:4 () in
-      with_lower Comm.Lower_auto (fun () ->
-          let expected =
-            plan.Redist.moves <> []
-            && Redist.modeled_time_collective m.Machine.cost plan
-               <= Redist.modeled_time_stepped m.Machine.cost plan
-          in
-          Comm.collective_chosen m plan = expected
-          && Comm.collective_chosen m plan = Comm.collective_chosen m plan))
+      let m = Machine.create ~nprocs:4 ~lower:Exec.Auto () in
+      let expected =
+        plan.Redist.moves <> []
+        && Redist.modeled_time_collective m.Machine.cost plan
+           <= Redist.modeled_time_stepped m.Machine.cost plan
+      in
+      Comm.collective_chosen m plan = expected
+      && Comm.collective_chosen m plan = Comm.collective_chosen m plan)
 
 let suite =
   [

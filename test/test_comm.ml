@@ -13,14 +13,17 @@ open Hpfc_runtime
 (* Run one data-carrying remap src -> dst on a fresh traced machine and
    return the machine, the store and the descriptor for inspection.
    [executor] swaps in an alternative communication executor (the
-   domain-parallel backend in test_par.ml).  [lower] pins the plan
-   lowering for lowering-specific tests (the p2p trace-shape laws here,
-   the collective ones in test_collective.ml); left out, the remap
-   follows [Comm.force_lower] so the generic properties run under
-   whichever lowering the environment forces. *)
+   domain-parallel backend in test_par.ml).  [datapath] and [lower] pin
+   the machine's datapath and plan lowering for path- or
+   lowering-specific tests (the p2p trace-shape laws here, the
+   collective ones in test_collective.ml); left out, the machine takes
+   the environment's, so the generic properties run under whichever
+   setting the environment forces. *)
 let remap ?(backend = Store.Canonical) ?(sched = Machine.Burst) ?executor
-    ?lower ~src ~dst fill =
-  let m = Machine.create ~nprocs:4 ~sched ~record_trace:true () in
+    ?datapath ?lower ~src ~dst fill =
+  let m =
+    Machine.create ~nprocs:4 ~sched ?datapath ?lower ~record_trace:true ()
+  in
   let s = Store.create ~backend ?executor m in
   let d =
     Store.add_descriptor s ~name:"a" ~extents:src.Layout.extents ~nb_versions:2
@@ -31,14 +34,7 @@ let remap ?(backend = Store.Canonical) ?(sched = Machine.Burst) ?executor
   Store.set_live s d 0 true;
   Store.fill_copy (Store.get_copy d 0) fill;
   Store.alloc s d 1 dst;
-  (match lower with
-  | None -> Store.copy_version s d ~src:0 ~dst:1 ~with_data:true
-  | Some l ->
-    let saved = !Comm.force_lower in
-    Comm.force_lower := l;
-    Fun.protect
-      ~finally:(fun () -> Comm.force_lower := saved)
-      (fun () -> Store.copy_version s d ~src:0 ~dst:1 ~with_data:true));
+  Store.copy_version s d ~src:0 ~dst:1 ~with_data:true;
   d.Store.status <- Some 1;
   (m, s, d)
 
@@ -58,7 +54,7 @@ let prop_trace_matches_plan =
     ~print:Test_redist_props.print_pair ~count:200 Test_redist_props.gen_pair
     (fun (src, dst) ->
       (* p2p-specific: the collective trace lists slices, not messages *)
-      let m, s, d = remap ~lower:Comm.Lower_p2p ~src ~dst float_of_int in
+      let m, s, d = remap ~lower:Exec.P2p ~src ~dst float_of_int in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let c = m.Machine.counters in
       List.sort compare (traced_messages m) = Redist.pairs plan
@@ -103,7 +99,7 @@ let prop_trace_replays_schedule =
     (fun (src, dst) ->
       (* p2p-specific: the collective replays its phase program instead *)
       let m, s, d =
-        remap ~sched:Machine.Stepped ~lower:Comm.Lower_p2p ~src ~dst
+        remap ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
           float_of_int
       in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in

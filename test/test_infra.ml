@@ -248,25 +248,26 @@ let suite =
 
 (* --sched=<unknown> must be a usage error naming the valid values, not
    silently accepted; the CLI converter is a thin wrapper over
-   [Pipeline.sched_of_string], so the contract is tested here. *)
+   [Exec.sched_of_string], so the contract is tested here. *)
 let test_sched_of_string () =
-  let module P = Hpfc_driver.Pipeline in
+  let module E = Hpfc_runtime.Exec in
   let ok s spec =
-    match P.sched_of_string s with
+    match E.sched_of_string s with
     | Ok got ->
-      Alcotest.(check string) ("parse " ^ s) (P.sched_name spec) (P.sched_name got)
+      Alcotest.(check string) ("parse " ^ s) (E.sched_name spec)
+        (E.sched_name got)
     | Error msg -> Alcotest.failf "%s rejected: %s" s msg
   in
-  ok "burst" P.Sched_burst;
-  ok "stepped" P.Sched_stepped;
-  ok "async" P.Sched_async;
-  ok "ASYNC" P.Sched_async;
+  ok "burst" E.Burst;
+  ok "stepped" E.Stepped;
+  ok "async" E.Async;
+  ok "ASYNC" E.Async;
   (* async charges like stepped; burst charges like burst *)
   Alcotest.(check bool) "async accounts as stepped" true
-    (P.machine_mode P.Sched_async = Hpfc_runtime.Machine.Stepped);
+    (Hpfc_runtime.Machine.accounting E.Async = Hpfc_runtime.Machine.Stepped);
   Alcotest.(check bool) "burst accounts as burst" true
-    (P.machine_mode P.Sched_burst = Hpfc_runtime.Machine.Burst);
-  match P.sched_of_string "bogus" with
+    (Hpfc_runtime.Machine.accounting E.Burst = Hpfc_runtime.Machine.Burst);
+  match E.sched_of_string "bogus" with
   | Ok _ -> Alcotest.fail "bogus schedule accepted"
   | Error msg ->
     List.iter
@@ -278,22 +279,22 @@ let test_sched_of_string () =
       [ "bogus"; "burst"; "stepped"; "async" ]
 
 (* --lower=<unknown> must be a usage error naming the valid values; the
-   CLI converter wraps [Pipeline.lower_of_string], mirroring --sched. *)
+   CLI converter wraps [Exec.lower_of_string], mirroring --sched. *)
 let test_lower_of_string () =
-  let module P = Hpfc_driver.Pipeline in
-  let module Comm = Hpfc_runtime.Comm in
+  let module E = Hpfc_runtime.Exec in
   let ok s spec =
-    match P.lower_of_string s with
+    match E.lower_of_string s with
     | Ok got ->
-      Alcotest.(check string) ("parse " ^ s) (P.lower_name spec)
-        (P.lower_name got)
+      Alcotest.(check string) ("parse " ^ s) (E.lower_name spec)
+        (E.lower_name got)
     | Error msg -> Alcotest.failf "%s rejected: %s" s msg
   in
-  ok "p2p" Comm.Lower_p2p;
-  ok "collective" Comm.Lower_collective;
-  ok "auto" Comm.Lower_auto;
-  ok "AUTO" Comm.Lower_auto;
-  match P.lower_of_string "bogus" with
+  ok "p2p" E.P2p;
+  ok "collective" E.Collective;
+  ok "coll" E.Collective;
+  ok "auto" E.Auto;
+  ok "AUTO" E.Auto;
+  match E.lower_of_string "bogus" with
   | Ok _ -> Alcotest.fail "bogus lowering accepted"
   | Error msg ->
     List.iter
@@ -315,7 +316,7 @@ let test_plan_cache_of_string () =
   in
   ok "1" 1;
   ok "512" 512;
-  ok " 64 " 64 (* whitespace tolerated, like the env var *);
+  ok " 64 " 64 (* whitespace tolerated *);
   List.iter
     (fun s ->
       match P.plan_cache_of_string s with

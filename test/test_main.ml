@@ -1,6 +1,7 @@
 let () =
   Alcotest.run "hpfc"
     [ ("infra", Test_infra.suite);
+      ("exec", Test_exec.suite);
       ("mapping", Test_mapping.suite);
       ("ivset", Test_mapping.ivset_suite);
       ("parser", Test_parser.suite);

@@ -20,20 +20,6 @@ let layout_nd ~extents dists p =
   Layout.of_mapping ~extents
     (Mapping.direct ~array_name:"a" ~extents ~dist:dists ~procs:(procs p))
 
-(* Run [f] with the data path forced (scalar oracle, staged blits, or —
-   both false — the zero-copy default), restoring the ambient switches
-   afterwards (the suite must pass under HPFC_FORCE_SCALAR and
-   HPFC_FORCE_STAGED too). *)
-let with_path ?(staged = false) ~scalar f =
-  let saved_scalar = !Comm.force_scalar and saved_staged = !Comm.force_staged in
-  Comm.force_scalar := scalar;
-  Comm.force_staged := staged;
-  Fun.protect
-    ~finally:(fun () ->
-      Comm.force_scalar := saved_scalar;
-      Comm.force_staged := saved_staged)
-    f
-
 (* --- (a) run decomposition is exact ------------------------------------------- *)
 
 (* The flat address of [index] on the side described by [addressing],
@@ -197,36 +183,33 @@ let test_precompile_corners () =
 (* --- (b) zero-copy == staged == scalar, end to end ------------------------------ *)
 
 (* Final values and modeled counters of one remap, on a given backend
-   and executor, with the data path forced. *)
-let observe ?(staged = false) ~scalar ~backend ?executor (src, dst) =
-  with_path ~staged ~scalar (fun () ->
-      let m, _, d = Test_comm.remap ~backend ?executor ~src ~dst float_of_int in
-      let c =
-        {
-          m.Machine.counters with
-          (* the only counters allowed to differ between the paths *)
-          Machine.run_blits = 0;
-          Machine.zero_copy_runs = 0;
-          Machine.staged_bytes = 0;
-          Machine.peak_bytes = 0;
-          Machine.pool_hits = 0;
-          Machine.pool_misses = 0;
-          Machine.pool_lease_peak = 0;
-          Machine.wall_time = 0.0;
-          Machine.async_completions = 0;
-        }
-      in
-      (Store.to_global (Store.get_copy d 1), c))
-
-(* The three datapaths, as (scalar, staged) switch pairs. *)
-let paths = [ (false, false); (false, true); (true, false) ]
+   and executor, with the data path pinned. *)
+let observe ~datapath ~backend ?executor (src, dst) =
+  let m, _, d =
+    Test_comm.remap ~backend ?executor ~datapath ~src ~dst float_of_int
+  in
+  let c =
+    {
+      m.Machine.counters with
+      (* the only counters allowed to differ between the paths *)
+      Machine.run_blits = 0;
+      Machine.zero_copy_runs = 0;
+      Machine.staged_bytes = 0;
+      Machine.peak_bytes = 0;
+      Machine.pool_hits = 0;
+      Machine.pool_misses = 0;
+      Machine.pool_lease_peak = 0;
+      Machine.wall_time = 0.0;
+      Machine.async_completions = 0;
+    }
+  in
+  (Store.to_global (Store.get_copy d 1), c)
 
 let all_paths_agree ?executor ~backend (src, dst) =
   match
     List.map
-      (fun (scalar, staged) ->
-        observe ~scalar ~staged ~backend ?executor (src, dst))
-      paths
+      (fun datapath -> observe ~datapath ~backend ?executor (src, dst))
+      [ Exec.Zero_copy; Exec.Staged; Exec.Scalar ]
   with
   | ref_obs :: rest -> List.for_all (fun o -> o = ref_obs) rest
   | [] -> assert false
@@ -264,8 +247,8 @@ let prop_paths_equal_identity =
           all_paths_agree ~backend (l, l)
           &&
           let m, _, _ =
-            with_path ~scalar:false (fun () ->
-                Test_comm.remap ~backend ~src:l ~dst:l float_of_int)
+            Test_comm.remap ~backend ~datapath:Exec.Zero_copy ~src:l ~dst:l
+              float_of_int
           in
           let c = m.Machine.counters in
           (* a replicated layout broadcasts even onto itself: only the
@@ -310,67 +293,69 @@ let prop_run_blits_charged =
     ~name:"forced staged: run_blits = local segments + 2 * move segments"
     ~print:Test_redist_props.print_pair ~count:60 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      with_path ~scalar:false ~staged:true (fun () ->
-          let m, s, d = Test_comm.remap ~src ~dst float_of_int in
-          let plan = Store.plan_for s d ~src:0 ~dst:1 in
-          let extents = src.Layout.extents in
-          let segs (msg : Redist.message) =
-            Redist.nb_run_segments
-              (Redist.message_runs ~src:(Redist.Row_major extents)
-                 ~dst:(Redist.Row_major extents) msg)
-          in
-          let expected =
-            List.fold_left (fun a msg -> a + segs msg) 0 plan.Redist.locals
-            + List.fold_left
-                (fun a msg -> a + (2 * segs msg))
-                0 plan.Redist.moves
-          in
-          let c = m.Machine.counters in
-          c.Machine.run_blits = expected
-          && c.Machine.zero_copy_runs = 0
-          && c.Machine.staged_bytes = 8 * c.Machine.volume))
+      let m, s, d =
+        Test_comm.remap ~datapath:Exec.Staged ~src ~dst float_of_int
+      in
+      let plan = Store.plan_for s d ~src:0 ~dst:1 in
+      let extents = src.Layout.extents in
+      let segs (msg : Redist.message) =
+        Redist.nb_run_segments
+          (Redist.message_runs ~src:(Redist.Row_major extents)
+             ~dst:(Redist.Row_major extents) msg)
+      in
+      let expected =
+        List.fold_left (fun a msg -> a + segs msg) 0 plan.Redist.locals
+        + List.fold_left
+            (fun a msg -> a + (2 * segs msg))
+            0 plan.Redist.moves
+      in
+      let c = m.Machine.counters in
+      c.Machine.run_blits = expected
+      && c.Machine.zero_copy_runs = 0
+      && c.Machine.staged_bytes = 8 * c.Machine.volume)
 
 let prop_zero_copy_charged =
   QCheck2.Test.make
     ~name:"zero-copy accounting on both backends"
     ~print:Test_redist_props.print_pair ~count:60 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      with_path ~scalar:false (fun () ->
-          let extents = src.Layout.extents in
-          (* canonical: both sides Row_major, every message is Direct *)
-          let m, s, d =
-            Test_comm.remap ~backend:Store.Canonical ~src ~dst float_of_int
-          in
-          let plan = Store.plan_for s d ~src:0 ~dst:1 in
-          let segs addressing =
-            let a_src, a_dst = addressing in
-            fun (msg : Redist.message) ->
-              Redist.nb_run_segments
-                (Redist.message_runs ~src:a_src ~dst:a_dst msg)
-          in
-          let sum f msgs = List.fold_left (fun a msg -> a + f msg) 0 msgs in
-          let rm = (Redist.Row_major extents, Redist.Row_major extents) in
-          let c = m.Machine.counters in
-          let canonical_ok =
-            c.Machine.run_blits = 0
-            && c.Machine.staged_bytes = 0
-            && c.Machine.zero_copy_runs
-               = sum (segs rm) plan.Redist.locals + sum (segs rm) plan.Redist.moves
-          in
-          (* distributed: per-rank buffers, only self-messages are Direct
-             and those are exactly the plan's locals *)
-          let m', s', d' =
-            Test_comm.remap ~backend:Store.Distributed ~src ~dst float_of_int
-          in
-          let plan' = Store.plan_for s' d' ~src:0 ~dst:1 in
-          let ol = (Redist.Owner_local src, Redist.Owner_local dst) in
-          let c' = m'.Machine.counters in
-          let distributed_ok =
-            c'.Machine.zero_copy_runs = sum (segs ol) plan'.Redist.locals
-            && c'.Machine.run_blits = 2 * sum (segs ol) plan'.Redist.moves
-            && c'.Machine.staged_bytes = 8 * c'.Machine.volume
-          in
-          canonical_ok && distributed_ok))
+      let extents = src.Layout.extents in
+      (* canonical: both sides Row_major, every message is Direct *)
+      let m, s, d =
+        Test_comm.remap ~backend:Store.Canonical ~datapath:Exec.Zero_copy
+          ~src ~dst float_of_int
+      in
+      let plan = Store.plan_for s d ~src:0 ~dst:1 in
+      let segs addressing =
+        let a_src, a_dst = addressing in
+        fun (msg : Redist.message) ->
+          Redist.nb_run_segments
+            (Redist.message_runs ~src:a_src ~dst:a_dst msg)
+      in
+      let sum f msgs = List.fold_left (fun a msg -> a + f msg) 0 msgs in
+      let rm = (Redist.Row_major extents, Redist.Row_major extents) in
+      let c = m.Machine.counters in
+      let canonical_ok =
+        c.Machine.run_blits = 0
+        && c.Machine.staged_bytes = 0
+        && c.Machine.zero_copy_runs
+           = sum (segs rm) plan.Redist.locals + sum (segs rm) plan.Redist.moves
+      in
+      (* distributed: per-rank buffers, only self-messages are Direct
+         and those are exactly the plan's locals *)
+      let m', s', d' =
+        Test_comm.remap ~backend:Store.Distributed
+          ~datapath:Exec.Zero_copy ~src ~dst float_of_int
+      in
+      let plan' = Store.plan_for s' d' ~src:0 ~dst:1 in
+      let ol = (Redist.Owner_local src, Redist.Owner_local dst) in
+      let c' = m'.Machine.counters in
+      let distributed_ok =
+        c'.Machine.zero_copy_runs = sum (segs ol) plan'.Redist.locals
+        && c'.Machine.run_blits = 2 * sum (segs ol) plan'.Redist.moves
+        && c'.Machine.staged_bytes = 8 * c'.Machine.volume
+      in
+      canonical_ok && distributed_ok)
 
 (* --- (c) the staging-buffer pool ------------------------------------------------ *)
 
@@ -395,44 +380,43 @@ let test_pool_unit () =
 
 (* Steady state: the sequential executor releases each staging buffer
    before acquiring the next, so a warmed-up pool serves every staged
-   message of a repeated remap without allocating.  Forced staged so
-   the distributed cross-rank messages actually stage (they do anyway)
-   and the counts stay exact under any ambient switches. *)
+   message of a repeated remap without allocating.  Pinned to the
+   staged datapath so the distributed cross-rank messages actually stage
+   (they do anyway) and the counts stay exact under any environment. *)
 let test_pool_steady_state () =
-  with_path ~scalar:false ~staged:true (fun () ->
-      let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
-      and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
-      (* p2p-pinned so hits count messages, not collective slices *)
-      let (_ : Machine.t * Store.t * Store.descriptor) =
-        Test_comm.remap ~lower:Comm.Lower_p2p ~src ~dst float_of_int
-      in
-      let m, _, _ =
-        Test_comm.remap ~lower:Comm.Lower_p2p ~src ~dst float_of_int
-      in
-      let c = m.Machine.counters in
-      Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
-      Alcotest.(check int) "warm pool never allocates" 0 c.Machine.pool_misses;
-      Alcotest.(check int) "every message a pool hit" c.Machine.messages
-        c.Machine.pool_hits)
+  let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
+  and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
+  (* p2p-pinned so hits count messages, not collective slices *)
+  let remap () =
+    Test_comm.remap ~datapath:Exec.Staged ~lower:Exec.P2p ~src ~dst
+      float_of_int
+  in
+  let (_ : Machine.t * Store.t * Store.descriptor) = remap () in
+  let m, _, _ = remap () in
+  let c = m.Machine.counters in
+  Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
+  Alcotest.(check int) "warm pool never allocates" 0 c.Machine.pool_misses;
+  Alcotest.(check int) "every message a pool hit" c.Machine.messages
+    c.Machine.pool_hits
 
 (* Zero-copy steady state: on the canonical backend every message is
    Direct, so a remap touches the pool not at all — no staging
    allocations even from cold — and charges zero_copy_runs instead. *)
 let test_zero_copy_steady_state () =
-  with_path ~scalar:false (fun () ->
-      let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
-      and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
-      let m, _, _ =
-        Test_comm.remap ~backend:Store.Canonical ~src ~dst float_of_int
-      in
-      let c = m.Machine.counters in
-      Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
-      Alcotest.(check int) "no staging buffers acquired" 0
-        (c.Machine.pool_hits + c.Machine.pool_misses);
-      Alcotest.(check int) "nothing staged" 0 c.Machine.staged_bytes;
-      Alcotest.(check int) "no staged blits" 0 c.Machine.run_blits;
-      Alcotest.(check bool) "direct copies charged" true
-        (c.Machine.zero_copy_runs > 0))
+  let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
+  and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
+  let m, _, _ =
+    Test_comm.remap ~backend:Store.Canonical ~datapath:Exec.Zero_copy ~src
+      ~dst float_of_int
+  in
+  let c = m.Machine.counters in
+  Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
+  Alcotest.(check int) "no staging buffers acquired" 0
+    (c.Machine.pool_hits + c.Machine.pool_misses);
+  Alcotest.(check int) "nothing staged" 0 c.Machine.staged_bytes;
+  Alcotest.(check int) "no staged blits" 0 c.Machine.run_blits;
+  Alcotest.(check bool) "direct copies charged" true
+    (c.Machine.zero_copy_runs > 0)
 
 (* --- (d) overlap safety of the direct path -------------------------------------- *)
 
@@ -446,53 +430,52 @@ let test_zero_copy_steady_state () =
    path masks this class of bug — packing reads everything before any
    write — which is exactly why the direct path needs its own test.) *)
 let test_direct_overlap_inplace () =
-  with_path ~scalar:false (fun () ->
-      let n = 16 in
-      let l = layout_nd ~extents:[| n |] [| Dist.cyclic |] 2 in
-      let endpoint buf addressing =
-        {
-          Comm.read = (fun ~rank:_ index -> Buf.get buf index.(0));
-          write = (fun ~rank:_ index v -> Buf.set buf index.(0) v);
-          addressing;
-          buffer = (fun ~rank:_ -> buf);
-        }
-      in
-      (* rank 1 owns the odd elements: box = {1, 3, ..., 15} *)
-      let message () =
-        {
-          Redist.m_from = 1;
-          m_to = 1;
-          m_count = n / 2;
-          m_box =
-            [| Ivset.Periodic { period = 2; pattern = [ (1, 2) ]; extent = n } |];
-          m_paths = Atomic.make [];
-        }
-      in
-      let fresh () = Buf.of_array (Array.init n float_of_int) in
-      (* gather: buf[k] := buf[2k+1] — destination trails the source *)
-      let buf = fresh () in
-      Comm.run_local
-        ~src:(endpoint buf (Redist.Row_major [| n |]))
-        ~dst:(endpoint buf (Redist.Owner_local l))
-        (message ());
-      for k = 0 to (n / 2) - 1 do
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "gather element %d" k)
-          (float_of_int ((2 * k) + 1))
-          (Buf.get buf k)
-      done;
-      (* scatter: buf[2k+1] := buf[k] — destination overtakes the source *)
-      let buf = fresh () in
-      Comm.run_local
-        ~src:(endpoint buf (Redist.Owner_local l))
-        ~dst:(endpoint buf (Redist.Row_major [| n |]))
-        (message ());
-      for k = 0 to (n / 2) - 1 do
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "scatter element %d" k)
-          (float_of_int k)
-          (Buf.get buf ((2 * k) + 1))
-      done)
+  let n = 16 in
+  let l = layout_nd ~extents:[| n |] [| Dist.cyclic |] 2 in
+  let endpoint buf addressing =
+    {
+      Comm.read = (fun ~rank:_ index -> Buf.get buf index.(0));
+      write = (fun ~rank:_ index v -> Buf.set buf index.(0) v);
+      addressing;
+      buffer = (fun ~rank:_ -> buf);
+    }
+  in
+  (* rank 1 owns the odd elements: box = {1, 3, ..., 15} *)
+  let message () =
+    {
+      Redist.m_from = 1;
+      m_to = 1;
+      m_count = n / 2;
+      m_box =
+        [| Ivset.Periodic { period = 2; pattern = [ (1, 2) ]; extent = n } |];
+      m_paths = Atomic.make [];
+    }
+  in
+  let fresh () = Buf.of_array (Array.init n float_of_int) in
+  (* gather: buf[k] := buf[2k+1] — destination trails the source *)
+  let buf = fresh () in
+  Comm.run_local ~scalar:false
+    ~src:(endpoint buf (Redist.Row_major [| n |]))
+    ~dst:(endpoint buf (Redist.Owner_local l))
+    (message ());
+  for k = 0 to (n / 2) - 1 do
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "gather element %d" k)
+      (float_of_int ((2 * k) + 1))
+      (Buf.get buf k)
+  done;
+  (* scatter: buf[2k+1] := buf[k] — destination overtakes the source *)
+  let buf = fresh () in
+  Comm.run_local ~scalar:false
+    ~src:(endpoint buf (Redist.Owner_local l))
+    ~dst:(endpoint buf (Redist.Row_major [| n |]))
+    (message ());
+  for k = 0 to (n / 2) - 1 do
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "scatter element %d" k)
+      (float_of_int k)
+      (Buf.get buf ((2 * k) + 1))
+  done
 
 (* --- (e) the run-copy kernel ------------------------------------------------- *)
 
@@ -645,30 +628,28 @@ let test_copy_run_bounds () =
    grows with the extent.) *)
 let test_execute_allocation () =
   let words ~n ~staged =
-    with_path ~scalar:false ~staged (fun () ->
-        let src = layout_nd ~extents:[| n |] [| Dist.block |] 4
-        and dst = layout_nd ~extents:[| n |] [| Dist.cyclic |] 4 in
-        let mach = Machine.create ~nprocs:4 () in
-        let s = Store.create ~backend:Store.Distributed mach in
-        let d =
-          Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:2 ()
-        in
-        Store.alloc s d 0 src;
-        Store.alloc s d 1 dst;
-        let sep = Store.endpoint_of_copy (Store.get_copy d 0)
-        and dep = Store.endpoint_of_copy (Store.get_copy d 1) in
-        let plan = Redist.plan_intervals ~src ~dst in
-        let saved = !Comm.force_lower in
-        Comm.force_lower := Comm.Lower_p2p;
-        Fun.protect
-          ~finally:(fun () -> Comm.force_lower := saved)
-          (fun () ->
-            (* warm: run memos, step program and staging pool *)
-            Comm.execute mach ~src:sep ~dst:dep plan;
-            Comm.execute mach ~src:sep ~dst:dep plan;
-            let w0 = Gc.minor_words () in
-            Comm.execute mach ~src:sep ~dst:dep plan;
-            Gc.minor_words () -. w0))
+    let src = layout_nd ~extents:[| n |] [| Dist.block |] 4
+    and dst = layout_nd ~extents:[| n |] [| Dist.cyclic |] 4 in
+    let mach =
+      Machine.create ~nprocs:4
+        ~datapath:(if staged then Exec.Staged else Exec.Zero_copy)
+        ~lower:Exec.P2p ()
+    in
+    let s = Store.create ~backend:Store.Distributed mach in
+    let d =
+      Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:2 ()
+    in
+    Store.alloc s d 0 src;
+    Store.alloc s d 1 dst;
+    let sep = Store.endpoint_of_copy (Store.get_copy d 0)
+    and dep = Store.endpoint_of_copy (Store.get_copy d 1) in
+    let plan = Redist.plan_intervals ~src ~dst in
+    (* warm: run memos, step program and staging pool *)
+    Comm.execute mach ~src:sep ~dst:dep plan;
+    Comm.execute mach ~src:sep ~dst:dep plan;
+    let w0 = Gc.minor_words () in
+    Comm.execute mach ~src:sep ~dst:dep plan;
+    Gc.minor_words () -. w0
   in
   List.iter
     (fun staged ->

@@ -25,7 +25,7 @@ let par_executor ?async () = Hpfc_par.Par.executor ?async (Lazy.force pool)
 
 (* [async] pins the execution discipline for discipline-specific tests
    and [lower] the plan lowering for lowering-specific ones; left out,
-   the executor follows [Comm.force_async] / [Comm.force_lower] so the
+   both follow the environment's configuration ([Exec.default]), so the
    generic properties run under whichever discipline and lowering the
    environment forces. *)
 let remap_par ?(sched = Machine.Burst) ?async ?lower ~src ~dst fill =
@@ -66,7 +66,7 @@ let prop_par_trace_matches_plan =
     ~print:Test_redist_props.print_pair ~count:150 Test_redist_props.gen_pair
     (fun (src, dst) ->
       (* p2p-specific: the collective trace lists slices, not messages *)
-      let m, s, d = remap_par ~lower:Comm.Lower_p2p ~src ~dst float_of_int in
+      let m, s, d = remap_par ~lower:Exec.P2p ~src ~dst float_of_int in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let c = m.Machine.counters in
       List.sort compare (Test_comm.traced_messages m) = Redist.pairs plan
@@ -81,7 +81,7 @@ let prop_par_trace_replays_schedule =
     (fun (src, dst) ->
       (* p2p-specific: the collective replays its phase program instead *)
       let m, s, d =
-        remap_par ~sched:Machine.Stepped ~async:false ~lower:Comm.Lower_p2p
+        remap_par ~sched:Machine.Stepped ~async:false ~lower:Exec.P2p
           ~src ~dst float_of_int
       in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
@@ -184,6 +184,45 @@ let test_destroyed_pool_faults () =
            ~executor:(Hpfc_par.Par.executor p)
            ~src:(layout Dist.block) ~dst:(layout Dist.cyclic) float_of_int))
 
+(* A worker that raises must not hang the team: with the destination
+   endpoint's storage closures raising on rank 2, the worker hosting it
+   dies mid-job while its siblings wait on a barrier (stepped) or on
+   packets it will never send (async).  The job aborts, the fault
+   reaches the caller, and the same pool then executes the plan
+   correctly. *)
+let test_worker_fault_released () =
+  let p = Hpfc_par.Par.create ~ndomains:3 () in
+  let fault () = failwith "injected fault" in
+  let faulty (e : Comm.endpoint) =
+    {
+      e with
+      Comm.buffer = (fun ~rank -> if rank = 2 then fault () else e.buffer ~rank);
+      write = (fun ~rank i v -> if rank = 2 then fault () else e.write ~rank i v);
+    }
+  in
+  let src = Test_redist_props.layout_1d ~n:64 Dist.block 4
+  and dst = Test_redist_props.layout_1d ~n:64 Dist.cyclic 4 in
+  let remap ~async dst_of =
+    Test_comm.remap ~backend:Store.Distributed
+      ~executor:(fun m ~src ~dst plan ->
+        Hpfc_par.Par.execute ~async p m ~src ~dst:(dst_of dst) plan)
+      ~src ~dst float_of_int
+  in
+  Fun.protect
+    ~finally:(fun () -> Hpfc_par.Par.destroy p)
+    (fun () ->
+      List.iter
+        (fun async ->
+          let what = if async then "async" else "stepped" in
+          Alcotest.check_raises (what ^ ": the fault reaches the caller")
+            (Failure "injected fault")
+            (fun () -> ignore (remap ~async faulty));
+          let _, _, d = remap ~async Fun.id in
+          Alcotest.(check bool) (what ^ ": the pool still remaps correctly")
+            true
+            (Store.to_global (Store.get_copy d 1) = Array.init 64 float_of_int))
+        [ false; true ])
+
 let suite =
   [
     Qcheck_env.to_alcotest prop_par_equals_seq;
@@ -192,6 +231,8 @@ let suite =
     Qcheck_env.to_alcotest prop_par_trace_replays_schedule;
     Qcheck_env.to_alcotest prop_par_counters_equal_seq;
     Alcotest.test_case "pool reuse across grid sizes" `Quick test_pool_reuse;
+    Alcotest.test_case "raising worker aborts the job, pool survives" `Quick
+      test_worker_fault_released;
     Alcotest.test_case "destroyed pool faults cleanly" `Quick
       test_destroyed_pool_faults;
   ]

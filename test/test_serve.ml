@@ -347,11 +347,12 @@ let test_execute_fused_equals_solo () =
 
 (* One tenant stream: cycle remaps through the layout ring [rounds]
    times on its own machine and store, through [executor] with [plans]
-   as the store's cache.  Returns the machine and the final data. *)
-let tenant_stream ?executor ~plans ~rounds () =
+   as the store's cache.  [datapath] and [lower] configure the tenant's
+   machine.  Returns the machine and the final data. *)
+let tenant_stream ?executor ?datapath ?lower ~plans ~rounds () =
   let ls = Lazy.force layouts in
   let nv = Array.length ls in
-  let m = Machine.create ~nprocs ~sched:Machine.Stepped () in
+  let m = Machine.create ~nprocs ~sched:Machine.Stepped ?datapath ?lower () in
   let s = Store.create ?executor ~plans m in
   let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:nv () in
   let fill k = float_of_int ((3 * k) + 1) in
@@ -380,18 +381,24 @@ let scrub (m : Machine.t) =
     Machine.fused_remaps = 0;
   }
 
-let isolation_stress ~fusion ~cache_capacity () =
+(* No tenant pins its machine's datapath or lowering. *)
+let ambient_config _ = (None, None)
+
+(* [config i] optionally pins tenant [i]'s datapath and lowering; each
+   tenant is compared with the solo replay of its own configuration. *)
+let isolation_stress ?(config = ambient_config) ~fusion ~cache_capacity () =
   let tenants = 4 and rounds = 4 in
   let svc = Serve.create ~tenants ~fusion ?cache_capacity () in
   let doms =
     List.init tenants (fun i ->
+        let datapath, lower = config i in
         Domain.spawn (fun () ->
             try
               Ok
                 (tenant_stream
                    ~executor:(Serve.executor svc ~tenant:i)
-                   ~plans:(Serve.tenant_cache svc i)
-                   ~rounds ())
+                   ?datapath ?lower ~plans:(Serve.tenant_cache svc i) ~rounds
+                   ())
             with e -> Error e))
   in
   let served =
@@ -400,13 +407,14 @@ let isolation_stress ~fusion ~cache_capacity () =
       doms
   in
   let stats = Serve.shutdown svc in
-  let solo_m, solo_data =
-    tenant_stream
-      ~plans:(Redist.Plan_cache.create ?capacity:cache_capacity ())
-      ~rounds ()
-  in
   List.iteri
     (fun i (m, data) ->
+      let datapath, lower = config i in
+      let solo_m, solo_data =
+        tenant_stream ?datapath ?lower
+          ~plans:(Redist.Plan_cache.create ?capacity:cache_capacity ())
+          ~rounds ()
+      in
       Alcotest.(check bool)
         (Printf.sprintf "tenant %d data = solo sequential" i)
         true (data = solo_data);
@@ -443,46 +451,86 @@ let test_isolation_eviction_race () =
 
 (* Fusion observability, deterministically: create the service paused so
    no worker can drain a request early, stage the same block->cyclic
-   remap for two tenants, then release the workers.  At resume both
-   queues are backlogged, so the first take_batch takes one head per
-   tenant (batch defaults to [tenants]); both members resolve their plan
+   remap for every tenant, then release the workers.  At resume every
+   queue is backlogged, so the first take_batch takes one head per
+   tenant (batch defaults to [tenants]); all members resolve their plan
    through the shared parent cache and therefore carry the same physical
-   plan, which is exactly the fusion grouping test.  One fused batch of
-   two members is guaranteed, not a race against the scheduler. *)
-let test_service_fuses_when_staged () =
+   plan, which is exactly the fusion grouping test.  The fused batches
+   are guaranteed, not a race against the scheduler.  [config i] pins
+   tenant [i]'s datapath and lowering; each member's counters must equal
+   a solo copy under its own configuration. *)
+let staged_fusion ?(config = ambient_config) ~tenants () =
   let ls = Lazy.force layouts in
-  let tenants = 2 in
   let svc = Serve.create ~tenants ~paused:true () in
   let fill k = float_of_int (k + 1) in
+  let stream ?plans i =
+    let datapath, lower = config i in
+    let m =
+      Machine.create ~nprocs ~sched:Machine.Stepped ?datapath ?lower ()
+    in
+    let s = Store.create ?plans m in
+    let d =
+      Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:2 ()
+    in
+    Store.alloc s d 0 ls.(0);
+    Store.alloc s d 1 ls.(1);
+    Store.fill_copy (Store.get_copy d 0) fill;
+    (m, s, d)
+  in
   let streams =
-    Array.init tenants (fun i ->
-        let m = Machine.create ~nprocs ~sched:Machine.Stepped () in
-        let s = Store.create ~plans:(Serve.tenant_cache svc i) m in
-        let d =
-          Store.add_descriptor s ~name:"a" ~extents:[| nelems |]
-            ~nb_versions:2 ()
-        in
-        Store.alloc s d 0 ls.(0);
-        Store.alloc s d 1 ls.(1);
-        Store.fill_copy (Store.get_copy d 0) fill;
-        (s, d))
+    Array.init tenants (fun i -> stream ~plans:(Serve.tenant_cache svc i) i)
   in
   let reqs =
     Array.mapi
-      (fun i (s, _) ->
+      (fun i (_, s, _) ->
         Serve.submit_remap svc ~tenant:i ~store:s ~array:"a" ~src:0 ~dst:1)
       streams
   in
   Serve.resume svc;
   Array.iter (Serve.await svc) reqs;
   let stats = Serve.shutdown svc in
-  Array.iter
-    (fun (_, d) ->
+  Array.iteri
+    (fun i (m, _, d) ->
+      let solo_m, solo_s, solo_d = stream i in
+      Store.copy_version solo_s solo_d ~src:0 ~dst:1 ~with_data:true;
       Alcotest.(check bool) "fused member still moved its data" true
-        (Store.to_global (Store.get_copy d 1) = Array.init nelems fill))
+        (Store.to_global (Store.get_copy d 1) = Array.init nelems fill);
+      Alcotest.(check bool)
+        (Printf.sprintf "tenant %d counters = its solo copy" i)
+        true
+        (scrub m = scrub solo_m))
     streams;
+  stats
+
+let test_service_fuses_when_staged () =
+  let stats = staged_fusion ~tenants:2 () in
   Alcotest.(check int) "one fused batch" 1 stats.Serve.fused_batches;
   Alcotest.(check int) "both staged remaps fused" 2 stats.Serve.fused_members
+
+(* --- tenants under different execution configurations ----------------------- *)
+
+(* Even tenants move data zero-copy under the p2p lowering, odd ones
+   stage everything under the collective lowering. *)
+let mixed_config i =
+  if i mod 2 = 0 then (Some Exec.Zero_copy, Some Exec.P2p)
+  else (Some Exec.Staged, Some Exec.Collective)
+
+(* Tenants that differ in datapath and lowering share one service, one
+   plan cache and fusion: each tenant's data and modeled counters must
+   still equal its solo replay under its own configuration. *)
+let test_mixed_configs_isolated () =
+  ignore
+    (isolation_stress ~config:mixed_config ~fusion:true ~cache_capacity:None ())
+
+(* Four tenants stage the same remap — one physical plan — two under
+   each configuration: fusion batches each configuration's pair on its
+   own, never all four together. *)
+let test_fusion_never_mixes_configs () =
+  let stats = staged_fusion ~config:mixed_config ~tenants:4 () in
+  Alcotest.(check int) "one fused batch per configuration" 2
+    stats.Serve.fused_batches;
+  Alcotest.(check int) "every remap fused with its own kind" 4
+    stats.Serve.fused_members
 
 (* --- Remap-flavor requests: replay bracketing matches copy_version ------------------ *)
 
@@ -556,4 +604,8 @@ let suite =
       test_service_fuses_when_staged;
     Alcotest.test_case "submit_remap replays copy_version bracketing" `Quick
       test_submit_remap_bracketing;
+    Alcotest.test_case "tenants with different configurations stay isolated"
+      `Quick test_mixed_configs_isolated;
+    Alcotest.test_case "fusion never mixes configurations" `Quick
+      test_fusion_never_mixes_configs;
   ]
