@@ -7,13 +7,12 @@
    The paper has no performance tables; the FIG sections reproduce its
    analysis artifacts, and the Q sections quantify the savings the paper
    claims qualitatively, on the simulated machine (see DESIGN.md for the
-   substitution argument).  TIME runs bechamel micro-benchmarks of the
-   compiler passes and of the redistribution engines. *)
+   substitution argument).  Wall-clock performance is measured by the
+   repository benchmark (perfbench/), not here. *)
 
 module I = Hpfc_interp.Interp
 module Machine = Hpfc_runtime.Machine
 module Redist = Hpfc_runtime.Redist
-module Exec = Hpfc_runtime.Exec
 module Layout = Hpfc_mapping.Layout
 module Mapping = Hpfc_mapping.Mapping
 module Dist = Hpfc_mapping.Dist
@@ -381,936 +380,6 @@ end subroutine
     "shape: the callee's internal block phase reuses the caller's live \
      block copy; its remapping volume disappears entirely.@."
 
-(* --- TIME: bechamel micro-benchmarks -------------------------------------------- *)
-
-let bechamel_section () =
-  section "time" "compiler pass timings (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let fig10 = Hpfc_parser.Parser.parse_routine_string Figures.fig10_src in
-  let adi32 =
-    match (Apps.adi ~n:32 ()).Hpfc_lang.Ast.routines with
-    | r :: _ -> r
-    | [] -> assert false
-  in
-  let mk_layout n dist =
-    Layout.of_mapping ~extents:[| n |]
-      (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| dist |]
-         ~procs:(Procs.linear "P" 4))
-  in
-  let src = mk_layout 10_000 Dist.block
-  and dst = mk_layout 10_000 (Dist.cyclic_sized 4) in
-  let tests =
-    [
-      Test.make ~name:"parse fig10"
-        (Staged.stage (fun () ->
-             Hpfc_parser.Parser.parse_routine_string Figures.fig10_src));
-      Test.make ~name:"gr build fig10"
-        (Staged.stage (fun () -> Hpfc_remap.Construct.build fig10));
-      Test.make ~name:"gr+opt fig10"
-        (Staged.stage (fun () ->
-             let g = Hpfc_remap.Construct.build fig10 in
-             Hpfc_opt.Remove_useless.run g));
-      Test.make ~name:"full compile adi32"
-        (Staged.stage (fun () -> Pipeline.analyze adi32));
-      Test.make ~name:"plan naive 10k"
-        (Staged.stage (fun () -> Redist.plan_naive ~src ~dst));
-      Test.make ~name:"plan intervals 10k"
-        (Staged.stage (fun () -> Redist.plan_intervals ~src ~dst));
-    ]
-  in
-  let test = Test.make_grouped ~name:"hpfc" ~fmt:"%s %s" tests in
-  let raw =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:true ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ t ] -> rows := (name, t) :: !rows
-      | Some _ | None -> rows := (name, Float.nan) :: !rows)
-    results;
-  List.iter
-    (fun (name, t) -> row "%-28s %12.1f ns/run@." name t)
-    (List.sort compare !rows)
-
-(* --- TIME: plan cache and stepped scheduling ------------------------------------- *)
-
-let time_sched () =
-  section "time_sched"
-    "plan-cache hit rate and burst vs stepped modeled time (ADI, FFT2D)";
-  row "%10s | %5s %6s %5s | %12s %12s %6s %10s@." "kernel" "hits" "misses"
-    "rate" "burst time" "stepped time" "steps" "peak/step";
-  List.iter
-    (fun (name, scalars, src) ->
-      let burst = Pipeline.run_source ~scalars src in
-      let exec = Exec.{ reference with sched = Stepped } in
-      let stepped = Pipeline.run_source ~scalars ~exec src in
-      let cb = counters burst and cs = counters stepped in
-      let rate =
-        float_of_int cb.Machine.plan_hits
-        /. float_of_int (max 1 (cb.Machine.plan_hits + cb.Machine.plan_misses))
-      in
-      row "%10s | %5d %6d %4.0f%% | %12.1f %12.1f %6d %10d@." name
-        cb.Machine.plan_hits cb.Machine.plan_misses (100.0 *. rate)
-        cb.Machine.time cs.Machine.time cs.Machine.steps
-        cs.Machine.peak_step_volume)
-    [
-      ("adi64x4", [ ("t", I.VInt 4) ], Apps.adi_src ~n:64 ());
-      ("fft2d64x4", [], Apps.fft2d_src ~sweeps:4 ~n:64 ());
-    ];
-  (* planning wall time: recomputing every plan vs memoizing on the
-     canonical layout pair (the loop-carried remapping pattern) *)
-  let mk n dist =
-    Layout.of_mapping ~extents:[| n |]
-      (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| dist |]
-         ~procs:(Procs.linear "P" 16))
-  in
-  let pairs =
-    [
-      (mk 100_000 Dist.block, mk 100_000 Dist.cyclic);
-      (mk 100_000 Dist.cyclic, mk 100_000 (Dist.cyclic_sized 16));
-      (mk 100_000 (Dist.cyclic_sized 16), mk 100_000 Dist.block);
-    ]
-  in
-  let reps = 200 in
-  let (), uncached =
-    time_of (fun () ->
-        for _ = 1 to reps do
-          List.iter
-            (fun (src, dst) ->
-              ignore (Redist.plan_intervals ~src ~dst : Redist.plan))
-            pairs
-        done)
-  in
-  let cache = Redist.Plan_cache.create () in
-  let (), cached =
-    time_of (fun () ->
-        for _ = 1 to reps do
-          List.iter
-            (fun (src, dst) ->
-              ignore
-                (Redist.Plan_cache.find cache ~src ~dst (fun () ->
-                     Redist.plan_intervals ~src ~dst)
-                  : Redist.plan))
-            pairs
-        done)
-  in
-  row
-    "planning %d remaps over %d layout pairs: uncached %.2f ms, cached %.2f \
-     ms (%.0fx), %d hits / %d misses@."
-    (reps * List.length pairs)
-    (List.length pairs) (uncached *. 1e3) (cached *. 1e3)
-    (uncached /. Float.max 1e-9 cached)
-    (Redist.Plan_cache.hits cache)
-    (Redist.Plan_cache.misses cache);
-  row "cache bound: capacity %d, %d evictions this run@."
-    (Redist.Plan_cache.capacity cache)
-    (Redist.Plan_cache.evictions cache);
-  (* the LRU bound in action: a capacity-2 cache cycling through 3 layout
-     pairs evicts on every find, so each round re-plans once *)
-  let small = Redist.Plan_cache.create ~capacity:2 () in
-  let (), bounded =
-    time_of (fun () ->
-        for _ = 1 to reps do
-          List.iter
-            (fun (src, dst) ->
-              ignore
-                (Redist.Plan_cache.find small ~src ~dst (fun () ->
-                     Redist.plan_intervals ~src ~dst)
-                  : Redist.plan))
-            pairs
-        done)
-  in
-  row
-    "bounded cache (capacity 2, 3 pairs): %.2f ms, %d hits / %d misses / %d \
-     evictions@."
-    (bounded *. 1e3)
-    (Redist.Plan_cache.hits small)
-    (Redist.Plan_cache.misses small)
-    (Redist.Plan_cache.evictions small);
-  row
-    "shape: loop kernels re-plan the same layout pair each iteration; the \
-     cache pays planning once.  Stepped time always dominates the burst \
-     critical path; on balanced corner turns the two coincide (every step \
-     is a perfect matching of equal messages), while skewed plans pay for \
-     the contention the burst model ignores.@."
-
-(* --- TIME_PAR: shared-memory parallel backend --------------------------------- *)
-
-module Store = Hpfc_runtime.Store
-module Par = Hpfc_par.Par
-
-(* One corner-turn store: version 0 block, version 1 cyclic, n elements on
-   P ranks.  [remap ()] re-runs the redistribution (the plan is cached
-   after the first call, so reps time execution, not planning). *)
-let corner_turn ?executor ?(record_trace = false)
-    ?(backend = Store.Distributed) ?(dst_dist = Dist.cyclic) ?datapath ?lower
-    ~n ~p () =
-  let mk dist =
-    Layout.of_mapping ~extents:[| n |]
-      (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| dist |]
-         ~procs:(Procs.linear "P" p))
-  in
-  let m =
-    Machine.create ~nprocs:p ~sched:Machine.Stepped ?datapath ?lower
-      ~record_trace ()
-  in
-  let s = Store.create ~backend ?executor m in
-  let d = Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:2 () in
-  Store.alloc s d 0 (mk Dist.block);
-  d.Store.status <- Some 0;
-  Store.set_live s d 0 true;
-  Store.fill_copy (Store.get_copy d 0) float_of_int;
-  Store.alloc s d 1 (mk dst_dist);
-  let remap () = Store.copy_version s d ~src:0 ~dst:1 ~with_data:true in
-  (m, d, remap)
-
-let time_par () =
-  section "time_par"
-    "parallel backend: modeled vs measured step times, speedup vs sequential";
-  let cores = Domain.recommended_domain_count () in
-  let n = 100_000 in
-  row "block -> cyclic corner turn, n=%d; %d core(s) recommended@." n cores;
-  let reps = 20 in
-  let json_rows = ref [] in
-  row "%4s %8s | %12s %12s %8s | %10s@." "P" "domains" "seq wall(ms)"
-    "par wall(ms)" "speedup" "modeled";
-  List.iter
-    (fun p ->
-      let ndomains = max 1 (min p cores) in
-      let seq_wall =
-        let _, _, remap = corner_turn ~n ~p () in
-        remap () (* warm the plan cache before timing *);
-        let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
-        t /. float_of_int reps
-      in
-      let pool = Par.create ~ndomains () in
-      let modeled, par_wall =
-        Fun.protect
-          ~finally:(fun () -> Par.destroy pool)
-          (fun () ->
-            let m, _, remap =
-              corner_turn ~executor:(Par.executor pool) ~n ~p ()
-            in
-            remap ();
-            let (), t =
-              time_of (fun () -> for _ = 1 to reps do remap () done)
-            in
-            ( m.Machine.counters.Machine.time /. float_of_int (reps + 1),
-              t /. float_of_int reps ))
-      in
-      let speedup = seq_wall /. Float.max 1e-9 par_wall in
-      row "%4d %8d | %12.3f %12.3f %7.2fx | %10.1f@." p ndomains
-        (seq_wall *. 1e3) (par_wall *. 1e3) speedup modeled;
-      json_rows :=
-        Printf.sprintf
-          {|{"p":%d,"ndomains":%d,"seq_ms":%.6f,"par_ms":%.6f,"speedup":%.4f}|}
-          p ndomains (seq_wall *. 1e3) (par_wall *. 1e3) speedup
-        :: !json_rows)
-    [ 4; 8 ];
-  (* per-step detail: modeled Step_end times next to measured Wall_step
-     clocks from one traced run *)
-  let m, _, remap =
-    let pool = Par.create ~ndomains:(max 1 (min 4 cores)) () in
-    at_exit (fun () -> Par.destroy pool);
-    corner_turn ~executor:(Par.executor pool) ~record_trace:true ~n ~p:4 ()
-  in
-  remap ();
-  let modeled =
-    List.filter_map
-      (function
-        | Machine.Step_end { index; time } -> Some (index, time) | _ -> None)
-      (Machine.events m)
-  and measured =
-    List.filter_map
-      (function
-        | Machine.Wall_step { index; wall } -> Some (index, wall) | _ -> None)
-      (Machine.events m)
-  in
-  row "@.per-step, P=4 (one traced run):@.";
-  row "%5s | %12s | %14s@." "step" "modeled" "measured(ms)";
-  List.iter
-    (fun (i, t) ->
-      let w = try List.assoc i measured with Not_found -> Float.nan in
-      row "%5d | %12.1f | %14.4f@." i t (w *. 1e3))
-    modeled;
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    (* append: the file is a JSON-lines stream shared by every timed
-       section of one bench run (time_par, time_pack, ...) *)
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"time_par","n":%d,"reps":%d,"cores":%d,"rows":[%s]}|} n reps
-      cores
-      (String.concat "," (List.rev !json_rows));
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: measured wall tracks the modeled per-step profile; speedup over \
-     the sequential executor needs real cores (expect >1x for P>=4 only \
-     when at least 4 cores are available — with %d core(s) the domains \
-     multiplex and the barrier overhead dominates).@."
-    cores
-
-(* --- TIME_ASYNC: dependency-driven executor vs the stepped discipline -------------- *)
-
-let time_async () =
-  section "time_async"
-    "async dependency-driven executor: wall time vs the stepped barriers, \
-     identical modeled counters";
-  let cores = Domain.recommended_domain_count () in
-  let n = 100_000 and reps = 20 and trials = 5 in
-  let samples = trials * reps in
-  row
-    "block -> cyclic corner turn, n=%d; %d core(s) recommended; min over %d \
-     paired remaps@."
-    n cores samples;
-  let json_rows = ref [] in
-  row "%4s %8s | %12s %12s %8s@." "P" "domains" "stepped(ms)" "async(ms)"
-    "speedup";
-  List.iter
-    (fun p ->
-      (* at least 2 workers even on a 1-core box: with a single worker
-         there is nothing to overlap and a 1-party barrier is free, so
-         the disciplines are indistinguishable; with several workers the
-         stepped barriers cost real cross-domain wakeups per step and
-         the async window has actual packs/unpacks to overlap *)
-      let ndomains = max 2 (min p cores) in
-      let pool = Par.create ~ndomains () in
-      (* one store and machine per discipline, warm-up remap each
-         (plans, run memos, first staging buffers); the two disciplines
-         are then timed PAIRED — one stepped remap, one async remap,
-         alternating — and each reports the min over all its samples.
-         Pairing makes slow drift (frequency scaling, page cache,
-         sibling load) hit both estimators equally, and the min over
-         hundreds of single remaps is the tightest floor estimate a
-         time-sliced box gives *)
-      let m_stepped, stepped_wall, m_async, async_wall, m_seq =
-        Fun.protect
-          ~finally:(fun () -> Par.destroy pool)
-          (fun () ->
-            let make_mode async =
-              let m, _, remap =
-                corner_turn ~executor:(Par.executor ~async pool) ~n ~p ()
-              in
-              remap ();
-              (m, remap)
-            in
-            let m_stepped, remap_stepped = make_mode false in
-            let m_async, remap_async = make_mode true in
-            let once remap =
-              let (), t = time_of remap in
-              t
-            in
-            let best_stepped = ref infinity and best_async = ref infinity in
-            let ran = ref 0 in
-            let paired_sample () =
-              incr ran;
-              best_stepped := Float.min !best_stepped (once remap_stepped);
-              best_async := Float.min !best_async (once remap_async)
-            in
-            for _ = 1 to samples do
-              paired_sample ()
-            done;
-            (* while the two floors are still crossed the sample is
-               inconclusive (the minima converge from above), so keep
-               adding paired samples, bounded *)
-            while !best_async > !best_stepped && !ran < 4 * samples do
-              paired_sample ()
-            done;
-            (* a sequential run of the same remap count, for the
-               counter-identity check *)
-            let m_seq, _, remap = corner_turn ~n ~p () in
-            for _ = 1 to 1 + !ran do
-              remap ()
-            done;
-            (m_stepped, !best_stepped, m_async, !best_async, m_seq))
-      in
-      let speedup = stepped_wall /. Float.max 1e-9 async_wall in
-      row "%4d %8d | %12.3f %12.3f %7.2fx@." p ndomains (stepped_wall *. 1e3)
-        (async_wall *. 1e3) speedup;
-      (* out-of-step delivery must be invisible to the model: every
-         modeled counter byte-identical across async, stepped and
-         sequential — only the measured walls, the per-executor pool
-         splits and the async completion count differ *)
-      let scrub (m : Machine.t) =
-        {
-          m.Machine.counters with
-          Machine.wall_time = 0.0;
-          Machine.pool_hits = 0;
-          Machine.pool_misses = 0;
-          Machine.async_completions = 0;
-        }
-      in
-      let identical =
-        scrub m_async = scrub m_stepped && scrub m_async = scrub m_seq
-      in
-      row "modeled counters stepped/async/seq: %s@."
-        (if identical then "identical" else "DIFFER");
-      assert identical;
-      let ca = m_async.Machine.counters in
-      assert (ca.Machine.async_completions = ca.Machine.messages);
-      assert (m_stepped.Machine.counters.Machine.async_completions = 0);
-      (* the point of the exercise: losing the barriers never loses time *)
-      assert (async_wall <= stepped_wall);
-      json_rows :=
-        Printf.sprintf
-          {|{"p":%d,"ndomains":%d,"stepped_ms":%.6f,"async_ms":%.6f,"speedup":%.4f}|}
-          p ndomains (stepped_wall *. 1e3) (async_wall *. 1e3) speedup
-        :: !json_rows)
-    [ 4; 8 ];
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"time_async","n":%d,"reps":%d,"cores":%d,"rows":[%s]}|} n reps
-      cores
-      (String.concat "," (List.rev !json_rows));
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: async replaces 2 barrier crossings per step with per-message \
-     completion flags, so its wall time is bounded by the stepped \
-     discipline's on every plan (asserted above) — the gap widens as the \
-     step count grows or the domains multiplex over few cores; modeled \
-     counters are byte-identical by construction.@."
-
-(* --- TIME_SERVE: multi-tenant service vs serialized single streams ----------------- *)
-
-module Serve = Hpfc_serve.Serve
-
-(* A cache-hot heavy-tail request walk over 4 layouts of one array: 8 of
-   every 10 remaps bounce on the hot block<->cyclic pair (plan-cache
-   hits after the first), the tail sweeps the block-cyclic variants.
-   Returns the version to remap to from [cur] at request index [r]. *)
-let serve_walk cur r =
-  if r mod 10 < 8 then (if cur = 0 then 1 else 0)
-  else match cur with 0 -> 2 | 1 -> 2 | 2 -> 3 | _ -> 0
-
-(* One tenant's store: 4 preallocated layout versions of an n-element
-   array, data live in version 0. *)
-let serve_store ?executor ?plans ~n ~p () =
-  let procs = Procs.linear "P" p in
-  let mk d =
-    Layout.of_mapping ~extents:[| n |]
-      (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| d |] ~procs)
-  in
-  let layouts =
-    [| mk Dist.block; mk Dist.cyclic;
-       mk (Dist.cyclic_sized 8); mk (Dist.cyclic_sized 32) |]
-  in
-  let m = Machine.create ~nprocs:p ~sched:Machine.Stepped () in
-  let s = Store.create ?executor ?plans m in
-  let d =
-    Store.add_descriptor s ~name:"a" ~extents:[| n |]
-      ~nb_versions:(Array.length layouts) ()
-  in
-  Array.iteri (fun v l -> Store.alloc s d v l) layouts;
-  d.Store.status <- Some 0;
-  Store.set_live s d 0 true;
-  Store.fill_copy (Store.get_copy d 0) float_of_int;
-  let cur = ref 0 in
-  let request r =
-    let dst = serve_walk !cur r in
-    Store.copy_version s d ~src:!cur ~dst ~with_data:true;
-    d.Store.status <- Some dst;
-    cur := dst
-  in
-  (m, d, request, fun () -> Store.to_global (Store.get_copy d !cur))
-
-let time_serve () =
-  section "time_serve"
-    "multi-tenant remap service: concurrent tenant streams vs the same \
-     requests serialized through the sequential executor";
-  let cores = Domain.recommended_domain_count () in
-  let n = 50_000 and p = 4 in
-  let tenants = 4 and requests = 32 in
-  let trials = 3 in
-  row
-    "heavy-tail mix over 4 layouts (80%% hot block<->cyclic), n=%d, %d \
-     tenants x %d requests; %d core(s) recommended; best of %d trials@."
-    n tenants requests cores trials;
-  let run_serial () =
-    (* the baseline: every tenant's stream, one tenant at a time,
-       through the sequential executor with a private plan cache *)
-    let outs = ref [] in
-    let (), t =
-      time_of (fun () ->
-          for _ = 1 to tenants do
-            let m, _, request, final = serve_store ~n ~p () in
-            for r = 0 to requests - 1 do
-              request r
-            done;
-            outs := (m, final ()) :: !outs
-          done)
-    in
-    (t, List.rev !outs)
-  in
-  let run_serve () =
-    let svc = Serve.create ~tenants () in
-    let outs, t =
-      time_of (fun () ->
-          let doms =
-            List.init tenants (fun i ->
-                Domain.spawn (fun () ->
-                    try
-                      let m, _, request, final =
-                        serve_store
-                          ~executor:(Serve.executor svc ~tenant:i)
-                          ~plans:(Serve.tenant_cache svc i) ~n ~p ()
-                      in
-                      for r = 0 to requests - 1 do
-                        request r
-                      done;
-                      Ok (m, final ())
-                    with e -> Error e))
-          in
-          List.map
-            (fun d ->
-              match Domain.join d with Ok r -> r | Error e -> raise e)
-            doms)
-    in
-    let workers = (Serve.config svc).Serve.workers in
-    let stats = Serve.shutdown svc in
-    (t, outs, stats, workers)
-  in
-  let best = ref None in
-  for _ = 1 to trials do
-    let serial_t, serial_outs = run_serial () in
-    let serve_t, serve_outs, stats, workers = run_serve () in
-    (* the correctness bar, asserted on every trial: each tenant's final
-       data and modeled counters byte-identical to its serialized run
-       (modulo wall clock, pool totals, and the fusion counter) *)
-    let scrub (m : Machine.t) =
-      {
-        m.Machine.counters with
-        Machine.wall_time = 0.0;
-        Machine.pool_hits = 0;
-        Machine.pool_misses = 0;
-        Machine.fused_remaps = 0;
-      }
-    in
-    List.iter2
-      (fun (sm, sdata) (vm, vdata) ->
-        assert (sdata = vdata);
-        assert (scrub sm = scrub vm))
-      serial_outs serve_outs;
-    let total = tenants * requests in
-    assert (stats.Serve.requests = total);
-    let serial_rps = float_of_int total /. Float.max 1e-9 serial_t
-    and serve_rps = float_of_int total /. Float.max 1e-9 serve_t in
-    let speedup = serve_rps /. Float.max 1e-9 serial_rps in
-    let fused =
-      List.fold_left
-        (fun acc ((m : Machine.t), _) ->
-          acc + m.Machine.counters.Machine.fused_remaps)
-        0 serve_outs
-    in
-    assert (fused = stats.Serve.fused_members);
-    let lat = stats.Serve.latencies in
-    Array.sort compare lat;
-    let pct q =
-      let len = Array.length lat in
-      if len = 0 then 0.0
-      else lat.(min (len - 1) (int_of_float (float_of_int len *. q)))
-    in
-    let better =
-      match !best with
-      | None -> true
-      | Some (s, _, _, _, _, _, _) -> speedup > s
-    in
-    if better then
-      best :=
-        Some (speedup, serial_rps, serve_rps, pct 0.50, pct 0.99, fused, workers)
-  done;
-  let speedup, serial_rps, serve_rps, p50, p99, fused, workers =
-    Option.get !best
-  in
-  row "%8s %8s | %12s %12s %8s | %10s %10s | %6s@." "tenants" "workers"
-    "serial r/s" "serve r/s" "speedup" "p50(ms)" "p99(ms)" "fused";
-  row "%8d %8d | %12.0f %12.0f %7.2fx | %10.3f %10.3f | %6d@." tenants
-    workers serial_rps serve_rps speedup (p50 *. 1e3) (p99 *. 1e3) fused;
-  (* aggregate throughput >= 2x the serialized baseline is the service's
-     acceptance bar, but concurrency needs cores: on a 1-core container
-     the tenant domains and the workers multiplex, so the bar is only
-     asserted when the box can actually run >= 4 streams in parallel *)
-  if cores >= 4 then assert (speedup >= 2.0)
-  else
-    row
-      "(speedup assertion skipped: %d core(s) < 4 — the streams multiplex \
-       on one core)@."
-      cores;
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"time_serve","n":%d,"tenants":%d,"requests":%d,"cores":%d,"rows":[{"tenants":%d,"workers":%d,"requests":%d,"serial_rps":%.2f,"serve_rps":%.2f,"speedup":%.4f,"p50_ms":%.6f,"p99_ms":%.6f,"fused_remaps":%d}]}|}
-      n tenants requests cores tenants workers (tenants * requests)
-      serial_rps serve_rps speedup (p50 *. 1e3) (p99 *. 1e3) fused;
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: the service overlaps independent tenants' remaps across \
-     worker domains and fuses compatible ones into shared step walks; \
-     per-tenant values and modeled counters are asserted byte-identical \
-     to the serialized baseline on every trial.@."
-
-(* --- TIME_PACK: blit pack/unpack vs the scalar oracle ------------------------------ *)
-
-module Comm = Hpfc_runtime.Comm
-
-let time_pack () =
-  section "time_pack"
-    "box-to-run compilation: blit pack/unpack vs the per-element scalar \
-     oracle, elements/sec";
-  let n = 100_000 and p = 4 and reps = 20 in
-  let cores = Domain.recommended_domain_count () in
-  (* One timed configuration: the machine and the mean wall seconds per
-     remap.  The "blit" configuration is the staged datapath: pack/unpack
-     of compiled runs through pooled staging buffers, zero-copy
-     disabled, so the comparison isolates run compilation vs the scalar
-     oracle.  The warm-up remap pays plan computation, run compilation
-     and the first staging-buffer allocations, so reps time steady-state
-     data movement — what the two paths actually differ on. *)
-  let run ?executor ~scalar () =
-    let datapath = if scalar then Exec.Scalar else Exec.Staged in
-    let m, _, remap = corner_turn ?executor ~datapath ~n ~p () in
-    remap ();
-    let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
-    (m, t /. float_of_int reps)
-  in
-  let eps t = float_of_int n /. Float.max 1e-9 t in
-  row "block -> cyclic corner turn, n=%d, P=%d, %d reps per config@." n p reps;
-  row "%-12s | %12s %14s@." "config" "wall(ms)" "elements/s";
-  let m_scalar, t_seq_scalar = run ~scalar:true () in
-  let m_blit, t_seq_blit = run ~scalar:false () in
-  row "%-12s | %12.3f %14.3e@." "seq scalar" (t_seq_scalar *. 1e3)
-    (eps t_seq_scalar);
-  row "%-12s | %12.3f %14.3e@." "seq blit" (t_seq_blit *. 1e3)
-    (eps t_seq_blit);
-  let ndomains = max 1 (min p cores) in
-  let pool = Par.create ~ndomains () in
-  let t_par_scalar, t_par_blit =
-    Fun.protect
-      ~finally:(fun () -> Par.destroy pool)
-      (fun () ->
-        let _, ts = run ~executor:(Par.executor pool) ~scalar:true () in
-        let _, tb = run ~executor:(Par.executor pool) ~scalar:false () in
-        (ts, tb))
-  in
-  row "%-12s | %12.3f %14.3e@." "par scalar" (t_par_scalar *. 1e3)
-    (eps t_par_scalar);
-  row "%-12s | %12.3f %14.3e@." "par blit" (t_par_blit *. 1e3)
-    (eps t_par_blit);
-  let speedup = t_seq_scalar /. Float.max 1e-9 t_seq_blit in
-  row "blit speedup over scalar (sequential): %.1fx@." speedup;
-  (* the two paths must be indistinguishable to the cost model: same
-     messages, volume, steps, peak step volume and modeled time — only
-     run_blits and the staging-pool totals may differ *)
-  let scrub (m : Machine.t) =
-    {
-      m.Machine.counters with
-      Machine.run_blits = 0;
-      Machine.zero_copy_runs = 0;
-      Machine.staged_bytes = 0;
-      Machine.pool_hits = 0;
-      Machine.pool_misses = 0;
-      Machine.wall_time = 0.0;
-    }
-  in
-  let identical = scrub m_scalar = scrub m_blit in
-  row "modeled counters (messages, volume, steps, peak, time): %s@."
-    (if identical then "identical across paths" else "DIFFER");
-  assert identical;
-  let cb = m_blit.Machine.counters in
-  row "blit path: run_blits=%d pool hits=%d misses=%d over %d remaps@."
-    cb.Machine.run_blits cb.Machine.pool_hits cb.Machine.pool_misses (reps + 1);
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"time_pack","n":%d,"p":%d,"reps":%d,"cores":%d,"seq_scalar_eps":%.1f,"seq_blit_eps":%.1f,"par_scalar_eps":%.1f,"par_blit_eps":%.1f,"blit_speedup":%.2f}|}
-      n p reps cores (eps t_seq_scalar) (eps t_seq_blit) (eps t_par_scalar)
-      (eps t_par_blit) speedup;
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: a 1-D block->cyclic remap compiles to one strided run per \
-     message (P-element period), so the blit path replaces ~n/P closure \
-     calls per message with segment copies at fixed offsets — expect \
-     several-fold higher elements/sec, identical modeled counters.@."
-
-(* --- TIME_ZERO: zero-copy direct blits vs forced staging --------------------------- *)
-
-let time_zero () =
-  section "time_zero"
-    "zero-copy direct path vs forced staging: elements/sec and staged \
-     bytes per datapath";
-  let n = 100_000 and p = 4 and reps = 20 in
-  (* warm-up remap pays planning, run compilation and first staging
-     allocations; reps time steady-state data movement *)
-  let run ?backend ?dst_dist ~staged () =
-    let datapath = if staged then Exec.Staged else Exec.Zero_copy in
-    let m, _, remap = corner_turn ?backend ?dst_dist ~datapath ~n ~p () in
-    remap ();
-    let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
-    (m, t /. float_of_int reps)
-  in
-  let eps t = float_of_int n /. Float.max 1e-9 t in
-  row "n=%d, P=%d, %d reps per config@." n p reps;
-  row "%-22s | %12s %14s %12s %10s@." "config" "wall(ms)" "elements/s"
-    "staged B" "zero runs";
-  let show name (m, t) =
-    let c = (m : Machine.t).Machine.counters in
-    row "%-22s | %12.3f %14.3e %12d %10d@." name (t *. 1e3) (eps t)
-      c.Machine.staged_bytes c.Machine.zero_copy_runs;
-    (m, t)
-  in
-  (* canonical corner turn: both endpoints globally addressed, so every
-     message is Direct — the configuration where zero-copy replaces the
-     pack/stage/unpack double copy with one blit *)
-  let _, t_canon_staged =
-    show "canonical staged" (run ~backend:Store.Canonical ~staged:true ())
-  in
-  let m_canon_zero, t_canon_zero =
-    show "canonical zero-copy" (run ~backend:Store.Canonical ~staged:false ())
-  in
-  (* distributed corner turn: cross-rank messages stage on both paths
-     (per-rank buffers), locals blit directly on both — expect parity *)
-  let _, t_dist_staged = show "distributed staged" (run ~staged:true ()) in
-  let _, t_dist_zero = show "distributed zero-copy" (run ~staged:false ()) in
-  (* identity remap: all locals, the zero-copy path never touches the
-     staging pool at all *)
-  let m_ident, t_ident =
-    show "identity zero-copy" (run ~dst_dist:Dist.block ~staged:false ())
-  in
-  let speedup = t_canon_staged /. Float.max 1e-9 t_canon_zero in
-  row "zero-copy speedup over staged (canonical): %.1fx@." speedup;
-  let cz = m_canon_zero.Machine.counters and ci = m_ident.Machine.counters in
-  assert (cz.Machine.staged_bytes = 0 && cz.Machine.run_blits = 0);
-  assert (cz.Machine.zero_copy_runs > 0);
-  assert (ci.Machine.pool_hits = 0 && ci.Machine.pool_misses = 0);
-  assert (ci.Machine.staged_bytes = 0 && ci.Machine.zero_copy_runs > 0);
-  ignore t_dist_staged;
-  ignore t_dist_zero;
-  ignore t_ident;
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"time_zero","n":%d,"p":%d,"reps":%d,"canon_staged_eps":%.1f,"canon_zero_eps":%.1f,"zero_speedup":%.2f,"dist_staged_eps":%.1f,"dist_zero_eps":%.1f,"identity_zero_eps":%.1f,"canon_zero_staged_bytes":%d,"canon_zero_runs":%d}|}
-      n p reps (eps t_canon_staged) (eps t_canon_zero) speedup
-      (eps t_dist_staged) (eps t_dist_zero) (eps t_ident)
-      cz.Machine.staged_bytes cz.Machine.zero_copy_runs;
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: on the canonical backend the staged path copies every moved \
-     element twice (pack into a pooled buffer, unpack out of it) where \
-     the zero-copy path blits once payload to payload — expect roughly \
-     2x elements/sec and staged bytes dropping to zero; the distributed \
-     corner turn stages its cross-rank messages on both paths, so the \
-     two columns should track each other there.@."
-
-(* --- TIME_COLLECTIVE: collective lowering vs stepped p2p -------------------------- *)
-
-(* The corner turn of TIME_PAR under both lowerings on the sequential
-   stepped executor: identical modeled volume by construction, a small
-   constant-factor wall premium for the slicing (each message crosses
-   the pool once per slice instead of once), and the collective's
-   budget-sliced phases cap the peak staging footprint — strictly below
-   p2p's whole-message steps on the balanced P=8 fan-out. *)
-let time_collective () =
-  section "time_collective"
-    "collective lowering vs stepped p2p: wall time and peak staging bytes";
-  let cores = Domain.recommended_domain_count () in
-  let n = 100_000 in
-  let reps = 20 in
-  row "block -> cyclic corner turn, n=%d, sequential stepped executor@." n;
-  row "%4s | %12s %12s | %10s %10s | %7s %6s@." "P" "p2p wall(ms)"
-    "coll wall(ms)" "p2p peakB" "coll peakB" "phases" "steps";
-  let json_rows = ref [] in
-  List.iter
-    (fun p ->
-      let measure lower =
-        let m, _, remap = corner_turn ~lower ~n ~p () in
-        remap () (* warm the plan cache before timing *);
-        let (), t = time_of (fun () -> for _ = 1 to reps do remap () done) in
-        (t /. float_of_int reps, m.Machine.counters.Machine.peak_bytes)
-      in
-      let p2p_ms, p2p_peak = measure Exec.P2p in
-      let coll_ms, coll_peak = measure Exec.Collective in
-      (* schedule shapes, from the memoized plan programs *)
-      let mk dist =
-        Layout.of_mapping ~extents:[| n |]
-          (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| dist |]
-             ~procs:(Procs.linear "P" p))
-      in
-      let plan =
-        Redist.plan_intervals ~src:(mk Dist.block) ~dst:(mk Dist.cyclic)
-      in
-      let phases = Redist.nb_phases (Redist.collective_program plan)
-      and steps = List.length (Redist.step_program plan) in
-      (* the lowering's contract, enforced on every bench run: bounded
-         peak everywhere, strictly lower on the balanced P=8 fan-out *)
-      assert (coll_peak <= p2p_peak);
-      assert (p < 8 || coll_peak < p2p_peak);
-      row "%4d | %12.3f %12.3f | %10d %10d | %7d %6d@." p (p2p_ms *. 1e3)
-        (coll_ms *. 1e3) p2p_peak coll_peak phases steps;
-      json_rows :=
-        Printf.sprintf
-          {|{"p":%d,"p2p_ms":%.6f,"coll_ms":%.6f,"p2p_peak_bytes":%d,"coll_peak_bytes":%d,"phases":%d,"steps":%d}|}
-          p (p2p_ms *. 1e3) (coll_ms *. 1e3) p2p_peak coll_peak phases steps
-        :: !json_rows)
-    [ 4; 8 ];
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"time_collective","n":%d,"reps":%d,"cores":%d,"rows":[%s]}|}
-      n reps cores
-      (String.concat "," (List.rev !json_rows));
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: both lowerings move the same bytes through the same pool; \
-     the collective pays a small constant factor of wall time (a pool \
-     round-trip and a clipped run walk per slice instead of per \
-     message) to cap the peak staging footprint at O(volume/P) per \
-     phase — at P=8 the whole-message p2p steps stage strictly more.@."
-
-(* --- TIMELINE: per-step trace of a stepped run ------------------------------------ *)
-
-let timeline () =
-  section "timeline"
-    "per-remap step timeline from the structured event trace (ADI n=32, t=2)";
-  let machine =
-    Machine.create ~nprocs:4 ~sched:Machine.Stepped ~record_trace:true ()
-  in
-  let r =
-    Pipeline.run_source ~machine
-      ~scalars:[ ("t", I.VInt 2) ]
-      (Apps.adi_src ~n:32 ())
-  in
-  row "%-10s %5s | %5s %6s %8s %10s@." "remap" "cache" "steps" "msgs"
-    "volume" "time";
-  (* fold the flat event stream into one row per executed remap *)
-  let steps = ref 0 and msgs = ref 0 and cache = ref "-" in
-  let stepped_total = ref 0.0 in
-  List.iter
-    (fun (e : Machine.event) ->
-      match e with
-      | Machine.Remap_begin _ ->
-        steps := 0;
-        msgs := 0;
-        cache := "-"
-      | Machine.Plan_lookup { hit } -> cache := (if hit then "hit" else "miss")
-      | Machine.Step_begin { nb_messages; _ } ->
-        incr steps;
-        msgs := !msgs + nb_messages
-      | Machine.Step_end { time; _ } -> stepped_total := !stepped_total +. time
-      | Machine.Remap_end { array; src; dst; volume; time } ->
-        row "%-10s %5s | %5d %6d %8d %10.1f@."
-          (Fmt.str "%s %s->%d" array
-             (match src with Some v -> string_of_int v | None -> "?")
-             dst)
-          !cache !steps !msgs volume time
-      | Machine.Message _ | Machine.Wall_step _ | Machine.Wall_remap _
-      | Machine.Wall_msg _ | Machine.Dead_copy _ | Machine.Live_reuse _
-      | Machine.Skip _ | Machine.Evict _ -> ())
-    (Machine.events r.I.machine);
-  let clock = (counters r).Machine.time in
-  row "summed step times %.1f | machine clock %.1f | dropped events %d@."
-    !stepped_total clock
-    (Machine.dropped_events r.I.machine);
-  assert (Float.abs (!stepped_total -. clock) < 1e-6);
-  row
-    "shape: each remap brackets its contention-free steps; in stepped mode \
-     the traced per-step costs sum exactly to the modeled clock.@."
-
-(* --- fuzz: differential fuzzer throughput ------------------------------------------ *)
-
-(* Fixed-budget run of the whole-pipeline fuzzer (lib/fuzz): every
-   generated program goes through both pipelines under all 12 valid
-   backend/executor/datapath/schedule configurations.  Reports programs
-   per second and any divergences; the JSON summary joins the bench
-   artifact next to the timing sections. *)
-let fuzz () =
-  section "fuzz" "differential fuzzer throughput (66-run matrix + serve pass per program)";
-  let count =
-    match Sys.getenv_opt "HPFC_FUZZ_COUNT" with
-    | Some v -> ( match int_of_string_opt (String.trim v) with Some n -> n | None -> 300)
-    | None -> 300
-  in
-  let seed =
-    match Sys.getenv_opt "QCHECK_SEED" with
-    | Some v when String.trim v <> "" -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n -> n
-      | None -> 0)
-    | Some _ | None ->
-      Random.self_init ();
-      Random.int 0x3FFFFFFF
-  in
-  row "%d programs, root seed %d@." count seed;
-  let rand = Random.State.make [| seed |] in
-  let t0 = Unix.gettimeofday () in
-  let executed = ref 0 and rejected = ref 0 and divergences = ref 0 in
-  for _ = 1 to count do
-    let case = QCheck2.Gen.generate1 ~rand Hpfc_fuzz.Gen.gen_case in
-    match Hpfc_fuzz.Oracle.check_case case with
-    | Hpfc_fuzz.Oracle.Pass -> incr executed
-    | Hpfc_fuzz.Oracle.Reject -> incr rejected
-    | Hpfc_fuzz.Oracle.Fail msg ->
-      incr divergences;
-      row "DIVERGENCE: %s@." msg
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let runs = Hpfc_fuzz.Oracle.pipeline_runs () in
-  row "executed %d | rejected %d | divergences %d@." !executed !rejected
-    !divergences;
-  row "%d pipeline runs in %.1fs: %.1f programs/s, %.1f runs/s@." runs dt
-    (float_of_int count /. dt)
-    (float_of_int runs /. dt);
-  (match Sys.getenv_opt "HPFC_BENCH_JSON" with
-  | Some path when path <> "" ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      {|{"bench":"fuzz","seed":%d,"programs":%d,"executed":%d,"rejected":%d,"divergences":%d,"pipeline_runs":%d,"programs_per_sec":%.1f}|}
-      seed count !executed !rejected !divergences runs
-      (float_of_int count /. dt);
-    output_char oc '\n';
-    close_out oc;
-    row "json summary written to %s@." path
-  | Some _ | None -> ());
-  row
-    "shape: zero divergences — remapping is semantically invisible under \
-     every backend, executor, datapath and schedule; a nonzero count here \
-     is a compiler bug with a repro in test/corpus/.@."
-
 (* --- main -------------------------------------------------------------------------- *)
 
 let sections () =
@@ -1325,16 +394,6 @@ let sections () =
       ("q7_ablation", q7_ablation);
       ("q8_sharing", q8_sharing);
       ("q9_scaling", q9_scaling);
-      ("time", bechamel_section);
-      ("time_sched", time_sched);
-      ("time_par", time_par);
-      ("time_async", time_async);
-      ("time_serve", time_serve);
-      ("time_pack", time_pack);
-      ("time_zero", time_zero);
-      ("time_collective", time_collective);
-      ("timeline", timeline);
-      ("fuzz", fuzz);
     ]
 
 let () =

@@ -97,9 +97,8 @@ let plan_cache_of_string s =
          "invalid plan-cache capacity %S, expected a positive integer" s)
 
 (* Parse, compile and run a whole program from source. *)
-let run_source ?(pipeline = I.full_pipeline) ?(scalars = []) ?entry
-    ?use_interval_engine ?backend ?executor ?machine ?exec ?record_trace ?plans
-    ?plan_cache src : I.result =
+let run_source ?(pipeline = I.full_pipeline) ?(scalars = []) ?entry ?backend
+    ?executor ?machine ?exec ?record_trace ?plans ?plan_cache src : I.result =
   let prog = Hpfc_parser.Parser.parse_program src in
   let entry =
     match entry with
@@ -113,8 +112,8 @@ let run_source ?(pipeline = I.full_pipeline) ?(scalars = []) ?entry
     | None, Some capacity -> Some (Redist.Plan_cache.create ~capacity ())
     | None, None -> None
   in
-  I.run ?machine ?exec ?record_trace ?use_interval_engine ?backend ?executor
-    ?plans compiled ~entry ~scalars ()
+  I.run ?machine ?exec ?record_trace ?backend ?executor ?plans compiled ~entry
+    ~scalars ()
 
 (* Compare the naive and the fully optimized pipeline on the same program;
    used by every Q experiment. *)

@@ -44,7 +44,6 @@ val run_source :
   ?pipeline:Hpfc_interp.Interp.pipeline ->
   ?scalars:(string * Hpfc_interp.Interp.value) list ->
   ?entry:string ->
-  ?use_interval_engine:bool ->
   ?backend:Hpfc_runtime.Store.backend ->
   ?executor:Hpfc_runtime.Comm.executor ->
   ?machine:Hpfc_runtime.Machine.t ->

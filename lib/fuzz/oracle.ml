@@ -77,7 +77,7 @@ module Exec = Hpfc_runtime.Exec
 
 type outcome = Pass | Reject | Fail of string
 
-(* --- cumulative stats (for the >= 300 floor and the bench summary) ------ *)
+(* --- cumulative stats (for the >= 300 floor and its summary line) ------ *)
 
 let n_executed = ref 0
 let n_rejected = ref 0

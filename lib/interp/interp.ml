@@ -61,7 +61,6 @@ type pipeline = {
   remove_useless : bool;  (* Appendix C *)
   codegen : Gen.options;
   default_nprocs : int;
-  use_interval_engine : bool;
   share_live_args : bool;  (* Sec. 2.2's advanced calling convention *)
 }
 
@@ -71,7 +70,6 @@ let full_pipeline =
     remove_useless = true;
     codegen = Gen.default_options;
     default_nprocs = 4;
-    use_interval_engine = true;
     share_live_args = false;
   }
 
@@ -319,11 +317,9 @@ and exec_call p frame ~sid ~callee ~args =
            communication executor: remappings between the same layout
            pair plan once across the call tree, and every frame runs on
            the same (possibly parallel) backend *)
-        Store.create
-          ~use_interval_engine:frame.store.Store.use_interval_engine
-          ~backend:frame.store.Store.backend
-          ~executor:frame.store.Store.executor
-          ~plans:frame.store.Store.plans frame.store.Store.machine;
+        Store.create ~backend:frame.store.Store.backend
+          ~executor:frame.store.Store.executor ~plans:frame.store.Store.plans
+          frame.store.Store.machine;
       scalars = Hashtbl.create 8;
       tainted = Hashtbl.create 4;
       saved = Hashtbl.create 4;
@@ -409,9 +405,8 @@ and run_frame p frame =
 let shared_pool =
   lazy (Hpfc_par.Par.create ?ndomains:(Exec.default_team ()) ())
 
-let run ?(machine : Machine.t option) ?exec ?(record_trace = false)
-    ?(use_interval_engine = true) ?backend ?executor ?plans ?(scalars = [])
-    (p : program) ~entry () : result =
+let run ?(machine : Machine.t option) ?exec ?(record_trace = false) ?backend
+    ?executor ?plans ?(scalars = []) (p : program) ~entry () : result =
   let target =
     match Hashtbl.find_opt p.compiled entry with
     | Some r -> r
@@ -447,7 +442,7 @@ let run ?(machine : Machine.t option) ?exec ?(record_trace = false)
   let frame =
     {
       routine = target;
-      store = Store.create ~use_interval_engine ~backend ?executor ?plans machine;
+      store = Store.create ~backend ?executor ?plans machine;
       scalars = Hashtbl.create 8;
       tainted = Hashtbl.create 4;
       saved = Hashtbl.create 4;

@@ -40,7 +40,6 @@ type pipeline = {
   remove_useless : bool;  (** Appendix C *)
   codegen : Hpfc_codegen.Gen.options;
   default_nprocs : int;
-  use_interval_engine : bool;
   share_live_args : bool;
       (** pass live copies along call arguments (Sec. 2.2, off by default) *)
 }
@@ -79,7 +78,6 @@ val run :
   ?machine:Hpfc_runtime.Machine.t ->
   ?exec:Hpfc_runtime.Exec.t ->
   ?record_trace:bool ->
-  ?use_interval_engine:bool ->
   ?backend:Hpfc_runtime.Store.backend ->
   ?executor:Hpfc_runtime.Comm.executor ->
   ?plans:Hpfc_runtime.Redist.Plan_cache.t ->

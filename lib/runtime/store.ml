@@ -144,7 +144,6 @@ type t = {
      down the call tree (callee frames pass it on) so loop-carried and
      cross-frame remappings between the same layouts plan once *)
   plans : Redist.Plan_cache.t;
-  use_interval_engine : bool;
   backend : backend;
   (* how remapping plans are run against the payloads: the sequential
      reference Comm.execute by default, or a parallel backend's executor
@@ -152,14 +151,12 @@ type t = {
   executor : Comm.executor;
 }
 
-let create ?(use_interval_engine = true) ?(backend = Canonical)
-    ?(executor = Comm.execute) ?plans machine =
+let create ?(backend = Canonical) ?(executor = Comm.execute) ?plans machine =
   {
     machine;
     descriptors = [];
     plans =
       (match plans with Some c -> c | None -> Redist.Plan_cache.create ());
-    use_interval_engine;
     backend;
     executor;
   }
@@ -301,8 +298,7 @@ let alloc t d version layout =
 let plan_for t d ~src ~dst =
   let s = (get_copy d src).layout and t' = (get_copy d dst).layout in
   Redist.Plan_cache.find t.plans ~machine:t.machine ~src:s ~dst:t' (fun () ->
-      if t.use_interval_engine then Redist.plan_intervals ~src:s ~dst:t'
-      else Redist.plan_naive ~src:s ~dst:t')
+      Redist.plan_intervals ~src:s ~dst:t')
 
 (* Remapping copy A_dst := A_src (Fig. 19's "A_l := A_a"): every remap,
    under either backend, runs the plan's step program through the

@@ -69,7 +69,6 @@ type t = {
   plans : Redist.Plan_cache.t;
       (** memoized plans, keyed by canonical layout pair; shared down the
           call tree *)
-  use_interval_engine : bool;
   backend : backend;
   executor : Comm.executor;
       (** how remapping plans are run against the payloads; the
@@ -82,7 +81,6 @@ type t = {
     alternative communication executor (e.g. the domain-parallel
     backend); {!Comm.execute} otherwise. *)
 val create :
-  ?use_interval_engine:bool ->
   ?backend:backend ->
   ?executor:Comm.executor ->
   ?plans:Redist.Plan_cache.t ->

@@ -154,9 +154,7 @@ let resolve t (req : Request.t) =
     let cache = t.tenants.(req.Request.tenant).cache in
     let plan =
       Redist.Plan_cache.find cache ~machine:mach ~src:sl ~dst:dl (fun () ->
-          if store.Store.use_interval_engine then
-            Redist.plan_intervals ~src:sl ~dst:dl
-          else Redist.plan_naive ~src:sl ~dst:dl)
+          Redist.plan_intervals ~src:sl ~dst:dl)
     in
     let t0 = mach.Machine.counters.Machine.time in
     {

@@ -17,13 +17,27 @@ module F = Hpfc_fuzz
 module FG = F.Gen
 module O = F.Oracle
 
-let getenv_int var default =
-  match Sys.getenv_opt var with
-  | Some v -> ( match int_of_string_opt (String.trim v) with Some n -> n | None -> default)
-  | None -> default
+(* A budget that is not a non-negative integer is a typo, not a request
+   for the default: it is diagnosed and the run stops with exit code 2,
+   as Qcheck_env does for QCHECK_SEED.  A blank value counts as unset. *)
+let budget_of_string var v =
+  match int_of_string_opt (String.trim v) with
+  | Some n when n >= 0 -> Ok n
+  | Some _ | None ->
+    Error (Printf.sprintf "%s must be a non-negative integer, got %S" var v)
 
-let matrix_count = getenv_int "HPFC_FUZZ_COUNT" 240
-let floor_count = getenv_int "HPFC_FUZZ_FLOOR" 300
+let getenv_budget var default =
+  match Sys.getenv_opt var with
+  | Some v when String.trim v <> "" -> (
+    match budget_of_string var v with
+    | Ok n -> n
+    | Error msg ->
+      Printf.eprintf "fuzz: %s\n%!" msg;
+      exit 2)
+  | Some _ | None -> default
+
+let matrix_count = getenv_budget "HPFC_FUZZ_COUNT" 240
+let floor_count = getenv_budget "HPFC_FUZZ_FLOOR" 300
 let t_start = Unix.gettimeofday ()
 
 (* programs that actually went through the full matrix (corpus replays,
@@ -141,8 +155,30 @@ let test_floor () =
     true
     (!matrix_executed >= floor_count)
 
+let test_budget_values_strict () =
+  let ok v n =
+    match budget_of_string "HPFC_FUZZ_COUNT" v with
+    | Ok m -> Alcotest.(check int) (Printf.sprintf "%S" v) n m
+    | Error msg -> Alcotest.failf "%S rejected: %s" v msg
+  in
+  ok "300" 300;
+  ok " 42 " 42;
+  ok "0" 0;
+  List.iter
+    (fun v ->
+      match budget_of_string "HPFC_FUZZ_COUNT" v with
+      | Ok n -> Alcotest.failf "%S accepted as %d" v n
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error for %S names the variable" v)
+          true
+          (Astring.String.is_infix ~affix:"HPFC_FUZZ_COUNT" msg))
+    [ "3OO"; "-1"; "1.5"; "many" ]
+
 let suite =
   [
+    Alcotest.test_case "budget values are strict" `Quick
+      test_budget_values_strict;
     Alcotest.test_case "corpus replay" `Quick test_corpus_replay;
     to_alcotest prop_roundtrip;
     to_alcotest prop_matrix;

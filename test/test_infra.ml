@@ -328,70 +328,6 @@ let test_plan_cache_of_string () =
           (Astring.String.is_infix ~affix:s msg))
     [ "0"; "-3"; "many"; "" ]
 
-(* --- bench.json schema checker ----------------------------------------------- *)
-
-(* The CI artifact validator: every line the bench actually emits must
-   pass, and the representative rot cases must fail with a message that
-   names the problem. *)
-let test_bench_check () =
-  let module B = Hpfc_bench_check.Bench_check in
-  let ok line =
-    match B.check_line line with
-    | Ok _ -> ()
-    | Error msg -> Alcotest.failf "rejected good line %s: %s" line msg
-  in
-  let bad reason line =
-    match B.check_line line with
-    | Ok bench -> Alcotest.failf "accepted %s (as %s): %s" reason bench line
-    | Error _ -> ()
-  in
-  ok
-    {|{"bench":"time_par","n":100000,"reps":20,"cores":1,"rows":[{"p":4,"ndomains":2,"seq_ms":1.5,"par_ms":1.2,"speedup":1.25}]}|};
-  ok
-    {|{"bench":"time_async","n":100000,"reps":20,"cores":1,"rows":[{"p":8,"ndomains":2,"stepped_ms":0.9,"async_ms":0.8,"speedup":1.12}]}|};
-  ok
-    {|{"bench":"time_pack","n":250000,"p":4,"reps":40,"cores":1,"seq_scalar_eps":1e8,"seq_blit_eps":2e8,"par_scalar_eps":1e8,"par_blit_eps":2e8,"blit_speedup":2.0}|};
-  ok
-    {|{"bench":"time_zero","n":250000,"p":4,"reps":40,"canon_staged_eps":1.0,"canon_zero_eps":2.0,"zero_speedup":2.0,"dist_staged_eps":1.0,"dist_zero_eps":2.0,"identity_zero_eps":3.0,"canon_zero_staged_bytes":0,"canon_zero_runs":12}|};
-  ok
-    {|{"bench":"fuzz","seed":42,"programs":120,"executed":100,"rejected":20,"divergences":0,"pipeline_runs":4200,"programs_per_sec":9.5}|};
-  ok
-    {|{"bench":"time_serve","n":50000,"tenants":4,"requests":32,"cores":1,"rows":[{"tenants":4,"workers":1,"requests":128,"serial_rps":743.6,"serve_rps":633.5,"speedup":0.85,"p50_ms":0.93,"p99_ms":14.7,"fused_remaps":96}]}|};
-  ok
-    {|{"bench":"time_collective","n":100000,"reps":20,"cores":1,"rows":[{"p":8,"p2p_ms":1.5,"coll_ms":1.2,"p2p_peak_bytes":100000,"coll_peak_bytes":87552,"phases":14,"steps":8}]}|};
-  bad "malformed JSON" {|{"bench":"fuzz","seed":|};
-  bad "trailing garbage" {|{"bench":"fuzz","seed":1}}|};
-  bad "missing bench tag" {|{"n":1,"reps":2,"cores":1,"rows":[]}|};
-  bad "unknown bench" {|{"bench":"time_warp","n":1,"reps":2,"cores":1}|};
-  bad "missing required key"
-    {|{"bench":"time_async","n":100000,"reps":20,"rows":[{"p":8,"ndomains":2,"stepped_ms":0.9,"async_ms":0.8,"speedup":1.12}]}|};
-  bad "missing row key"
-    {|{"bench":"time_async","n":100000,"reps":20,"cores":1,"rows":[{"p":8,"ndomains":2,"stepped_ms":0.9,"speedup":1.12}]}|};
-  bad "non-numeric value"
-    {|{"bench":"fuzz","seed":"42","programs":120,"executed":100,"rejected":20,"divergences":0,"pipeline_runs":4200,"programs_per_sec":9.5}|};
-  bad "empty rows" {|{"bench":"time_async","n":1,"reps":2,"cores":1,"rows":[]}|};
-  bad "time_serve row missing latency key"
-    {|{"bench":"time_serve","n":50000,"tenants":4,"requests":32,"cores":1,"rows":[{"tenants":4,"workers":1,"requests":128,"serial_rps":743.6,"serve_rps":633.5,"speedup":0.85,"p50_ms":0.93,"fused_remaps":96}]}|};
-  bad "time_serve missing rows"
-    {|{"bench":"time_serve","n":50000,"tenants":4,"requests":32,"cores":1}|};
-  bad "time_collective row missing peak key"
-    {|{"bench":"time_collective","n":100000,"reps":20,"cores":1,"rows":[{"p":8,"p2p_ms":1.5,"coll_ms":1.2,"p2p_peak_bytes":100000,"phases":14,"steps":8}]}|};
-  (* whole-artifact checks: counts per bench, blank lines skipped, an
-     empty artifact is rot *)
-  (match
-     B.check_lines
-       [ {|{"bench":"fuzz","seed":42,"programs":1,"executed":1,"rejected":0,"divergences":0,"pipeline_runs":42,"programs_per_sec":1.0}|};
-         "";
-         {|{"bench":"fuzz","seed":43,"programs":1,"executed":1,"rejected":0,"divergences":0,"pipeline_runs":42,"programs_per_sec":1.0}|}
-       ]
-   with
-  | Ok counts ->
-    Alcotest.(check (list (pair string int))) "counts" [ ("fuzz", 2) ] counts
-  | Error msg -> Alcotest.failf "artifact rejected: %s" msg);
-  match B.check_lines [] with
-  | Ok _ -> Alcotest.fail "empty artifact accepted"
-  | Error _ -> ()
-
 (* intent(in) dummies are read-only. *)
 let test_intent_in_write_rejected () =
   expect_error Hpfc_base.Error.Invalid_directive
@@ -425,5 +361,4 @@ let suite =
       Alcotest.test_case "--lower value parsing" `Quick test_lower_of_string;
       Alcotest.test_case "--plan-cache value parsing" `Quick
         test_plan_cache_of_string;
-      Alcotest.test_case "bench.json schema checker" `Quick test_bench_check;
     ]
