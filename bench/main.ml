@@ -107,14 +107,28 @@ let q3_calls () =
 
 (* --- Q4: redistribution engines ---------------------------------------------- *)
 
+let timed_runs = 5
+
+(* One warm-up call, then the median wall time of [timed_runs] calls, each
+   started on a collected heap so no call pays for an earlier one's
+   garbage; the result is the warm-up's. *)
 let time_of f =
-  let t0 = Unix.gettimeofday () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  let once () =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    Unix.gettimeofday () -. t0
+  in
+  let times = Array.init timed_runs (fun _ -> once ()) in
+  Array.sort Float.compare times;
+  (r, times.(timed_runs / 2))
 
 let q4_redist () =
   section "q4_redist"
     "redistribution plan construction: naive vs interval engine";
+  row "times: median of %d calls per engine after one warm-up call@."
+    timed_runs;
   let mk_direct n p dist =
     Layout.of_mapping ~extents:[| n |]
       (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| dist |]

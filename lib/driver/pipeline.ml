@@ -5,7 +5,6 @@
 
 open Hpfc_lang
 module Graph = Hpfc_remap.Graph
-module Construct = Hpfc_remap.Construct
 module Version = Hpfc_remap.Version
 module Gen = Hpfc_codegen.Gen
 module I = Hpfc_interp.Interp
@@ -24,38 +23,12 @@ type compile_report = {
   remappings_after : int;
 }
 
-let count_remappings (g : Graph.t) =
-  List.fold_left
-    (fun acc vid ->
-      let info = Graph.info g vid in
-      if info.Graph.vkind = Hpfc_cfg.Cfg.V_exit then acc
-      else
-        acc
-        + List.length
-            (List.filter
-               (fun ((_, l) : string * Graph.label) -> l.Graph.leaving <> [])
-               info.Graph.labels))
-    0 (Graph.vertex_ids g)
-
-(* Compile one routine under [pipeline]; also return the report and the
-   pre/post-optimization graphs for inspection. *)
+(* Compile one routine under [pipeline] and report on it. *)
 let analyze ?(pipeline = I.full_pipeline) (r : Ast.routine) :
     Gen.routine * compile_report =
-  let r', hoisted =
-    if pipeline.I.hoist then
-      Hpfc_opt.Hoist.run ~default_nprocs:pipeline.I.default_nprocs r
-    else (r, 0)
-  in
-  let g = Construct.build ~default_nprocs:pipeline.I.default_nprocs r' in
-  let before = count_remappings g in
-  let removed, noops =
-    if pipeline.I.remove_useless then begin
-      let s = Hpfc_opt.Remove_useless.run g in
-      (s.Hpfc_opt.Remove_useless.removed, s.Hpfc_opt.Remove_useless.noops)
-    end
-    else (0, 0)
-  in
-  let after = count_remappings g in
+  let o = I.optimize pipeline r in
+  let g = o.I.graph in
+  let after = Graph.nb_remappings g in
   let compiled = Gen.generate ~options:pipeline.I.codegen g in
   let versions =
     List.map
@@ -68,10 +41,10 @@ let analyze ?(pipeline = I.full_pipeline) (r : Ast.routine) :
       gr_vertices = Graph.nb_vertices g;
       gr_edges = Graph.nb_edges g;
       versions;
-      hoisted;
-      removed;
-      noops;
-      remappings_before = before;
+      hoisted = o.I.hoisted;
+      removed = o.I.useless.Hpfc_opt.Remove_useless.removed;
+      noops = o.I.useless.Hpfc_opt.Remove_useless.noops;
+      remappings_before = o.I.remappings_before;
       remappings_after = after;
     } )
 

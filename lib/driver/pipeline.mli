@@ -15,9 +15,6 @@ type compile_report = {
   remappings_after : int;
 }
 
-(** Remapping labels with a leaving copy, excluding the exit vertex. *)
-val count_remappings : Hpfc_remap.Graph.t -> int
-
 (** Compile one routine under a pipeline; returns the generated code and
     the report. *)
 val analyze :

@@ -652,7 +652,11 @@ let check_pass name (c : Gen.case) : outcome =
       (* hoist, live_copies and use_info never change a remap's
          (source, target) route — they only move, skip or
          communication-strip legs — so their message counts are
-         monotone.  remove_useless rewires routes: contracting
+         monotone.  For hoist this holds by construction: a move that
+         adds a data-moving (array, source, target) route to G_R is
+         refused (Hoist.keeps_routes; without that rule, corpus
+         fuzz-2344f6967502.hpf moved 132 elements where the unhoisted
+         code moved 120).  remove_useless rewires routes: contracting
          A -> B -> C into A -> C is guaranteed to shrink volume (a
          moved element differs between A and C, hence between A and B
          or between B and C) and remap count, but a concentrating

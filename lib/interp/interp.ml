@@ -83,15 +83,34 @@ let naive_pipeline =
     codegen = { Gen.use_use_info = false; use_live_copies = false };
   }
 
-let compile_routine (p : pipeline) (r : Ast.routine) : Gen.routine =
-  let r =
-    if p.hoist then fst (Hpfc_opt.Hoist.run ~default_nprocs:p.default_nprocs r)
-    else r
+type optimized = {
+  graph : Graph.t;
+  hoisted : int;
+  remappings_before : int;
+  useless : Hpfc_opt.Remove_useless.stats;
+}
+
+(* Hoist, then G_R (the graph hoist settled on, when it built one), then
+   useless-remapping removal in place: one graph build per routine. *)
+let optimize (p : pipeline) (r : Ast.routine) : optimized =
+  let r, hoisted, built =
+    if p.hoist then Hpfc_opt.Hoist.run_graph ~default_nprocs:p.default_nprocs r
+    else (r, 0, None)
   in
-  let g = Construct.build ~default_nprocs:p.default_nprocs r in
-  if p.remove_useless then
-    ignore (Hpfc_opt.Remove_useless.run g : Hpfc_opt.Remove_useless.stats);
-  Gen.generate ~options:p.codegen g
+  let graph =
+    match built with
+    | Some g -> g
+    | None -> Construct.build ~default_nprocs:p.default_nprocs r
+  in
+  let remappings_before = Graph.nb_remappings graph in
+  let useless =
+    if p.remove_useless then Hpfc_opt.Remove_useless.run graph
+    else { Hpfc_opt.Remove_useless.removed = 0; noops = 0 }
+  in
+  { graph; hoisted; remappings_before; useless }
+
+let compile_routine (p : pipeline) (r : Ast.routine) : Gen.routine =
+  Gen.generate ~options:p.codegen (optimize p r).graph
 
 let compile ?(pipeline = full_pipeline) (prog : Ast.program) : program =
   let compiled = Hashtbl.create 8 in

@@ -51,6 +51,22 @@ val full_pipeline : pipeline
     baseline the benchmarks compare against. *)
 val naive_pipeline : pipeline
 
+(** A routine's optimized remapping graph, before code generation. *)
+type optimized = {
+  graph : Hpfc_remap.Graph.t;
+  hoisted : int;  (** statements moved by loop-invariant motion *)
+  remappings_before : int;
+      (** {!Hpfc_remap.Graph.nb_remappings} before useless removal *)
+  useless : Hpfc_opt.Remove_useless.stats;  (** zero when the pass is off *)
+}
+
+(** The pipeline's optimizing half: hoist, G_R, useless-remapping
+    removal.  G_R is built once: the graph hoist settled on is reused
+    when it built one.
+    @raise Hpfc_base.Error.Hpf_error when the routine is rejected. *)
+val optimize : pipeline -> Hpfc_lang.Ast.routine -> optimized
+
+(** {!optimize}, then code generation. *)
 val compile_routine : pipeline -> Hpfc_lang.Ast.routine -> Hpfc_codegen.Gen.routine
 
 val compile : ?pipeline:pipeline -> Hpfc_lang.Ast.program -> program

@@ -9,11 +9,19 @@
    by the remappings heading the body — which the run-time status test
    makes free after the first iteration.
 
-   Each hoist is validated by rebuilding the remapping graph: if the moved
-   statement makes any reference ambiguous, the hoist is reverted. *)
+   Only routines with a candidate build a graph: a syntactic pre-check
+   looks for a loop body ending in a remapping first.  The graph of each
+   moved routine is built once and serves twice: it validates the move
+   and drives the next search, and the last one is handed to the caller,
+   so the pipeline builds G_R once per routine.  A move is kept only if it
+   creates no ambiguous reference and no new route: every data-moving
+   (array, source, target) layout triple of the new graph already occurs
+   in the old one.  Without the route rule, leaving a loop can make a
+   later remapping start from another layout and move more data. *)
 
 open Hpfc_lang
 module Cfg = Hpfc_cfg.Cfg
+module Layout = Hpfc_mapping.Layout
 open Hpfc_remap
 
 let is_remap (s : Ast.stmt) =
@@ -105,16 +113,68 @@ let rec hoist_in_block (g : Graph.t) (block : Ast.block) : Ast.block option =
     | Some rest' -> Some (s :: rest')
     | None -> None)
 
-let run ?default_nprocs (r : Ast.routine) : Ast.routine * int =
-  let rec loop r count =
-    let g = Construct.build ?default_nprocs r in
-    match hoist_in_block g r.Ast.r_body with
-    | None -> (r, count)
-    | Some body' -> (
-      let r' = { r with Ast.r_body = body' } in
-      (* validate: the motion must not create ambiguous references *)
-      match Construct.build ?default_nprocs r' with
-      | (_ : Graph.t) -> loop r' (count + 1)
-      | exception Hpfc_base.Error.Hpf_error _ -> (r, count))
-  in
-  loop r 0
+(* Does some loop body, at any depth and inside either branch of an If,
+   end in a remapping?  This mirrors [hoist_in_block]'s search: without
+   such a loop, nothing can move and no graph is needed. *)
+let rec has_candidate (block : Ast.block) =
+  List.exists
+    (fun (s : Ast.stmt) ->
+      match s.Ast.skind with
+      | Ast.Do d ->
+        (match List.rev d.body with last :: _ -> is_remap last | [] -> false)
+        || has_candidate d.body
+      | Ast.If (_, t, e) -> has_candidate t || has_candidate e
+      | _ -> false)
+    block
+
+(* The data-moving routes of [g]: (array, source layout, target layout) of
+   every reaching x leaving pair of a non-exit label whose layouts differ. *)
+let routes (g : Graph.t) =
+  List.concat_map
+    (fun vid ->
+      let info = Graph.info g vid in
+      if info.Graph.vkind = Cfg.V_exit then []
+      else
+        List.concat_map
+          (fun ((a, l) : string * Graph.label) ->
+            let layout = Version.layout_of g.Graph.registry a in
+            List.concat_map
+              (fun r ->
+                List.filter_map
+                  (fun v ->
+                    let src = layout r and dst = layout v in
+                    if Layout.equal src dst then None else Some (a, src, dst))
+                  l.Graph.leaving)
+              l.Graph.reaching)
+          info.Graph.labels)
+    (Graph.vertex_ids g)
+
+(* Every route of [after] already occurs in [before]. *)
+let keeps_routes ~before ~after =
+  let old = routes before in
+  List.for_all
+    (fun (a, src, dst) ->
+      List.exists
+        (fun (a', src', dst') ->
+          String.equal a a' && Layout.equal src src' && Layout.equal dst dst')
+        old)
+    (routes after)
+
+let run_graph ?default_nprocs (r : Ast.routine) =
+  if not (has_candidate r.Ast.r_body) then (r, 0, None)
+  else
+    let rec loop r g count =
+      match hoist_in_block g r.Ast.r_body with
+      | None -> (r, count, Some g)
+      | Some body' -> (
+        let r' = { r with Ast.r_body = body' } in
+        match Construct.build ?default_nprocs r' with
+        | g' when keeps_routes ~before:g ~after:g' -> loop r' g' (count + 1)
+        | (_ : Graph.t) | (exception Hpfc_base.Error.Hpf_error _) ->
+          (r, count, Some g))
+    in
+    loop r (Construct.build ?default_nprocs r) 0
+
+let run ?default_nprocs r =
+  let r, count, _ = run_graph ?default_nprocs r in
+  (r, count)
