@@ -69,14 +69,14 @@ let sched_arg ~doc =
     & info [ "sched" ] ~docv:"MODE" ~doc)
 
 (* The run's execution configuration: the environment's
-   ([Exec.default]) with the command-line choices on top.  The async
-   schedule implies the parallel executor, which implies per-rank
-   payloads (what the workers may touch race-free). *)
+   ([Exec.default]) with the command-line choices on top.  The parallel
+   executor implies per-rank payloads (what the workers may touch
+   race-free). *)
 let exec_of_flags ?(distributed = false) ?(par = false) ?datapath ~sched ~lower
     () =
   let d = Exec.default () in
   let sched = Option.value sched ~default:d.Exec.sched in
-  let par = par || d.Exec.par || sched = Exec.Async in
+  let par = par || d.Exec.par in
   {
     Exec.backend =
       (if distributed || par then Exec.Distributed else Exec.Canonical);
@@ -163,7 +163,14 @@ let run_cmd =
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the structured event timeline as JSON lines on stdout (remap begin/end, plan cache probes, step boundaries, messages, evictions); counters and scalars go to stderr.") in
   let scalars = Arg.(value & opt_all scalar_assignments [] & info [ "s"; "set" ] ~docv:"X=V" ~doc:"Set a scalar before execution.") in
   let compare = Arg.(value & flag & info [ "compare" ] ~doc:"Run the naive and the optimized compilations and compare.") in
-  let sched = sched_arg ~doc:"Communication schedule: $(b,burst) (default) charges the whole plan as one unordered exchange; $(b,stepped) charges contention-free steps (serialized, one send and one receive per processor per step; also the bare --sched spelling); $(b,async) keeps stepped accounting but executes remappings with the dependency-driven parallel executor — sends posted eagerly in plan order, double-buffered staging, per-message completion flags instead of a barrier per step (implies --par)." in
+  let sched =
+    sched_arg
+      ~doc:
+        "Communication schedule: $(b,burst) (default) charges the whole \
+         plan as one unordered exchange; $(b,stepped) charges \
+         contention-free steps (serialized, one send and one receive per \
+         processor per step; also the bare --sched spelling)."
+  in
   let datapath = Arg.(value & vflag None [ (Some Exec.Scalar, info [ "scalar" ] ~doc:"Move data element by element through the per-element closures (the differential oracle) instead of blitting compiled runs."); (Some Exec.Staged, info [ "staged" ] ~doc:"Stage every message through a pooled pack/unpack buffer even when a zero-copy direct blit is eligible.") ]) in
   let compare_lex (a, _) (b, _) = Stdlib.compare a b in
   let run file naive entry scalars compare distributed par trace sched datapath
@@ -172,12 +179,6 @@ let run_cmd =
         let exec =
           exec_of_flags ~distributed ~par:(par <> None) ?datapath ~sched ~lower
             ()
-        in
-        (* --sched=async implies executing remappings for real on the
-           domain pool: out-of-step delivery needs an actual executor *)
-        let par =
-          if exec.Exec.sched = Exec.Async && par = None then Some "auto"
-          else par
         in
         let src = read_file file in
         if compare then begin
@@ -204,20 +205,15 @@ let run_cmd =
           in
           let machine =
             Machine.create ~nprocs:4
-              ~sched:(Machine.accounting exec.Exec.sched)
-              ~datapath:exec.Exec.datapath ~lower:exec.Exec.lower
-              ~record_trace:trace ()
+              ~sched:exec.Exec.sched ~datapath:exec.Exec.datapath
+              ~lower:exec.Exec.lower ~record_trace:trace ()
           in
           let finally () = Option.iter Hpfc_par.Par.destroy pool in
           let r =
             Fun.protect ~finally (fun () ->
                 Hpfc_driver.Pipeline.run_source
                   ~pipeline:(pipeline_of_naive naive) ~scalars ?entry ~exec
-                  ?executor:
-                    (Option.map
-                       (Hpfc_par.Par.executor
-                          ~async:(exec.Exec.sched = Exec.Async))
-                       pool)
+                  ?executor:(Option.map Hpfc_par.Par.executor pool)
                   ~machine ?plan_cache src)
           in
           (* with --trace, stdout is a pure JSON-lines stream (one event
@@ -275,7 +271,12 @@ let serve_cmd =
   let quantum = Arg.(value & opt int 1 & info [ "quantum" ] ~docv:"Q" ~doc:"Deficit-round-robin quantum of the dispatcher.") in
   let no_fusion = Arg.(value & flag & info [ "no-fusion" ] ~doc:"Disable remap fusion: every request executes as its own batch.") in
   let check = Arg.(value & flag & info [ "check" ] ~doc:"Also replay each tenant solo through the sequential executor and verify values and modeled counters are identical.") in
-  let sched = sched_arg ~doc:"Communication schedule of every tenant machine: $(b,burst) (default), $(b,stepped), or $(b,async) (single-worker service executing through the dependency-driven parallel backend)." in
+  let sched =
+    sched_arg
+      ~doc:
+        "Communication schedule of every tenant machine: $(b,burst) \
+         (default) or $(b,stepped)."
+  in
   let run file naive entry scalars tenants workers repeat window quantum
       no_fusion check sched lower plan_cache =
     handle (fun () ->
@@ -286,27 +287,17 @@ let serve_cmd =
         (* every tenant machine — and the --check solo replays — runs
            this one configuration *)
         let exec = exec_of_flags ~sched ~lower () in
-        let async = exec.Exec.sched = Exec.Async in
         let src = read_file file in
         let pipeline = pipeline_of_naive naive in
-        (* async executes through the domain-parallel backend: the pool
-           has one coordinator, so the service runs single-worker with
-           the pool installed as its singleton executor *)
-        let pool = if async then Some (Hpfc_par.Par.create ()) else None in
         let svc =
           Serve.create ~tenants ~window ~quantum ~fusion:(not no_fusion)
-            ?workers:(if async then Some 1 else workers)
-            ?cache_capacity:plan_cache
-            ?singleton_executor:
-              (Option.map (fun p -> Hpfc_par.Par.executor ~async:true p) pool)
-            ()
+            ?workers ?cache_capacity:plan_cache ()
         in
         let replay ~executor ~plans =
           (* one tenant stream: R replays on one machine, plans cached
              across replays *)
           let machine =
-            Machine.create ~nprocs:4
-              ~sched:(Machine.accounting exec.Exec.sched)
+            Machine.create ~nprocs:4 ~sched:exec.Exec.sched
               ~datapath:exec.Exec.datapath ~lower:exec.Exec.lower ()
           in
           let last = ref None in
@@ -336,7 +327,6 @@ let serve_cmd =
         in
         let wall = Unix.gettimeofday () -. t0 in
         let stats = Serve.shutdown svc in
-        Option.iter Hpfc_par.Par.destroy pool;
         List.iteri
           (fun i ((m : Machine.t), _) ->
             Fmt.pr "tenant %d: %a@." i Machine.pp_counters
@@ -363,14 +353,13 @@ let serve_cmd =
              cache of the same capacity — the correctness bar says the
              serve-side values and counters must match byte for byte
              (modulo the executor-history classes every cross-executor
-             comparison scrubs: wall clock, staging pool totals, async
-             completions, and the service's own fusion counter) *)
+             comparison scrubs: wall clock, staging pool totals and
+             the service's own fusion counter) *)
           let scrubbed (m : Machine.t) =
             let c = Machine.snapshot_counters m in
             c.Machine.wall_time <- 0.0;
             c.Machine.pool_hits <- 0;
             c.Machine.pool_misses <- 0;
-            c.Machine.async_completions <- 0;
             c.Machine.fused_remaps <- 0;
             c.Machine.pool_lease_peak <- 0;
             c

@@ -3,14 +3,12 @@
 
    Matrix: {optimized, unoptimized} x {canonical, distributed} x
    {sequential, parallel} x {zerocopy, staged, scalar} x
-   {burst, stepped, async} x {p2p, collective}.  The parallel executor
-   requires the distributed payload (replicated writes into the shared
-   canonical payload would race), the async schedule requires the
-   parallel executor (it is an execution discipline of the domain pool,
-   charged like stepped), and the collective lowering is exercised only
+   {burst, stepped} x {p2p, collective}.  The parallel executor requires
+   the distributed payload (replicated writes into the shared canonical
+   payload would race), and the collective lowering is exercised only
    under stepped accounting (under burst it charges exactly like p2p,
-   so a burst/collective run would duplicate the burst/p2p one), so 33
-   configurations are valid — 66 runs per accepted program, plus one
+   so a burst/collective run would duplicate the burst/p2p one), so 27
+   configurations are valid — 54 runs per accepted program, plus one
    2-tenant pass of the optimized pipeline through the multi-tenant
    remap service ([check_serve]) whose per-tenant observables must
    match the reference run byte for byte.
@@ -23,21 +21,16 @@
      identical across every configuration of one pipeline;
    - schedule-derived counters (modeled time, steps, peak step volume)
      are identical across configurations sharing an (accounting mode,
-     lowering) pair — async charges like stepped, so its modeled
-     counters are checked byte-identical against the stepped runs of
-     the same lowering; the collective lowering legitimately charges a
-     different phase count and phase-program clock;
+     lowering) pair, so the parallel executor's modeled counters are
+     checked byte-identical against the sequential runs; the collective
+     lowering legitimately charges a different phase count and
+     phase-program clock;
    - peak staging bytes are identical across configurations sharing a
      (backend, datapath, lowering) triple — the counter models the
      schedule's staging high-water, which no executor choice may move —
      and the collective lowering's peak never exceeds the p2p peak of
      the same (backend, datapath): bounded peak staging memory is the
      lowering's contract;
-   - async configurations complete exactly the staged transfers out of
-     step order (async_completions = messages under p2p on the
-     distributed backend, where every cross-rank message stages; under
-     the collective lowering, one completion per traced slice); every
-     other configuration completes none;
    - datapath accounting: the scalar oracle blits and zero-copies
      nothing, the staged path zero-copies nothing and stages every moved
      byte, the zero-copy path stages nothing on the canonical backend
@@ -118,9 +111,7 @@ type run = {
 let run_one prog entry (cfg : Exec.t) =
   incr n_runs;
   let executor =
-    if cfg.Exec.par then
-      Par.executor ~async:(cfg.Exec.sched = Exec.Async) (Lazy.force pool)
-    else Comm.execute
+    if cfg.Exec.par then Par.executor (Lazy.force pool) else Comm.execute
   in
   let res = I.run ~exec:cfg ~record_trace:true ~executor prog ~entry () in
   {
@@ -344,7 +335,7 @@ let trace_self_check ~what (r : run) =
     if !vol <> c.M.volume then
       failf "%s: traced volume %d but volume = %d" ctx !vol c.M.volume;
     if
-      M.accounting r.cfg.Exec.sched = M.Stepped
+      r.cfg.Exec.sched = Exec.Stepped
       && abs_float (!step_time -. c.M.time) > 1e-6 *. (1.0 +. abs_float c.M.time)
     then
       failf "%s: step costs sum to %g but time = %g" ctx !step_time c.M.time
@@ -464,39 +455,20 @@ let check_pipeline ~what (runs : run list) =
       same_result ~what ref_run r;
       same_counters ~what ref_run r;
       (* schedule-derived counters: compare to the first run sharing the
-         (accounting mode, lowering) pair — async charges exactly like
-         stepped, so those configurations sit in one group per lowering
-         and the "modeled counters byte-identical" law is checked for
-         free; the collective lowering legitimately charges a different
-         step count (phases) and clock (phase program) *)
+         (accounting mode, lowering) pair — sequential and parallel
+         executors sit in one group, so the "modeled counters
+         byte-identical" law is checked for free; the collective
+         lowering legitimately charges a different step count (phases)
+         and clock (phase program) *)
       let sched_ref =
         List.find
           (fun r' ->
-            M.accounting r'.cfg.Exec.sched = M.accounting r.cfg.Exec.sched
+            r'.cfg.Exec.sched = r.cfg.Exec.sched
             && r'.cfg.Exec.lower = r.cfg.Exec.lower)
           runs
       in
       same_sched_counters ~what sched_ref r;
-      (* completion accounting: the async executor completes exactly the
-         staged transfers out of step order — on the distributed backend
-         every cross-rank message stages, so under p2p the count is the
-         message count, and under the collective lowering one transfer
-         per slice, i.e. per traced Message event; every other executor
-         never completes out of order *)
       let c = counters_of r in
-      let expected =
-        if r.cfg.Exec.sched <> Async then Some 0
-        else if r.cfg.Exec.lower = Exec.Collective then
-          if r.dropped > 0 then None (* slice count unavailable *)
-          else Some (List.length (messages_of r))
-        else Some c.M.messages
-      in
-      (match expected with
-      | Some expected ->
-        if c.M.async_completions <> expected then
-          failf "%s %s: async_completions = %d, expected %d" what
-            (Exec.name r.cfg) c.M.async_completions expected
-      | None -> ());
       (* fusion is a service-only behaviour: no matrix run may charge it *)
       if c.M.fused_remaps <> 0 then
         failf "%s %s: fused_remaps = %d outside the service" what

@@ -416,8 +416,8 @@ and run_frame p frame =
 (* --- top-level run ----------------------------------------------------------- *)
 
 (* The one shared domain pool: runs whose configuration asks for the
-   parallel executor without bringing one (the HPFC_FORCE_PAR /
-   HPFC_FORCE_ASYNC hook, through [Exec.default]) go through it.
+   parallel executor without bringing one (the HPFC_FORCE_PAR hook,
+   through [Exec.default]) go through it.
    Created on first use with the team size the environment asks for,
    and shared — runs are sequential within a process, and the
    coordinator owns all accounting, so reuse is safe. *)
@@ -440,7 +440,7 @@ let run ?(machine : Machine.t option) ?exec ?(record_trace = false) ?backend
          environment's default never does *)
       let sched =
         match exec with
-        | Some e -> Machine.accounting e.Exec.sched
+        | Some e -> e.Exec.sched
         | None -> Machine.Burst
       in
       Machine.create ~sched ~datapath:e.Exec.datapath ~lower:e.Exec.lower
@@ -452,10 +452,7 @@ let run ?(machine : Machine.t option) ?exec ?(record_trace = false) ?backend
     match executor with
     | None when e.Exec.par ->
       ( Store.Distributed,
-        Some
-          (Hpfc_par.Par.executor
-             ~async:(e.Exec.sched = Exec.Async)
-             (Lazy.force shared_pool)) )
+        Some (Hpfc_par.Par.executor (Lazy.force shared_pool)) )
     | _ -> (backend, executor)
   in
   let frame =

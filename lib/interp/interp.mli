@@ -83,8 +83,7 @@ val compile : ?pipeline:pipeline -> Hpfc_lang.Ast.program -> program
     [Hpfc_par.Par.executor] for the domain-parallel backend, which wants
     [backend = Distributed]); without one, a configuration asking for
     the parallel executor runs on one shared domain pool (sized by
-    [HPFC_FORCE_PAR] when set) on per-rank payloads, under the async
-    discipline when its schedule is [Async].  [plans] installs an
+    [HPFC_FORCE_PAR] when set) on per-rank payloads.  [plans] installs an
     external plan cache for the whole call tree (e.g. a service
     tenant's cache, or one sized by [--plan-cache]); when absent the
     root frame creates its own.

@@ -367,12 +367,12 @@ let step_end (mach : Machine.t) i r =
 
 (* Replay a schedule into the machine trace after the fact — the
    executor hook for out-of-step delivery.  An executor that moves real
-   data in a different wall-clock order (the parallel backend, stepped
-   or async) records the identical [Step_begin] / [Message] /
+   data in a different wall-clock order (the parallel backend) records
+   the identical [Step_begin] / [Message] /
    [Step_end] stream the sequential executor produces, so trace-level
    oracles cannot tell executors apart; only measured wall events
    differ.  [on_step i] runs right after round [i]'s [Step_end] (the
-   stepped backend appends its measured [Wall_step] there). *)
+   parallel backend appends its measured [Wall_step] there). *)
 let record_rounds ?(on_step = fun _ -> ()) mach rounds =
   List.iteri
     (fun i r ->

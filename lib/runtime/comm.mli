@@ -159,11 +159,11 @@ val iter_items : (Redist.message -> int -> int -> unit) -> round -> unit
 
 (** Replay a schedule into the machine trace after the fact — the
     executor hook for out-of-step delivery: an executor that moves real
-    data in a different wall-clock order (the parallel backend, stepped
-    or async) records the identical [Step_begin] / [Message] /
+    data in a different wall-clock order (the parallel backend) records
+    the identical [Step_begin] / [Message] /
     [Step_end] stream the sequential executor produces (one [Message]
     per item, its [count] the item length).  [on_step i] runs right
-    after round [i]'s [Step_end] (the stepped backend appends its
+    after round [i]'s [Step_end] (the parallel backend appends its
     measured [Wall_step] there). *)
 val record_rounds : ?on_step:(int -> unit) -> Machine.t -> round list -> unit
 

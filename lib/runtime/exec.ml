@@ -1,14 +1,14 @@
 (* One execution configuration: the five axes a run is executed under,
    as one immutable value.  The datapath and the lowering travel as
-   fields of the machine a run owns, the async discipline is latched
-   when a parallel executor is built, and the backend when a store is,
-   so nothing here is global mutable state.  [of_env] is the only
+   fields of the machine a run owns, the schedule is the machine's
+   accounting mode, and the backend is fixed when a store is built, so
+   nothing here is global mutable state.  [of_env] is the only
    reader of the HPFC_FORCE_* variables (the CI hook that runs the whole
    suite under a forced setting). *)
 
 type backend = Canonical | Distributed
 type datapath = Zero_copy | Staged | Scalar
-type sched = Burst | Stepped | Async
+type sched = Burst | Stepped
 type lower = P2p | Collective | Auto
 
 type t = {
@@ -29,12 +29,10 @@ let reference =
   }
 
 (* The parallel executor needs the distributed payload (replicated
-   writes into a shared canonical payload would race), and async is a
-   discipline of the parallel executor. *)
+   writes into a shared canonical payload would race). *)
 let invalid e =
   if e.par && e.backend = Canonical then
     Some "the parallel executor needs distributed"
-  else if e.sched = Async && not e.par then Some "the async schedule needs par"
   else None
 
 (* The oracle's matrix, in its historical order: the valid products,
@@ -44,7 +42,7 @@ let all =
   let* backend = [ Canonical; Distributed ] in
   let* par = [ false; true ] in
   let* datapath = [ Zero_copy; Staged; Scalar ] in
-  let* sched = [ Burst; Stepped; Async ] in
+  let* sched = [ Burst; Stepped ] in
   let* lower = [ P2p; Collective ] in
   let e = { backend; par; datapath; sched; lower } in
   if invalid e = None && not (lower = Collective && sched = Burst) then [ e ]
@@ -60,7 +58,7 @@ let executors = [ ("seq", false); ("par", true) ]
 let datapaths =
   [ ("zerocopy", Zero_copy); ("staged", Staged); ("scalar", Scalar) ]
 
-let scheds = [ ("burst", Burst); ("stepped", Stepped); ("async", Async) ]
+let scheds = [ ("burst", Burst); ("stepped", Stepped) ]
 let lowers = [ ("p2p", P2p); ("collective", Collective); ("auto", Auto) ]
 
 (* [name] keeps the oracle's historical short spelling of the collective
@@ -138,7 +136,13 @@ let read getenv =
           bad "HPFC_FORCE_PAR" v
             "a positive integer, \"auto\", \"0\" or empty"))
   in
-  let async = flag getenv "HPFC_FORCE_ASYNC" in
+  (match getenv "HPFC_FORCE_ASYNC" with
+  | None | Some "" | Some "0" -> ()
+  | Some v ->
+    Hpfc_base.Error.fail Invalid_config
+      "HPFC_FORCE_ASYNC=%S: the async executor was removed; \
+       HPFC_FORCE_PAR selects the parallel executor"
+      v);
   let datapath =
     match
       (flag getenv "HPFC_FORCE_SCALAR", flag getenv "HPFC_FORCE_STAGED")
@@ -160,12 +164,11 @@ let read getenv =
       | Error _ ->
         bad "HPFC_FORCE_LOWER" v "p2p, collective, auto, \"0\" or empty")
   in
-  let par = par || async in
   ( {
       backend = (if par then Distributed else Canonical);
       par;
       datapath;
-      sched = (if async then Async else Burst);
+      sched = Burst;
       lower;
     },
     team )

@@ -29,12 +29,9 @@ val default_cost : cost_model
     the whole plan as one unordered exchange (alpha-beta critical path);
     [Stepped] decomposes it into contention-free steps — no processor
     sends or receives twice within a step — each costing its slowest
-    message, serialized (cf. Rink et al., arXiv:2112.01075). *)
-type sched_mode = Burst | Stepped
-
-(** The accounting mode of an execution schedule: async charges like
-    stepped. *)
-val accounting : Exec.sched -> sched_mode
+    message, serialized (cf. Rink et al., arXiv:2112.01075).  The
+    configuration's schedule ({!Exec.sched}) is this type. *)
+type sched_mode = Exec.sched = Burst | Stepped
 
 type counters = {
   mutable messages : int;
@@ -85,11 +82,9 @@ type counters = {
           leases (acquired, not yet released buffers) across the run's
           pools — executor history like the pool totals, scrubbed by
           cross-executor comparisons *)
-  mutable async_completions : int;
-      (** staged messages completed out of step order by the async
-          dependency-driven executor (the [Async] schedule: per-message
-          completion flags instead of a barrier per step);
-          0 under the sequential and stepped parallel executors *)
+  layout_pad : int;
+      (** always 0, never read: keeps the record in the major-heap size
+          class it had before a field was deleted (see machine.ml) *)
   mutable fused_remaps : int;
       (** remaps executed as members of a multi-tenant fused batch (same
           layout pair, or plans with disjoint rank footprints, sharing
@@ -132,10 +127,6 @@ type event =
   | Wall_remap of { steps : int; wall : float }
       (** measured wall-clock seconds of a whole remap on a real parallel
           backend; recorded right before [Remap_end] *)
-  | Wall_msg of { from_rank : int; to_rank : int; wall : float }
-      (** measured post-to-completion wall-clock seconds of one staged
-          message under the async dependency-driven executor; one per
-          staged message, recorded after the modeled schedule replay *)
   | Dead_copy of { array : string; src : int option; dst : int }
   | Live_reuse of { array : string; dst : int }
   | Skip of { array : string; dst : int }

@@ -76,7 +76,6 @@ type t = {
   tenants : tenant_state array;
   shared : Redist.Plan_cache.t;  (* construction-dedup parent *)
   adm : Admission.t;
-  singleton_executor : Comm.executor option;
   mutable stopping : bool;
   mutable paused : bool;  (* workers stall until [resume] *)
   mutable domains : unit Domain.t list;
@@ -186,9 +185,8 @@ let close_bracket (m : member) =
 
 (* Execute one dispatched batch: fuse, run, close brackets.  Members of
    a >= 2-member fused batch get [fused_remaps] charged; a singleton
-   batch runs through [singleton_executor] when installed (e.g. the
-   domain-parallel pool under --sched=async), else through the same
-   fused walk, which degenerates to the sequential [Comm.execute].
+   batch runs through the same fused walk, which degenerates to the
+   sequential [Comm.execute].
    The fused walk lowers each group the way [Comm.execute] would solo
    (step or phase program), so collective-lowered members fuse like any
    other; fusion only ever batches members whose machines agree on the
@@ -220,16 +218,11 @@ let run_batch t pool (members : member list) =
               ms)
           batch
       end;
-      match (batch, t.singleton_executor) with
-      | [ (plan, [ m ]) ], Some exec ->
-        ignore plan;
-        exec m.mach ~src:m.src_ep ~dst:m.dst_ep m.plan
-      | _ ->
-        Comm.execute_fused ~pool
-          (List.map
-             (fun (plan, ms) ->
-               (plan, List.map (fun m -> (m.mach, m.src_ep, m.dst_ep)) ms))
-             batch))
+      Comm.execute_fused ~pool
+        (List.map
+           (fun (plan, ms) ->
+             (plan, List.map (fun m -> (m.mach, m.src_ep, m.dst_ep)) ms))
+           batch))
     batches;
   List.iter close_bracket members;
   (List.length batches, !fused_batches, !fused_members)
@@ -290,17 +283,13 @@ let rec worker_loop t pool =
 (* --- lifecycle -------------------------------------------------------------- *)
 
 let create ?(window = 8) ?batch ?(quantum = 1) ?workers ?(fusion = true)
-    ?cache_capacity ?shards ?singleton_executor ?(paused = false) ~tenants () =
+    ?cache_capacity ?shards ?(paused = false) ~tenants () =
   if tenants < 1 then invalid_arg "Serve.create: tenants < 1";
   let workers =
     match workers with
     | Some w -> max 1 w
     | None -> max 1 (min tenants (Domain.recommended_domain_count () - 1))
   in
-  (* a parallel singleton executor has one coordinator-owned pool: it
-     cannot be driven from several service workers at once *)
-  if singleton_executor <> None && workers > 1 then
-    invalid_arg "Serve.create: singleton_executor requires workers = 1";
   let shared = Redist.Plan_cache.create ?capacity:cache_capacity ?shards () in
   let t =
     {
@@ -328,7 +317,6 @@ let create ?(window = 8) ?batch ?(quantum = 1) ?workers ?(fusion = true)
             });
       shared;
       adm = Admission.create ~tenants ~quantum:(max 1 quantum);
-      singleton_executor;
       stopping = false;
       paused;
       domains = [];

@@ -34,11 +34,11 @@ let prop_equals_p2p_seq =
         [ Store.Canonical; Store.Distributed ])
 
 (* Irregular (replicated / constant-aligned) layouts through the
-   parallel backend, under both execution disciplines: the sliced
-   packets must reassemble exactly what sequential p2p delivers. *)
+   parallel backend: the sliced packets must reassemble exactly what
+   sequential p2p delivers. *)
 let prop_equals_p2p_par =
   QCheck2.Test.make
-    ~name:"collective = p2p on irregular layouts (parallel, stepped and async)"
+    ~name:"collective = p2p on irregular layouts (parallel executor)"
     ~print:Test_redist_props.print_pair ~count:60 Test_comm.gen_irregular_pair
     (fun (src, dst) ->
       let fill k = float_of_int ((7 * k) + 3) in
@@ -47,12 +47,12 @@ let prop_equals_p2p_par =
           (Test_par.remap_seq ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
              fill)
       in
-      let par async =
+      let par =
         final
-          (Test_par.remap_par ~sched:Machine.Stepped ~async
-             ~lower:Exec.Collective ~src ~dst fill)
+          (Test_par.remap_par ~sched:Machine.Stepped ~lower:Exec.Collective
+             ~src ~dst fill)
       in
-      par false = seq && par true = seq)
+      par = seq)
 
 (* --- (b) the phase program is a valid schedule ---------------------------------- *)
 
@@ -159,7 +159,6 @@ let prop_par_counters_equal_seq =
           Machine.pool_hits = 0;
           Machine.pool_misses = 0;
           Machine.pool_lease_peak = 0;
-          Machine.async_completions = 0;
         }
       in
       let mp, _, _ =

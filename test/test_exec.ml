@@ -6,7 +6,7 @@
 
 open Hpfc_runtime
 
-(* The oracle's 33 configurations, in order, the reference first —
+(* The oracle's 27 configurations, in order, the reference first —
    spelled out so that a lost, added or reordered configuration fails
    here rather than silently changing what the fuzzer covers. *)
 let pinned_names =
@@ -32,18 +32,12 @@ let pinned_names =
     "distributed/par/zerocopy/burst/p2p";
     "distributed/par/zerocopy/stepped/p2p";
     "distributed/par/zerocopy/stepped/coll";
-    "distributed/par/zerocopy/async/p2p";
-    "distributed/par/zerocopy/async/coll";
     "distributed/par/staged/burst/p2p";
     "distributed/par/staged/stepped/p2p";
     "distributed/par/staged/stepped/coll";
-    "distributed/par/staged/async/p2p";
-    "distributed/par/staged/async/coll";
     "distributed/par/scalar/burst/p2p";
     "distributed/par/scalar/stepped/p2p";
     "distributed/par/scalar/stepped/coll";
-    "distributed/par/scalar/async/p2p";
-    "distributed/par/scalar/async/coll";
   ]
 
 let test_matrix_pinned () =
@@ -60,8 +54,8 @@ let test_name_round_trip () =
       | Error msg -> Alcotest.failf "%s rejected: %s" (Exec.name e) msg)
     Exec.all;
   Alcotest.(check bool) "long lowering spelling" true
-    (Exec.of_string "Distributed/par/staged/async/collective"
-    = Exec.of_string "distributed/par/staged/async/coll");
+    (Exec.of_string "Distributed/par/staged/stepped/collective"
+    = Exec.of_string "distributed/par/staged/stepped/coll");
   List.iter
     (fun s ->
       match Exec.of_string s with
@@ -69,7 +63,8 @@ let test_name_round_trip () =
       | Error _ -> ())
     [
       "canonical/par/zerocopy/burst/p2p" (* parallel needs distributed *);
-      "distributed/seq/zerocopy/async/p2p" (* async needs par *);
+      "distributed/par/zerocopy/async/p2p" (* async was removed *);
+      "distributed/seq/zerocopy/async/p2p";
       "distributed/seq/zerocopy/burst";
       "distributed/seq/fast/burst/p2p";
       "";
@@ -91,11 +86,10 @@ let test_of_env_settings () =
       ("HPFC_FORCE_LOWER", "0");
     ]
     r;
+  check "async off" [ ("HPFC_FORCE_ASYNC", "0") ] r;
   let par = { r with backend = Distributed; par = true } in
   check "par team" [ ("HPFC_FORCE_PAR", "3") ] par;
   check "par auto" [ ("HPFC_FORCE_PAR", "auto") ] par;
-  check "async implies par" [ ("HPFC_FORCE_ASYNC", "1") ]
-    { par with sched = Async };
   check "scalar" [ ("HPFC_FORCE_SCALAR", "1") ] { r with datapath = Scalar };
   check "staged" [ ("HPFC_FORCE_STAGED", "yes") ] { r with datapath = Staged };
   check "collective" [ ("HPFC_FORCE_LOWER", " Collective ") ]
@@ -129,7 +123,18 @@ let test_of_env_strict () =
   rejects [ ("HPFC_FORCE_PAR", "-2") ] [ "HPFC_FORCE_PAR"; "positive integer" ];
   rejects
     [ ("HPFC_FORCE_SCALAR", "1"); ("HPFC_FORCE_STAGED", "1") ]
-    [ "HPFC_FORCE_SCALAR"; "HPFC_FORCE_STAGED" ]
+    [ "HPFC_FORCE_SCALAR"; "HPFC_FORCE_STAGED" ];
+  (* the async executor is gone: an on-value is diagnosed, not ignored
+     (unset, empty and "0" stay accepted, see "off spellings") *)
+  List.iter
+    (fun v ->
+      rejects
+        [ ("HPFC_FORCE_ASYNC", v) ]
+        [ "HPFC_FORCE_ASYNC"; "removed"; "HPFC_FORCE_PAR" ])
+    [ "1"; "yes" ];
+  rejects
+    [ ("HPFC_FORCE_ASYNC", "1"); ("HPFC_FORCE_PAR", "3") ]
+    [ "HPFC_FORCE_ASYNC"; "removed" ]
 
 let suite =
   [

@@ -10,7 +10,7 @@
 
    The last test enforces the coverage floor: at least HPFC_FUZZ_FLOOR
    (default 300) generated programs must actually go through the full
-   66-run differential matrix per `dune runtest` — rejections don't
+   54-run differential matrix per `dune runtest` — rejections don't
    count — topping up beyond the property counts when needed. *)
 
 module F = Hpfc_fuzz

@@ -260,23 +260,21 @@ let test_sched_of_string () =
   in
   ok "burst" E.Burst;
   ok "stepped" E.Stepped;
-  ok "async" E.Async;
-  ok "ASYNC" E.Async;
-  (* async charges like stepped; burst charges like burst *)
-  Alcotest.(check bool) "async accounts as stepped" true
-    (Hpfc_runtime.Machine.accounting E.Async = Hpfc_runtime.Machine.Stepped);
-  Alcotest.(check bool) "burst accounts as burst" true
-    (Hpfc_runtime.Machine.accounting E.Burst = Hpfc_runtime.Machine.Burst);
-  match E.sched_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "bogus schedule accepted"
-  | Error msg ->
-    List.iter
-      (fun valid ->
-        Alcotest.(check bool)
-          (Printf.sprintf "error names %S" valid)
-          true
-          (Astring.String.is_infix ~affix:valid msg))
-      [ "bogus"; "burst"; "stepped"; "async" ]
+  ok "STEPPED" E.Stepped;
+  (* the removed async schedule is rejected like any unknown value *)
+  List.iter
+    (fun bad ->
+      match E.sched_of_string bad with
+      | Ok _ -> Alcotest.failf "%s schedule accepted" bad
+      | Error msg ->
+        List.iter
+          (fun valid ->
+            Alcotest.(check bool)
+              (Printf.sprintf "error names %S" valid)
+              true
+              (Astring.String.is_infix ~affix:valid msg))
+          [ bad; "burst | stepped" ])
+    [ "bogus"; "async" ]
 
 (* --lower=<unknown> must be a usage error naming the valid values; the
    CLI converter wraps [Exec.lower_of_string], mirroring --sched. *)

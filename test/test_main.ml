@@ -13,7 +13,6 @@ let () =
       ("redist-props", Test_redist_props.suite);
       ("comm", Test_comm.suite);
       ("par", Test_par.suite);
-      ("async", Test_async.suite);
       ("collective", Test_collective.suite);
       ("serve", Test_serve.suite);
       ("pack", Test_pack.suite);

@@ -200,7 +200,6 @@ let observe ~datapath ~backend ?executor (src, dst) =
       Machine.pool_misses = 0;
       Machine.pool_lease_peak = 0;
       Machine.wall_time = 0.0;
-      Machine.async_completions = 0;
     }
   in
   (Store.to_global (Store.get_copy d 1), c)

@@ -21,16 +21,15 @@ let pool =
      at_exit (fun () -> Hpfc_par.Par.destroy p);
      p)
 
-let par_executor ?async () = Hpfc_par.Par.executor ?async (Lazy.force pool)
+let par_executor () = Hpfc_par.Par.executor (Lazy.force pool)
 
-(* [async] pins the execution discipline for discipline-specific tests
-   and [lower] the plan lowering for lowering-specific ones; left out,
-   both follow the environment's configuration ([Exec.default]), so the
-   generic properties run under whichever discipline and lowering the
-   environment forces. *)
-let remap_par ?(sched = Machine.Burst) ?async ?lower ~src ~dst fill =
+(* [lower] pins the plan lowering for lowering-specific tests; left out,
+   it follows the environment's configuration ([Exec.default]), so the
+   generic properties run under whichever lowering the environment
+   forces. *)
+let remap_par ?(sched = Machine.Burst) ?lower ~src ~dst fill =
   Test_comm.remap ~backend:Store.Distributed ~sched
-    ~executor:(par_executor ?async ()) ?lower ~src ~dst fill
+    ~executor:(par_executor ()) ?lower ~src ~dst fill
 
 let remap_seq ?(sched = Machine.Burst) ?lower ~src ~dst fill =
   Test_comm.remap ~backend:Store.Distributed ~sched ?lower ~src ~dst fill
@@ -81,8 +80,8 @@ let prop_par_trace_replays_schedule =
     (fun (src, dst) ->
       (* p2p-specific: the collective replays its phase program instead *)
       let m, s, d =
-        remap_par ~sched:Machine.Stepped ~async:false ~lower:Exec.P2p
-          ~src ~dst float_of_int
+        remap_par ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
+          float_of_int
       in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let prog = Redist.step_program plan in
@@ -127,9 +126,8 @@ let prop_par_counters_equal_seq =
     ~name:"parallel modeled counters = sequential (wall and pool excluded)"
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      (* wall time is measured, pool hit/miss splits depend on each
-         executor's pool history, and async completions only exist on
-         the parallel backend; everything else — including run_blits,
+      (* wall time is measured, and pool hit/miss splits depend on each
+         executor's pool history; everything else — including run_blits,
          charged from the shared memoized runs — must match exactly *)
       let scrub (m : Machine.t) =
         {
@@ -138,7 +136,6 @@ let prop_par_counters_equal_seq =
           Machine.pool_hits = 0;
           Machine.pool_misses = 0;
           Machine.pool_lease_peak = 0;
-          Machine.async_completions = 0;
         }
       in
       let mp, _, _ = remap_par ~sched:Machine.Stepped ~src ~dst float_of_int
@@ -186,10 +183,9 @@ let test_destroyed_pool_faults () =
 
 (* A worker that raises must not hang the team: with the destination
    endpoint's storage closures raising on rank 2, the worker hosting it
-   dies mid-job while its siblings wait on a barrier (stepped) or on
-   packets it will never send (async).  The job aborts, the fault
-   reaches the caller, and the same pool then executes the plan
-   correctly. *)
+   dies mid-job while its siblings wait on a barrier.  The job aborts,
+   the fault reaches the caller, and the same pool then executes the
+   plan correctly. *)
 let test_worker_fault_released () =
   let p = Hpfc_par.Par.create ~ndomains:3 () in
   let fault () = failwith "injected fault" in
@@ -202,26 +198,65 @@ let test_worker_fault_released () =
   in
   let src = Test_redist_props.layout_1d ~n:64 Dist.block 4
   and dst = Test_redist_props.layout_1d ~n:64 Dist.cyclic 4 in
-  let remap ~async dst_of =
+  let remap dst_of =
     Test_comm.remap ~backend:Store.Distributed
       ~executor:(fun m ~src ~dst plan ->
-        Hpfc_par.Par.execute ~async p m ~src ~dst:(dst_of dst) plan)
+        Hpfc_par.Par.execute p m ~src ~dst:(dst_of dst) plan)
       ~src ~dst float_of_int
   in
   Fun.protect
     ~finally:(fun () -> Hpfc_par.Par.destroy p)
     (fun () ->
-      List.iter
-        (fun async ->
-          let what = if async then "async" else "stepped" in
-          Alcotest.check_raises (what ^ ": the fault reaches the caller")
-            (Failure "injected fault")
-            (fun () -> ignore (remap ~async faulty));
-          let _, _, d = remap ~async Fun.id in
-          Alcotest.(check bool) (what ^ ": the pool still remaps correctly")
-            true
-            (Store.to_global (Store.get_copy d 1) = Array.init 64 float_of_int))
-        [ false; true ])
+      Alcotest.check_raises "the fault reaches the caller"
+        (Failure "injected fault")
+        (fun () -> ignore (remap faulty));
+      let _, _, d = remap Fun.id in
+      Alcotest.(check bool) "the pool still remaps correctly" true
+        (Store.to_global (Store.get_copy d 1) = Array.init 64 float_of_int))
+
+(* Cycle remaps through more distinct layout pairs than the plan cache
+   holds, on the live pool: every lookup misses, the LRU bound evicts
+   continuously, and the evicted plans' memoized runs — still referenced
+   by the remap that submitted them — must keep moving correct data. *)
+let test_lru_race () =
+  let n = 48 and p = 3 in
+  let procs = Procs.linear "P" p in
+  let layout d =
+    Layout.of_mapping ~extents:[| n |]
+      (Mapping.direct ~array_name:"a" ~extents:[| n |] ~dist:[| d |] ~procs)
+  in
+  let layouts =
+    [| layout Dist.block; layout Dist.cyclic;
+       layout (Dist.cyclic_sized 2); layout (Dist.cyclic_sized 4) |]
+  in
+  let nv = Array.length layouts in
+  let m = Machine.create ~nprocs:p ~sched:Machine.Stepped () in
+  let s =
+    Store.create ~backend:Store.Distributed ~executor:(par_executor ())
+      ~plans:(Redist.Plan_cache.create ~capacity:2 ())
+      m
+  in
+  let d =
+    Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:nv ()
+  in
+  let fill k = float_of_int ((3 * k) + 1) in
+  Array.iteri (fun v l -> Store.alloc s d v l) layouts;
+  d.Store.status <- Some 0;
+  Store.set_live s d 0 true;
+  Store.fill_copy (Store.get_copy d 0) fill;
+  let expected = Array.init n fill in
+  for round = 0 to (4 * nv) - 1 do
+    let src = round mod nv and dst = (round + 1) mod nv in
+    Store.copy_version s d ~src ~dst ~with_data:true;
+    d.Store.status <- Some dst;
+    Alcotest.(check bool)
+      (Printf.sprintf "values intact after round %d" round)
+      true
+      (Store.to_global (Store.get_copy d dst) = expected)
+  done;
+  Alcotest.(check bool) "LRU bound evicted plans while the pool was live"
+    true
+    (m.Machine.counters.Machine.plan_evictions > 0)
 
 let suite =
   [
@@ -235,4 +270,6 @@ let suite =
       test_worker_fault_released;
     Alcotest.test_case "destroyed pool faults cleanly" `Quick
       test_destroyed_pool_faults;
+    Alcotest.test_case "plan-cache LRU eviction vs stepped remaps" `Quick
+      test_lru_race;
   ]

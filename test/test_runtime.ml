@@ -306,7 +306,6 @@ let test_counter_reset_coverage () =
   c.Machine.staged_bytes <- 22;
   c.Machine.pool_hits <- 17;
   c.Machine.pool_misses <- 18;
-  c.Machine.async_completions <- 23;
   c.Machine.time <- 19.0;
   c.Machine.wall_time <- 20.0;
   Machine.reset m;

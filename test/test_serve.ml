@@ -444,7 +444,7 @@ let test_isolation_no_fusion () =
 
 (* capacity 2 forces continuous LRU eviction races between the tenant
    caches and the shared parent while the workers execute — the
-   accounting must still be solo-identical (the async-suite LRU race,
+   accounting must still be solo-identical (test_par's LRU race,
    service edition) *)
 let test_isolation_eviction_race () =
   ignore (isolation_stress ~fusion:true ~cache_capacity:(Some 2) ())
