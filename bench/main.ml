@@ -193,8 +193,9 @@ let q4_redist () =
   row
     "shape: identical plans; the interval engine never falls back to a \
      per-element walk — replicated and constant-aligned grid dimensions \
-     only select which coordinates send or receive, so planning stays \
-     O(P^2 * periods) instead of O(n * replicas).@."
+     only select which coordinates send or receive, and one sweep per \
+     dimension costs the pieces it outputs, so planning never costs \
+     O(n * replicas).@."
 
 (* --- Q5: live copies and memory pressure -------------------------------------- *)
 

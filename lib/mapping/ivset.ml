@@ -113,46 +113,6 @@ let inter_cardinal t1 t2 =
       (full * size_of_intervals joint) + pattern_below joint rem
     end
 
-(* Intersection of a sorted interval list with a periodic set, as a
-   sorted interval list.  Cost is proportional to the list's span divided
-   by the period, not to the periodic set's extent. *)
-let inter_list_periodic l ~period ~pattern ~extent =
-  let acc = ref [] in
-  List.iter
-    (fun (lo, hi) ->
-      let hi = min hi extent in
-      if lo < hi then
-        for j = lo / period to (hi - 1) / period do
-          let base = j * period in
-          List.iter
-            (fun (a, b) ->
-              let a = max (base + a) lo and b = min (base + b) hi in
-              if a < b then acc := (a, b) :: !acc)
-            pattern
-        done)
-    l;
-  merge_adjacent (List.rev !acc)
-
-(* Structural intersection, mirroring [inter_cardinal]: the compressed
-   periodic form is preserved whenever the combined period still fits
-   below the extent, so intersecting two block-cyclic ownership sets
-   stays independent of the array size. *)
-let inter t1 t2 =
-  match (t1, t2) with
-  | Finite l1, Finite l2 -> Finite (inter_intervals l1 l2 [])
-  | Finite l, Periodic { period; pattern; extent }
-  | Periodic { period; pattern; extent }, Finite l ->
-    Finite (inter_list_periodic l ~period ~pattern ~extent)
-  | ( Periodic { period = p1; extent = e1; _ },
-      Periodic { period = p2; extent = e2; _ } ) ->
-    let extent = min e1 e2 in
-    let big = Hpfc_base.Util.lcm p1 p2 in
-    if big >= extent || big <= 0 then
-      Finite (inter_intervals (expand_over extent t1) (expand_over extent t2) [])
-    else
-      let w1 = expand_over big t1 and w2 = expand_over big t2 in
-      Periodic { period = big; pattern = inter_intervals w1 w2 []; extent }
-
 (* Materialize as maximal (start, length) runs in ascending order — the
    per-dimension building block of box-to-run compilation: within one run
    every index is in the set, so dense local indices advance by exactly

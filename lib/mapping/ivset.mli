@@ -48,12 +48,6 @@ val to_runs : t -> (int * int) list
     are compatible. *)
 val inter_cardinal : t -> t -> int
 
-(** Structural intersection of two sets (over the smaller extent).  The
-    compressed periodic form is preserved when the combined period fits
-    below the extent, so the result stays extent-independent; satisfies
-    [cardinal (inter a b) = inter_cardinal a b]. *)
-val inter : t -> t -> t
-
 (** Semantic equality (same materialized set). *)
 val equal_semantics : t -> t -> bool
 

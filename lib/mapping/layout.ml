@@ -186,11 +186,34 @@ let owned_intervals t ~array_dim ~coord =
       |> List.sort compare |> Ivset.merge_adjacent
     | From_const _ | Replicated -> assert false)
 
+(* Inverse of [a] modulo [m] (gcd a m = 1), by extended Euclid. *)
+let inv_mod a m =
+  let rec go r0 r1 t0 t1 =
+    if r1 = 0 then t0 else go r1 (r0 - (r0 / r1 * r1)) t1 (t0 - (r0 / r1 * t1))
+  in
+  Util.emod (go m (Util.emod a m) 0 1) m
+
+(* Maximal intervals of a sorted array of distinct indices. *)
+let intervals_of_points xs =
+  let n = Array.length xs in
+  let rec loop i acc =
+    if i >= n then List.rev acc
+    else
+      let j = ref (i + 1) in
+      while !j < n && xs.(!j) = xs.(!j - 1) + 1 do incr j done;
+      loop !j ((xs.(i), xs.(!j - 1) + 1) :: acc)
+  in
+  loop 0 []
+
 (* Owned indices along [array_dim] for [coord], in the compressed periodic
    representation: cyclic ownership has period k*p in the template, and its
    preimage through the alignment x -> stride*x + offset is periodic in x
    with period (k*p) / gcd(|stride|, k*p).  This is what makes the
-   redistribution engine independent of the array extent. *)
+   redistribution engine independent of the array extent.  The pattern is
+   computed in closed form, never by scanning an x-period: under a unit
+   stride the k owned cells pull back to one arc of the x-circle (at most
+   two intervals), and under any other stride each owned cell has at most
+   one preimage per x-period, so the cost is O(k), not O(k*p). *)
 let owned_set t ~array_dim ~coord : Ivset.t =
   let extent = t.extents.(array_dim) in
   match t.roles.(array_dim) with
@@ -209,28 +232,40 @@ let owned_set t ~array_dim ~coord : Ivset.t =
             (Option.to_list
                (preimage_interval ~stride ~offset ~extent (lo, hi)))
       | FCyclic k ->
-        (* cell pattern [coord*k, coord*k + k) modulo k*nprocs; pull it back
-           through the alignment by scanning one x-period *)
         let cell_period = k * nprocs in
-        let x_period =
-          cell_period / Hpfc_base.Util.gcd (abs stride) cell_period
-        in
-        let in_cells x =
-          let c = Hpfc_base.Util.emod ((stride * x) + offset) cell_period in
-          c >= coord * k && c < (coord + 1) * k
-        in
+        let g = Util.gcd stride cell_period in
+        let x_period = cell_period / g in
         let window = min x_period extent in
-        let rec scan x cur acc =
-          if x >= window then
-            List.rev (match cur with Some lo -> (lo, window) :: acc | None -> acc)
-          else if in_cells x then
-            scan (x + 1) (Some (Option.value cur ~default:x)) acc
-          else
-            match cur with
-            | Some lo -> scan (x + 1) None ((lo, x) :: acc)
-            | None -> scan (x + 1) None acc
+        let pattern =
+          if abs stride = 1 then begin
+            (* x owned iff x is in the arc [a, a + k) of Z / (k*p) *)
+            let a =
+              if stride = 1 then Util.emod ((coord * k) - offset) cell_period
+              else Util.emod (offset - (coord * k) - k + 1) cell_period
+            in
+            let wrap = a + k - cell_period in
+            if wrap <= 0 then
+              if a < window then [ (a, min (a + k) window) ] else []
+            else if wrap >= a then [ (0, window) ] (* one processor *)
+            else if a < window then [ (0, min wrap window); (a, window) ]
+            else [ (0, min wrap window) ]
+          end
+          else begin
+            (* stride*x + offset = r (mod k*p) is solvable iff g divides
+               r - offset, with x = (r - offset)/g * inv (mod x_period) *)
+            let inv = inv_mod (stride / g) x_period in
+            let xs = ref [] in
+            for r = coord * k to (coord * k) + k - 1 do
+              if (r - offset) mod g = 0 then begin
+                let x = Util.emod ((r - offset) / g * inv) x_period in
+                if x < window then xs := x :: !xs
+              end
+            done;
+            let xs = Array.of_list !xs in
+            Array.sort Int.compare xs;
+            intervals_of_points xs
+          end
         in
-        let pattern = scan 0 None [] in
         if x_period >= extent then Ivset.Finite pattern
         else Ivset.Periodic { period = x_period; pattern; extent })
     | From_const _ | Replicated -> assert false)

@@ -16,8 +16,11 @@
      the elements owned along one dimension by source coordinate c1 and
      target coordinate c2 form an intersection of periodic interval sets,
      and a (sender, receiver) payload is the cross product of the
-     per-dimension intersections.  Cost is O(procs^2 * periods) and
-     independent of the array extent.
+     per-dimension intersections.  One sweep per dimension cuts a common
+     window at both sides' ownership boundaries, so the cost is the
+     number of pieces it outputs (plus one bucket per coordinate pair)
+     and independent of the array extent whenever ownership is
+     periodic below it.
 
    Replicated and constant-aligned grid dimensions do not force a naive
    walk: they never carry an array dimension, so they only constrain
@@ -189,6 +192,16 @@ let compare_endpoints a b =
   let c = Int.compare a.m_from b.m_from in
   if c <> 0 then c else Int.compare a.m_to b.m_to
 
+let nranks plan = max plan.nprocs_src plan.nprocs_dst
+
+(* One step under construction: which ranks already send and receive in
+   it (one byte per rank), and its messages so far. *)
+type slot = {
+  busy_from : Bytes.t;
+  busy_to : Bytes.t;
+  mutable members : message list;
+}
+
 (* Greedy first-fit edge coloring, largest messages first so the heavy
    messages share steps (better packing, and the per-step max that the
    stepped time model charges is paid by fewer steps).  A pure
@@ -198,25 +211,37 @@ let steps (plan : plan) : step list =
   let by_size =
     List.stable_sort (fun a b -> Int.compare b.m_count a.m_count) plan.moves
   in
-  let slots = ref [] in  (* (senders, receivers, messages), in step order *)
+  let nr = Int.max 1 (nranks plan) in
+  (* there are never more steps than messages *)
+  let unused =
+    { busy_from = Bytes.empty; busy_to = Bytes.empty; members = [] }
+  in
+  let slots = Array.make (List.length by_size) unused and used = ref 0 in
   let place m =
-    let rec find = function
-      | [] ->
-        let slot = (Hashtbl.create 8, Hashtbl.create 8, ref []) in
-        slots := !slots @ [ slot ];
-        slot
-      | ((senders, receivers, _) as slot) :: rest ->
-        if Hashtbl.mem senders m.m_from || Hashtbl.mem receivers m.m_to then
-          find rest
-        else slot
+    let rec find i =
+      if i = !used then begin
+        let s =
+          { busy_from = Bytes.make nr '\000'; busy_to = Bytes.make nr '\000';
+            members = [] }
+        in
+        slots.(i) <- s;
+        incr used;
+        s
+      end
+      else
+        let s = slots.(i) in
+        if Bytes.get s.busy_from m.m_from <> '\000'
+           || Bytes.get s.busy_to m.m_to <> '\000'
+        then find (i + 1)
+        else s
     in
-    let senders, receivers, msgs = find !slots in
-    Hashtbl.replace senders m.m_from ();
-    Hashtbl.replace receivers m.m_to ();
-    msgs := m :: !msgs
+    let s = find 0 in
+    Bytes.set s.busy_from m.m_from '\001';
+    Bytes.set s.busy_to m.m_to '\001';
+    s.members <- m :: s.members
   in
   List.iter place by_size;
-  List.map (fun (_, _, msgs) -> List.sort compare_endpoints !msgs) !slots
+  List.init !used (fun i -> List.sort compare_endpoints slots.(i).members)
 
 (* The memoized step program of a plan (plans are immutable once built,
    and cached plans recur on every loop iteration, so the coloring is
@@ -270,7 +295,6 @@ let modeled_time_stepped cost plan =
    the point-to-point peak (and sits strictly below it on balanced
    fan-out plans, where the slice cap bites). *)
 
-let nranks plan = max plan.nprocs_src plan.nprocs_dst
 let cdiv a b = (a + b - 1) / b
 
 let phase_volume (ph : phase) =
@@ -383,32 +407,114 @@ let peak_collective_volume plan =
 
 (* --- per-dimension interval machinery -------------------------------------- *)
 
-(* Owned sets along array dimension [dim], indexed by the grid coordinate
-   of the driving grid dimension ([Local] dims contribute a single
-   pseudo-coordinate 0 owning the whole extent). *)
-let dim_sets (l : Layout.t) dim : Ivset.t array =
-  match l.Layout.roles.(dim) with
-  | Layout.Local -> [| Ivset.Finite [ (0, l.Layout.extents.(dim)) ] |]
-  | Layout.Dist pdim ->
-    Array.init l.Layout.procs.Procs.shape.(pdim) (fun c ->
-        Layout.owned_set l ~array_dim:dim ~coord:c)
+(* One array dimension of a layout as the sweep walks it: index x falls
+   in template cell [stride * x + offset], whose owning coordinate is
+   constant on the cell blocks [j*k, (j+1)*k) of the format.  A [Local]
+   dimension is a single pseudo-coordinate 0 owning everything. *)
+type axis =
+  | Whole
+  | Axis of { stride : int; offset : int; fmt : Layout.fmt; nprocs : int }
+
+let axis_of (l : Layout.t) d =
+  match l.Layout.roles.(d) with
+  | Layout.Local -> Whole
+  | Layout.Dist pdim -> (
+    match l.Layout.sources.(pdim) with
+    | Layout.From_axis { stride; offset; fmt; _ } ->
+      Axis { stride; offset; fmt; nprocs = l.Layout.procs.Procs.shape.(pdim) }
+    | Layout.From_const _ | Layout.Replicated -> assert false)
+
+let axis_coords = function Whole -> 1 | Axis a -> a.nprocs
+
+(* The period of dimension [d]'s owned sets when they are [Periodic],
+   else 0 (every coordinate's set has the same representation). *)
+let set_period (l : Layout.t) d =
+  match Layout.owned_set l ~array_dim:d ~coord:0 with
+  | Ivset.Periodic { period; _ } -> period
+  | Ivset.Finite _ -> 0
+
+let axis_coord ax x =
+  match ax with
+  | Whole -> 0
+  | Axis { stride; offset; fmt; nprocs } ->
+    Layout.owner_of_cell ~nprocs fmt ((stride * x) + offset)
+
+(* The first index of the run of indices whose cells share [x]'s cell
+   block (at least 0): the last point at or before [x] where the owning
+   coordinate may change. *)
+let axis_cut ax x =
+  match ax with
+  | Whole -> 0
+  | Axis { stride; offset; fmt = Layout.FBlock k | Layout.FCyclic k; _ } ->
+    let j = ((stride * x) + offset) / k in
+    if stride > 0 then
+      let num = (j * k) - offset in
+      if num <= 0 then 0 else (num + stride - 1) / stride
+    else
+      let num = offset - ((j + 1) * k) in
+      if num < 0 then 0 else (num / -stride) + 1
+
+(* table.(c1).(c2): the indices along dimension [d] owned by source
+   coordinate c1 and target coordinate c2, in the compressed periodic
+   representation.  One sweep over a window W replaces the pairwise
+   intersection of owned sets: W is the lcm of both sides' x-periods when
+   both are periodic below the extent (the table is then [Periodic] with
+   that period), else the whole extent ([Finite]).  Both sides' cut
+   streams are generated arithmetically and merged on the fly, walking
+   down from W so that consing builds every bucket in ascending order:
+   each piece between consecutive cuts has one (c1, c2) label and goes
+   to the front of that bucket, extending the bucket's first interval
+   when adjacent, so every entry is the sorted maximal interval list of
+   its set within [0, W). *)
+let dim_table ~(src : Layout.t) ~(dst : Layout.t) d : Ivset.t array array =
+  let n = src.Layout.extents.(d) in
+  let a1 = axis_of src d and a2 = axis_of dst d in
+  let p1 = set_period src d and p2 = set_period dst d in
+  let period =
+    if p1 > 0 && p2 > 0 then
+      let l = Hpfc_base.Util.lcm p1 p2 in
+      if l < n then l else 0
+    else 0
+  in
+  let w = if period > 0 then period else n in
+  let n1 = axis_coords a1 and n2 = axis_coords a2 in
+  let acc = Array.make (n1 * n2) [] in
+  (* [b1], [b2]: where each side's current run starts *)
+  let x = ref w and b1 = ref w and c1 = ref 0 and b2 = ref w and c2 = ref 0 in
+  while !x > 0 do
+    let hi = !x in
+    if !b1 >= hi then begin
+      c1 := axis_coord a1 (hi - 1);
+      b1 := axis_cut a1 (hi - 1)
+    end;
+    if !b2 >= hi then begin
+      c2 := axis_coord a2 (hi - 1);
+      b2 := axis_cut a2 (hi - 1)
+    end;
+    let lo = if !b1 > !b2 then !b1 else !b2 in
+    let i = (!c1 * n2) + !c2 in
+    acc.(i) <-
+      (match acc.(i) with
+      | (l, h) :: rest when l = hi -> (lo, h) :: rest
+      | l -> (lo, hi) :: l);
+    x := lo
+  done;
+  Array.init n1 (fun c1 ->
+      Array.init n2 (fun c2 ->
+          let pattern = acc.((c1 * n2) + c2) in
+          if period > 0 then Ivset.Periodic { period; pattern; extent = n }
+          else Ivset.Finite pattern))
 
 (* tables.(d).(c1).(c2): the owned-intersection set (and its cardinal)
    along dimension [d] between source coordinate c1 and target coordinate
-   c2.  Sets use the compressed periodic representation, so each
-   intersection costs O(combined period), not O(extent). *)
+   c2 ([dim_table]). *)
 type dim_tables = {
   t_boxes : Ivset.t array array array;
   t_counts : int array array array;
 }
 
 let dim_tables ~(src : Layout.t) ~(dst : Layout.t) =
-  let rank = Layout.rank src in
-  let t_boxes =
-    Array.init rank (fun d ->
-        let s1 = dim_sets src d and s2 = dim_sets dst d in
-        Array.map (fun a -> Array.map (fun b -> Ivset.inter a b) s2) s1)
-  in
+  let t_boxes = Array.init (Layout.rank src) (dim_table ~src ~dst) in
   { t_boxes; t_counts = Array.map (Array.map (Array.map Ivset.cardinal)) t_boxes }
 
 (* Coordinate of the grid dim driven by array dim [d] within the full
@@ -621,86 +727,182 @@ let side_addresser addressing ~rank_lin =
         | Some s -> Ivset.count_below s lo)
         * str.(d) )
 
+(* The box's intervals along dimension [d], flattened as (lo, len, src,
+   dst) quadruples, [src] and [dst] being each side's address offset of
+   [lo] along [d].  A periodic set costs one base lookup per pattern
+   interval; every later period adds both sides' constant per-period
+   deltas (the box's period is a multiple of both owned sets' periods,
+   and every box index is owned on both sides).  Intervals are thus cut
+   at period boundaries; the innermost dimension's offset-level merge
+   rejoins the pieces, which are contiguous in both address spaces. *)
+let dim_pieces (set : Ivset.t) ~sbase ~dbase d =
+  match set with
+  | Ivset.Finite ivs ->
+    let a = Array.make (4 * List.length ivs) 0 in
+    List.iteri
+      (fun i (lo, hi) ->
+        a.(4 * i) <- lo;
+        a.((4 * i) + 1) <- hi - lo;
+        a.((4 * i) + 2) <- sbase d lo;
+        a.((4 * i) + 3) <- dbase d lo)
+      ivs;
+    a
+  | Ivset.Periodic { period; pattern; extent } ->
+    let pat = Array.of_list pattern in
+    let sa = Array.map (fun (lo, _) -> sbase d lo) pat
+    and da = Array.map (fun (lo, _) -> dbase d lo) pat in
+    let sd = sbase d period and dd = dbase d period in
+    let n =
+      Array.fold_left (fun acc (lo, _) -> acc + cdiv (extent - lo) period) 0 pat
+    in
+    let a = Array.make (4 * n) 0 and k = ref 0 in
+    for j = 0 to cdiv extent period - 1 do
+      Array.iteri
+        (fun i (lo, hi) ->
+          let lo = (j * period) + lo in
+          if lo < extent then begin
+            a.(!k) <- lo;
+            a.(!k + 1) <- min ((j * period) + hi) extent - lo;
+            a.(!k + 2) <- sa.(i) + (j * sd);
+            a.(!k + 3) <- da.(i) + (j * dd);
+            k := !k + 4
+          end)
+        pat
+    done;
+    a
+
+let mk_run s t len count ss ds =
+  {
+    r_src = s;
+    r_dst = t;
+    r_len = len;
+    r_count = count;
+    r_src_stride = ss;
+    r_dst_stride = ds;
+  }
+
+(* Compress a buffer of [n] (src, dst, len) segments in walk order into
+   runs: exactly adjacent segments concatenate (in place), then
+   equal-length segments whose src and dst deltas are both constant
+   collapse into one strided run. *)
+let runs_of_segments buf n =
+  let w = ref 0 in
+  for r = 0 to n - 1 do
+    let s = buf.(3 * r) and t = buf.((3 * r) + 1) and len = buf.((3 * r) + 2) in
+    let p = 3 * (!w - 1) in
+    if !w > 0 && buf.(p) + buf.(p + 2) = s && buf.(p + 1) + buf.(p + 2) = t then
+      buf.(p + 2) <- buf.(p + 2) + len
+    else begin
+      buf.(3 * !w) <- s;
+      buf.((3 * !w) + 1) <- t;
+      buf.((3 * !w) + 2) <- len;
+      incr w
+    end
+  done;
+  let n = !w in
+  let seg i f = buf.((3 * i) + f) in
+  let runs = Array.make n (mk_run 0 0 0 0 0 0) and nr = ref 0 in
+  let flush r =
+    runs.(!nr) <- r;
+    incr nr
+  in
+  let i = ref 0 in
+  while !i < n do
+    let s = seg !i 0 and t = seg !i 1 and len = seg !i 2 in
+    if !i + 1 < n && seg (!i + 1) 2 = len && seg (!i + 1) 0 <> s then begin
+      let ss = seg (!i + 1) 0 - s and ds = seg (!i + 1) 1 - t in
+      let j = ref (!i + 2) in
+      while
+        !j < n
+        && seg !j 2 = len
+        && seg !j 0 = s + ((!j - !i) * ss)
+        && seg !j 1 = t + ((!j - !i) * ds)
+      do
+        incr j
+      done;
+      flush (mk_run s t len (!j - !i) ss ds);
+      i := !j
+    end
+    else begin
+      flush (mk_run s t len 1 0 0);
+      incr i
+    end
+  done;
+  Array.sub runs 0 !nr
+
+(* A one-dimensional box whose pattern is a single interval [lo, hi): its
+   segments are the full periods, all of one length at constant deltas,
+   plus at most one clipped tail — one strided run and a tail in O(1),
+   or a single run when the deltas make the segments adjacent. *)
+let single_interval_runs ~sbase ~dbase ~period ~lo ~hi ~extent =
+  let len = hi - lo in
+  let sa = sbase 0 lo and da = dbase 0 lo in
+  let sd = sbase 0 period and dd = dbase 0 period in
+  let full = if hi <= extent then ((extent - hi) / period) + 1 else 0 in
+  let tail = max 0 (extent - ((full * period) + lo)) in
+  if sd = len && dd = len then [| mk_run sa da ((full * len) + tail) 1 0 0 |]
+  else
+    let head =
+      if full >= 2 then [ mk_run sa da len full sd dd ]
+      else if full = 1 then [ mk_run sa da len 1 0 0 ]
+      else []
+    and last =
+      if tail > 0 then
+        [ mk_run (sa + (full * sd)) (da + (full * dd)) tail 1 0 0 ]
+      else []
+    in
+    Array.of_list (head @ last)
+
 (* Lower a message's box into runs over the two flat address spaces.
-   The box's per-dimension interval runs are walked in row-major order
-   (exactly [iter_box]'s packing order); each innermost interval yields
-   one contiguous (src, dst, len) segment.  Segments are then compressed
-   at the offset level, with no stride-constancy assumption on the
-   layouts: exactly adjacent segments concatenate, and equal-length
-   segments whose src and dst deltas are both constant collapse into one
-   strided run — a cyclic(k) innermost dimension becomes a single run of
-   k-element segments.  [saddr rank] and [daddr rank] give each side's
-   addresser for a rank, so a caller compiling a whole plan builds each
-   one once. *)
+   The box's per-dimension intervals ([dim_pieces]) are walked in
+   row-major order (exactly [iter_box]'s packing order); each innermost
+   interval yields one contiguous (src, dst, len) segment, written to an
+   int buffer sized up front.  The segments are then compressed at the
+   offset level ([runs_of_segments]), with no stride-constancy
+   assumption on the layouts — a cyclic(k) innermost dimension becomes a
+   single run of k-element segments.  [saddr rank] and [daddr rank] give
+   each side's addresser for a rank, so a caller compiling a whole plan
+   builds each one once. *)
 let compile_runs_with ~saddr ~daddr (m : message) : run array =
   let rank = Array.length m.m_box in
   if rank = 0 then [||]
   else begin
-    let ivs = Array.map Ivset.to_runs m.m_box in
     let sstr, sbase = saddr m.m_from and dstr, dbase = daddr m.m_to in
-    let segs = ref [] in
-    let inner = rank - 1 in
-    let rec walk d s0 d0 =
-      if d = inner then
-        List.iter
-          (fun (lo, len) -> segs := (s0 + sbase d lo, d0 + dbase d lo, len) :: !segs)
-          ivs.(d)
-      else
-        List.iter
-          (fun (lo, len) ->
-            let s1 = s0 + sbase d lo and d1 = d0 + dbase d lo in
-            for i = 0 to len - 1 do
-              walk (d + 1) (s1 + (i * sstr.(d))) (d1 + (i * dstr.(d)))
-            done)
-          ivs.(d)
+    let arr =
+      match m.m_box with
+      | [| Ivset.Periodic { period; pattern = [ (lo, hi) ]; extent } |] ->
+        single_interval_runs ~sbase ~dbase ~period ~lo ~hi ~extent
+      | box ->
+        let pieces =
+          Array.mapi (fun d set -> dim_pieces set ~sbase ~dbase d) box
+        in
+        let inner = rank - 1 in
+        let ninner = Array.length pieces.(inner) / 4 in
+        let nouter = ref 1 in
+        for d = 0 to inner - 1 do
+          nouter := !nouter * Ivset.cardinal box.(d)
+        done;
+        let buf = Array.make (3 * !nouter * ninner) 0 and k = ref 0 in
+        let rec walk d s0 d0 =
+          let p = pieces.(d) in
+          if d = inner then
+            for i = 0 to ninner - 1 do
+              buf.(!k) <- s0 + p.((4 * i) + 2);
+              buf.(!k + 1) <- d0 + p.((4 * i) + 3);
+              buf.(!k + 2) <- p.((4 * i) + 1);
+              k := !k + 3
+            done
+          else
+            for i = 0 to (Array.length p / 4) - 1 do
+              let s1 = s0 + p.((4 * i) + 2) and d1 = d0 + p.((4 * i) + 3) in
+              for x = 0 to p.((4 * i) + 1) - 1 do
+                walk (d + 1) (s1 + (x * sstr.(d))) (d1 + (x * dstr.(d)))
+              done
+            done
+        in
+        walk 0 0 0;
+        runs_of_segments buf (!nouter * ninner)
     in
-    walk 0 0 0;
-    let segs =
-      List.rev
-        (List.fold_left
-           (fun acc (s, t, len) ->
-             match acc with
-             | (ps, pt, plen) :: rest when ps + plen = s && pt + plen = t ->
-               (ps, pt, plen + len) :: rest
-             | _ -> (s, t, len) :: acc)
-           [] (List.rev !segs))
-    in
-    let runs = ref [] in
-    let flush s t len count ss ds =
-      runs :=
-        {
-          r_src = s;
-          r_dst = t;
-          r_len = len;
-          r_count = count;
-          r_src_stride = ss;
-          r_dst_stride = ds;
-        }
-        :: !runs
-    in
-    let rec group = function
-      | [] -> ()
-      | (s, t, len) :: rest -> (
-        match rest with
-        | (s2, t2, len2) :: tl when len2 = len && s2 <> s ->
-          let ss = s2 - s and ds = t2 - t in
-          let rec extend count = function
-            | (s', t', len') :: tl'
-              when len' = len
-                   && s' = s + (count * ss)
-                   && t' = t + (count * ds) ->
-              extend (count + 1) tl'
-            | tl' -> (count, tl')
-          in
-          let count, rest' = extend 2 tl in
-          flush s t len count ss ds;
-          group rest'
-        | _ ->
-          flush s t len 1 0 0;
-          group rest)
-    in
-    group segs;
-    let arr = Array.of_list (List.rev !runs) in
     assert (
       Array.fold_left (fun acc r -> acc + (r.r_len * r.r_count)) 0 arr
       = m.m_count);

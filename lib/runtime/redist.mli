@@ -8,9 +8,12 @@
     Two algorithms compute the same plan: {!plan_naive} walks every
     element (the oracle, cross-checking each pair's box against the
     walked count); {!plan_intervals} works per dimension on compressed
-    periodic ownership sets, so its cost is O(grid^2 * periods) and
-    independent of the array extent — the efficient block-cyclic
-    redistribution idea of Prylli & Tourancheau.  Replicated and
+    periodic ownership sets — the efficient block-cyclic redistribution
+    idea of Prylli & Tourancheau.  One sweep per dimension
+    ({!dim_table}) cuts a common window at both sides' ownership
+    boundaries, so a plan costs the pieces it outputs plus one bucket
+    per coordinate pair, independent of the array extent whenever
+    ownership is periodic below it.  Replicated and
     constant-aligned grid dimensions only constrain which coordinates
     participate (canonical sender, all-replica receivers), so both
     engines handle every layout. *)
@@ -210,6 +213,21 @@ val iter_indices : int array -> (int array -> unit) -> unit
     asserted against the walked counts. *)
 val plan_naive : src:Hpfc_mapping.Layout.t -> dst:Hpfc_mapping.Layout.t -> plan
 
+(** [dim_table ~src ~dst d] is the per-dimension table of the interval
+    engine: entry [(c1, c2)] holds the indices along array dimension [d]
+    owned by source coordinate [c1] and target coordinate [c2] of the
+    grid dimensions that [d] drives (a collapsed dimension has the one
+    pseudo-coordinate 0).  One sweep over a window W: the lcm of both
+    sides' x-periods when both are periodic below the extent, giving
+    [Periodic] entries of that period, else the extent, giving [Finite]
+    ones; patterns are sorted maximal intervals within [\[0, W)].
+    Exposed for tests. *)
+val dim_table :
+  src:Hpfc_mapping.Layout.t ->
+  dst:Hpfc_mapping.Layout.t ->
+  int ->
+  Hpfc_mapping.Ivset.t array array
+
 (** Periodic-interval engine; identical plans (qcheck-verified). *)
 val plan_intervals :
   src:Hpfc_mapping.Layout.t -> dst:Hpfc_mapping.Layout.t -> plan
@@ -223,13 +241,17 @@ val iter_box : box -> (int array -> unit) -> unit
     row-major box order (exactly {!iter_box}'s packing order).  Every
     innermost interval is contiguous in both spaces — all its indices are
     owned, so dense local addresses advance by one per element just like
-    global ones — and segments are then compressed at the offset level:
-    exactly adjacent segments concatenate, and equal-length segments with
-    constant src and dst deltas collapse into one strided run (a
-    cyclic(k) innermost dimension becomes a single run of k-element
-    segments).  The run total always equals [m_count].  Memoized on the
-    message per addressing-kind pair; {!precompile_runs} fills the memo
-    for a whole plan at once. *)
+    global ones.  A periodic dimension costs one address lookup per
+    pattern interval; each later period adds both sides' constant
+    per-period deltas.  The segments go to an int buffer and are
+    compressed there at the offset level: exactly adjacent segments
+    concatenate, and equal-length segments with constant src and dst
+    deltas collapse into one strided run (a cyclic(k) innermost
+    dimension becomes a single run of k-element segments; a
+    one-dimensional box with a one-interval pattern becomes one strided
+    run plus a clipped tail, in O(1)).  The run total always equals
+    [m_count].  Memoized on the message per addressing-kind pair;
+    {!precompile_runs} fills the memo for a whole plan at once. *)
 val message_runs : src:addressing -> dst:addressing -> message -> run array
 
 (** The message's compiled runs together with its staging-vs-direct
@@ -238,7 +260,8 @@ val message_runs : src:addressing -> dst:addressing -> message -> run array
 val message_datapath : src:addressing -> dst:addressing -> message -> datapath
 
 (** Compile a message's runs without touching the memo — what
-    {!message_runs} fills it with (exposed for tests). *)
+    {!message_runs} fills it with (exposed for tests).  Costs the
+    segments it compresses, never the box's extent. *)
 val compile_runs : src:addressing -> dst:addressing -> message -> run array
 
 (** Plan-level run compilation: fill the datapath memo of every message

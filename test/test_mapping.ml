@@ -318,10 +318,91 @@ let test_ivset_inter_periodic () =
   done;
   Alcotest.(check int) "periodic/periodic" !brute (Ivset.inter_cardinal a b)
 
+(* A 1-D layout whose array is aligned x -> stride*x + offset into a 1-D
+   template of extent [textent]. *)
+let aligned_layout ~n ~p ~textent ~stride ~offset fmt =
+  Layout.of_mapping ~extents:[| n |]
+    (Mapping.v
+       ~template:(Template.make "T" [| textent |])
+       ~align:[| Align.Axis { array_dim = 0; stride; offset } |]
+       ~dist:[| fmt |] ~procs:(Procs.linear "P" p))
+
+(* Sorted, disjoint, non-adjacent, non-empty intervals within [0, w). *)
+let maximal_within w ivs =
+  let rec ok prev = function
+    | [] -> true
+    | (lo, hi) :: rest -> lo > prev && lo < hi && hi <= w && ok hi rest
+  in
+  ok (-1) ivs
+
+(* Maximal intervals of a sorted list of distinct indices. *)
+let intervals_of_sorted xs =
+  List.rev
+    (List.fold_left
+       (fun acc x ->
+         match acc with
+         | (lo, hi) :: rest when hi = x -> (lo, x + 1) :: rest
+         | _ -> (x, x + 1) :: acc)
+       [] xs)
+
+(* The closed-form cyclic owned set against per-element [owner_of_cell],
+   exhaustively: extents <= 40, P <= 5, k <= 6, strides -3..3, and offsets
+   over one full cell period (every residue class the pattern depends
+   on).  Both the elements and the representation are checked: Periodic
+   exactly when the x-period is below the extent, with sorted maximal
+   intervals inside one period. *)
+let test_owned_set_closed_form () =
+  for n = 1 to 40 do
+    for p = 1 to 5 do
+      for k = 1 to 6 do
+        for stride = -3 to 3 do
+          if stride <> 0 then begin
+            let c = k * p in
+            let span = abs stride * (n - 1) in
+            let x_period = c / Hpfc_base.Util.gcd stride c in
+            for j = 0 to c - 1 do
+              let offset = if stride > 0 then j else span + j in
+              let l =
+                aligned_layout ~n ~p ~textent:(span + c) ~stride ~offset
+                  (Dist.cyclic_sized k)
+              in
+              for coord = 0 to p - 1 do
+                let set = Layout.owned_set l ~array_dim:0 ~coord in
+                let members =
+                  List.filter
+                    (fun x ->
+                      Layout.owner_of_cell ~nprocs:p (Layout.FCyclic k)
+                        ((stride * x) + offset)
+                      = coord)
+                    (List.init n Fun.id)
+                in
+                let shape_ok =
+                  match set with
+                  | Ivset.Periodic { period; pattern; extent } ->
+                    x_period < n && period = x_period && extent = n
+                    && maximal_within period pattern
+                  | Ivset.Finite ivs -> x_period >= n && maximal_within n ivs
+                in
+                if
+                  (not shape_ok)
+                  || Ivset.to_intervals set <> intervals_of_sorted members
+                then
+                  Alcotest.failf "n=%d p=%d cyclic(%d) %d*x%+d coord %d: %a" n
+                    p k stride offset coord Ivset.pp set
+              done
+            done
+          end
+        done
+      done
+    done
+  done
+
 let ivset_suite =
   [
     Alcotest.test_case "ivset cardinal/expand" `Quick test_ivset_cardinal;
     Alcotest.test_case "ivset periodic intersection" `Quick test_ivset_inter_periodic;
     Qcheck_env.to_alcotest prop_owned_set_matches_intervals;
     Qcheck_env.to_alcotest prop_inter_cardinal_matches_bruteforce;
+    Alcotest.test_case "cyclic owned_set closed form, exhaustive" `Quick
+      test_owned_set_closed_form;
   ]

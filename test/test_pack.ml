@@ -100,9 +100,16 @@ let prop_runs_exact =
     ~print:Test_redist_props.print_pair ~count:250 Test_redist_props.gen_pair
     (fun (src, dst) -> runs_exact ~src ~dst)
 
+let prop_runs_exact_aligned =
+  QCheck2.Test.make
+    ~name:"compiled runs = per-element walk under strided alignments"
+    ~print:Test_redist_props.print_pair ~count:250 Test_redist_props.gen_aligned
+    (fun (src, dst) -> runs_exact ~src ~dst)
+
 (* Deterministic corners the 1-D generators cannot reach: extent-1 and
    collapsed dimensions, multi-dimensional boxes, cyclic(1) against
-   block-cyclic, a transposed 2-D grid. *)
+   block-cyclic, a transposed 2-D grid, periodic boxes with a clipped
+   last period, a negative stride. *)
 let corner_pairs () =
   let grid_2d ~extents dists =
     Layout.of_mapping ~extents
@@ -143,12 +150,152 @@ let corner_pairs () =
     ( "replicated -> cyclic(1)",
       repl,
       layout_nd ~extents:[| 12 |] [| Dist.cyclic |] 4 );
+    (* lcm 60 < 100: periodic boxes with multi-interval patterns and a
+       clipped last period *)
+    ( "cyclic(3) -> cyclic(5), periodic box",
+      layout_nd ~extents:[| 100 |] [| Dist.cyclic_sized 3 |] 4,
+      layout_nd ~extents:[| 100 |] [| Dist.cyclic_sized 5 |] 4 );
+    (* lcm 252 >= 50: the boxes are Finite *)
+    ( "cyclic(7) -> cyclic(9), lcm past the extent",
+      layout_nd ~extents:[| 50 |] [| Dist.cyclic_sized 7 |] 4,
+      layout_nd ~extents:[| 50 |] [| Dist.cyclic_sized 9 |] 4 );
+    (* single-interval periodic patterns: one strided run plus a tail *)
+    ( "cyclic(4) -> cyclic(2), single-interval patterns",
+      layout_nd ~extents:[| 101 |] [| Dist.cyclic_sized 4 |] 4,
+      layout_nd ~extents:[| 101 |] [| Dist.cyclic_sized 2 |] 4 );
+    ( "stride -1 cyclic(2) -> cyclic(3)",
+      Test_mapping.aligned_layout ~n:30 ~p:4 ~textent:33 ~stride:(-1)
+        ~offset:31 (Dist.cyclic_sized 2),
+      layout_nd ~extents:[| 30 |] [| Dist.cyclic_sized 3 |] 4 );
+    (* innermost periods 4 and 6, lcm 12 < 40 *)
+    ( "2-D with a periodic innermost box",
+      grid_2d ~extents:[| 6; 40 |] [| Dist.block; Dist.cyclic_sized 2 |],
+      grid_2d ~extents:[| 6; 40 |] [| Dist.cyclic; Dist.cyclic_sized 3 |] );
   ]
 
 let test_runs_exact_corners () =
   List.iter
     (fun (name, src, dst) ->
       Alcotest.(check bool) name true (runs_exact ~src ~dst))
+    (corner_pairs ())
+
+(* --- (a'') the run arrays are the list compiler's -------------------- *)
+
+(* The list-of-tuple run compiler this library used before it compiled
+   into an int buffer, kept as an oracle the way [plan_naive] is kept:
+   the compiled run arrays must be structurally identical to its, not
+   merely equivalent. *)
+let reference_addresser addressing ~rank_lin =
+  match addressing with
+  | Redist.Row_major extents ->
+    let str = Redist.row_major_strides extents in
+    (str, fun d lo -> lo * str.(d))
+  | Redist.Owner_local (l : Layout.t) ->
+    let coords = Procs.delinearize l.Layout.procs rank_lin in
+    let str =
+      Redist.row_major_strides (Layout.local_extents l ~proc:coords)
+    in
+    let sets =
+      Array.mapi
+        (fun d role ->
+          match role with
+          | Layout.Local -> None
+          | Layout.Dist pdim ->
+            Some (Layout.owned_set l ~array_dim:d ~coord:coords.(pdim)))
+        l.Layout.roles
+    in
+    ( str,
+      fun d lo ->
+        (match sets.(d) with None -> lo | Some s -> Ivset.count_below s lo)
+        * str.(d) )
+
+let reference_runs ~src ~dst (m : Redist.message) =
+  let box = m.Redist.m_box in
+  let rank = Array.length box in
+  if rank = 0 then [||]
+  else begin
+    let ivs = Array.map Ivset.to_runs box in
+    let sstr, sbase = reference_addresser src ~rank_lin:m.Redist.m_from
+    and dstr, dbase = reference_addresser dst ~rank_lin:m.Redist.m_to in
+    let segs = ref [] in
+    let rec walk d s0 d0 =
+      if d = rank - 1 then
+        List.iter
+          (fun (lo, len) ->
+            segs := (s0 + sbase d lo, d0 + dbase d lo, len) :: !segs)
+          ivs.(d)
+      else
+        List.iter
+          (fun (lo, len) ->
+            let s1 = s0 + sbase d lo and d1 = d0 + dbase d lo in
+            for i = 0 to len - 1 do
+              walk (d + 1) (s1 + (i * sstr.(d))) (d1 + (i * dstr.(d)))
+            done)
+          ivs.(d)
+    in
+    walk 0 0 0;
+    let segs =
+      List.rev
+        (List.fold_left
+           (fun acc (s, t, len) ->
+             match acc with
+             | (ps, pt, plen) :: rest when ps + plen = s && pt + plen = t ->
+               (ps, pt, plen + len) :: rest
+             | _ -> (s, t, len) :: acc)
+           [] (List.rev !segs))
+    in
+    let run s t len count ss ds =
+      {
+        Redist.r_src = s;
+        r_dst = t;
+        r_len = len;
+        r_count = count;
+        r_src_stride = ss;
+        r_dst_stride = ds;
+      }
+    in
+    let rec group = function
+      | [] -> []
+      | (s, t, len) :: rest -> (
+        match rest with
+        | (s2, t2, len2) :: tl when len2 = len && s2 <> s ->
+          let ss = s2 - s and ds = t2 - t in
+          let rec extend count = function
+            | (s', t', len') :: tl'
+              when len' = len && s' = s + (count * ss) && t' = t + (count * ds)
+              ->
+              extend (count + 1) tl'
+            | tl' -> (count, tl')
+          in
+          let count, rest' = extend 2 tl in
+          run s t len count ss ds :: group rest'
+        | _ -> run s t len 1 0 0 :: group rest)
+    in
+    Array.of_list (group segs)
+  end
+
+let runs_match_reference ~src ~dst =
+  let plan = Redist.plan_intervals ~src ~dst in
+  List.for_all
+    (fun (sa, da) ->
+      List.for_all
+        (fun (m : Redist.message) ->
+          Redist.compile_runs ~src:sa ~dst:da m
+          = reference_runs ~src:sa ~dst:da m)
+        (plan.Redist.locals @ plan.Redist.moves))
+    (addressing_combos ~src ~dst)
+
+let prop_runs_match_reference =
+  QCheck2.Test.make ~name:"compiled run arrays = reference list compiler"
+    ~print:Test_redist_props.print_pair ~count:250
+    QCheck2.Gen.(
+      oneof [ Test_redist_props.gen_pair; Test_redist_props.gen_aligned ])
+    (fun (src, dst) -> runs_match_reference ~src ~dst)
+
+let test_runs_reference_corners () =
+  List.iter
+    (fun (name, src, dst) ->
+      Alcotest.(check bool) name true (runs_match_reference ~src ~dst))
     (corner_pairs ())
 
 (* --- (a') plan-level precompile = per-message compilation -------------------- *)
@@ -699,4 +846,8 @@ let suite =
     Qcheck_env.to_alcotest prop_precompile_matches;
     Alcotest.test_case "precompile corners" `Quick test_precompile_corners;
     Alcotest.test_case "Ivset.to_runs" `Quick test_ivset_to_runs;
+    Qcheck_env.to_alcotest prop_runs_exact_aligned;
+    Qcheck_env.to_alcotest prop_runs_match_reference;
+    Alcotest.test_case "run arrays = reference on corners" `Quick
+      test_runs_reference_corners;
   ]

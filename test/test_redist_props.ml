@@ -66,6 +66,30 @@ let gen_pair =
     let* n = int_range 1 40 in
     pair (gen_side ~n) (gen_side ~n))
 
+(* A 1-D side aligned x -> stride*x + offset with a template larger than
+   the array: stride in +-{1, 2, 3}, any valid offset within up to 12
+   cells of slack, block or cyclic(k) on 1..5 processors.  [gen_pair]
+   only makes the identity alignment. *)
+let gen_aligned_side ~n =
+  QCheck2.Gen.(
+    let* p = int_range 1 5 in
+    let* stride = oneofl [ 1; 2; 3; -1; -2; -3 ] in
+    let* slack = int_range 0 12 in
+    let* j = int_range 0 slack in
+    let* fmt =
+      oneof [ return Dist.block; map Dist.cyclic_sized (int_range 1 4) ]
+    in
+    let span = abs stride * (n - 1) in
+    let offset = if stride > 0 then j else span + j in
+    return
+      (Test_mapping.aligned_layout ~n ~p ~textent:(span + 1 + slack) ~stride
+         ~offset fmt))
+
+let gen_aligned =
+  QCheck2.Gen.(
+    let* n = int_range 1 40 in
+    pair (gen_aligned_side ~n) (gen_aligned_side ~n))
+
 let print_pair (src, dst) =
   Fmt.str "src=%a dst=%a" Layout.pp src Layout.pp dst
 
@@ -80,6 +104,120 @@ let prop_engines_agree_mixed =
       Redist.total_moved naive = Redist.total_moved fast
       && Redist.pairs naive = Redist.pairs fast
       && Redist.local_pairs naive = Redist.local_pairs fast)
+
+let prop_engines_agree_aligned =
+  QCheck2.Test.make
+    ~name:"plan_intervals = plan_naive under strided and offset alignments"
+    ~print:print_pair ~count:300 gen_aligned (fun (src, dst) ->
+      Redist.equal (Redist.plan_naive ~src ~dst)
+        (Redist.plan_intervals ~src ~dst))
+
+(* --- the sweep table ------------------------------------------------- *)
+
+(* The coordinate owning index [x] along array dimension [d] (0 for a
+   collapsed dimension), and the x-period of the dimension's cyclic
+   ownership. *)
+let coord_along (l : Layout.t) d x =
+  match l.Layout.roles.(d) with
+  | Layout.Local -> 0
+  | Layout.Dist pdim -> (
+    match l.Layout.sources.(pdim) with
+    | Layout.From_axis { stride; offset; fmt; _ } ->
+      Layout.owner_of_cell ~nprocs:l.Layout.procs.Procs.shape.(pdim) fmt
+        ((stride * x) + offset)
+    | Layout.From_const _ | Layout.Replicated -> assert false)
+
+let x_period (l : Layout.t) d =
+  match l.Layout.roles.(d) with
+  | Layout.Local -> None
+  | Layout.Dist pdim -> (
+    match l.Layout.sources.(pdim) with
+    | Layout.From_axis { stride; fmt = Layout.FCyclic k; _ } ->
+      let cells = k * l.Layout.procs.Procs.shape.(pdim) in
+      Some (cells / Hpfc_base.Util.gcd stride cells)
+    | Layout.From_axis _ | Layout.From_const _ | Layout.Replicated -> None)
+
+(* Every entry of [Redist.dim_table] is {x | src owner c1, dst owner c2}
+   along [d], represented as the pairwise intersection of owned sets
+   would: [Periodic] with the lcm of both x-periods when both sides are
+   periodic below the extent and so is the lcm, else [Finite]; sorted
+   maximal intervals within one window. *)
+let table_ok ~(src : Layout.t) ~(dst : Layout.t) d =
+  let n = src.Layout.extents.(d) in
+  let table = Redist.dim_table ~src ~dst d in
+  let ncoords (l : Layout.t) =
+    match l.Layout.roles.(d) with
+    | Layout.Local -> 1
+    | Layout.Dist pdim -> l.Layout.procs.Procs.shape.(pdim)
+  in
+  let window =
+    match (x_period src d, x_period dst d) with
+    | Some p1, Some p2
+      when p1 < n && p2 < n && Hpfc_base.Util.lcm p1 p2 < n ->
+      Some (Hpfc_base.Util.lcm p1 p2)
+    | _ -> None
+  in
+  Array.length table = ncoords src
+  && Array.for_all (fun row -> Array.length row = ncoords dst) table
+  && List.for_all
+       (fun c1 ->
+         List.for_all
+           (fun c2 ->
+             let set = table.(c1).(c2) in
+             let members =
+               List.filter
+                 (fun x -> coord_along src d x = c1 && coord_along dst d x = c2)
+                 (List.init n Fun.id)
+             in
+             Ivset.to_intervals set = Test_mapping.intervals_of_sorted members
+             &&
+             match (set, window) with
+             | Ivset.Periodic { period; pattern; extent }, Some w ->
+               period = w && extent = n
+               && Test_mapping.maximal_within w pattern
+             | Ivset.Finite ivs, None -> Test_mapping.maximal_within n ivs
+             | (Ivset.Periodic _ | Ivset.Finite _), _ -> false)
+           (List.init (ncoords dst) Fun.id))
+       (List.init (ncoords src) Fun.id)
+
+let prop_sweep_table =
+  QCheck2.Test.make ~name:"sweep table entry = {x | src owner c1, dst owner c2}"
+    ~print:print_pair ~count:300
+    QCheck2.Gen.(oneof [ gen_pair; gen_aligned ])
+    (fun (src, dst) -> table_ok ~src ~dst 0)
+
+(* Exhaustively on small grids: extents <= 12, 1..3 processors a side,
+   block and cyclic(1..3), strides 1, -1 and 2, two offsets each. *)
+let test_sweep_table_small () =
+  for n = 1 to 12 do
+    let sides =
+      List.concat_map
+        (fun p ->
+          List.concat_map
+            (fun fmt ->
+              List.concat_map
+                (fun stride ->
+                  let span = abs stride * (n - 1) in
+                  List.map
+                    (fun j ->
+                      Test_mapping.aligned_layout ~n ~p ~textent:(span + 2)
+                        ~stride
+                        ~offset:(if stride > 0 then j else span + j)
+                        fmt)
+                    [ 0; 1 ])
+                [ 1; -1; 2 ])
+            Dist.[ block; cyclic; cyclic_sized 2; cyclic_sized 3 ])
+        [ 1; 2; 3 ]
+    in
+    List.iter
+      (fun src ->
+        List.iter
+          (fun dst ->
+            if not (table_ok ~src ~dst 0) then
+              Alcotest.failf "%s" (print_pair (src, dst)))
+          sides)
+      sides
+  done
 
 (* Every message's box multiplies out to its element count, and its
    per-dimension sets materialize to that many index vectors. *)
@@ -99,6 +237,54 @@ let prop_boxes_match_counts =
 
 let triples ms =
   List.map (fun (m : Redist.message) -> (m.Redist.m_from, m.Redist.m_to, m.Redist.m_count)) ms
+
+(* The first-fit coloring as it was first written, with one hash table
+   of busy senders and one of busy receivers per step, kept as the oracle
+   for the array-based [Redist.steps] the way [plan_naive] is kept. *)
+let steps_reference (plan : Redist.plan) =
+  let by_size =
+    List.stable_sort
+      (fun (a : Redist.message) (b : Redist.message) ->
+        Int.compare b.Redist.m_count a.Redist.m_count)
+      plan.Redist.moves
+  in
+  let slots = ref [] in
+  let place (m : Redist.message) =
+    let rec find = function
+      | [] ->
+        let slot = (Hashtbl.create 8, Hashtbl.create 8, ref []) in
+        slots := !slots @ [ slot ];
+        slot
+      | ((senders, receivers, _) as slot) :: rest ->
+        if Hashtbl.mem senders m.Redist.m_from
+           || Hashtbl.mem receivers m.Redist.m_to
+        then find rest
+        else slot
+    in
+    let senders, receivers, msgs = find !slots in
+    Hashtbl.replace senders m.Redist.m_from ();
+    Hashtbl.replace receivers m.Redist.m_to ();
+    msgs := m :: !msgs
+  in
+  List.iter place by_size;
+  List.map
+    (fun (_, _, msgs) ->
+      List.sort
+        (fun (a : Redist.message) (b : Redist.message) ->
+          compare
+            (a.Redist.m_from, a.Redist.m_to)
+            (b.Redist.m_from, b.Redist.m_to))
+        !msgs)
+    !slots
+
+let prop_steps_match_reference =
+  QCheck2.Test.make ~name:"steps = reference hash-table first-fit coloring"
+    ~print:print_pair ~count:300
+    QCheck2.Gen.(oneof [ gen_pair; gen_aligned ])
+    (fun (src, dst) ->
+      let plan = Redist.plan_intervals ~src ~dst in
+      List.map triples (Redist.steps plan)
+      = List.map triples (steps_reference plan))
 
 (* The steps partition the plan's moves exactly: same multiset of
    messages. *)
@@ -196,4 +382,9 @@ let suite =
     Qcheck_env.to_alcotest prop_stepped_dominates_burst;
     Qcheck_env.to_alcotest prop_steps_bounded;
     Qcheck_env.to_alcotest prop_cache_memoizes;
+    Qcheck_env.to_alcotest prop_engines_agree_aligned;
+    Qcheck_env.to_alcotest prop_sweep_table;
+    Alcotest.test_case "sweep table, exhaustive on small grids" `Quick
+      test_sweep_table_small;
+    Qcheck_env.to_alcotest prop_steps_match_reference;
   ]
