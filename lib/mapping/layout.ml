@@ -193,27 +193,35 @@ let inv_mod a m =
   in
   Util.emod (go m (Util.emod a m) 0 1) m
 
-(* Maximal intervals of a sorted array of distinct indices. *)
-let intervals_of_points xs =
-  let n = Array.length xs in
-  let rec loop i acc =
-    if i >= n then List.rev acc
-    else
-      let j = ref (i + 1) in
-      while !j < n && xs.(!j) = xs.(!j - 1) + 1 do incr j done;
-      loop !j ((xs.(i), xs.(!j - 1) + 1) :: acc)
-  in
-  loop 0 []
+(* Cyclic(k) ownership over [nprocs] repeats every k*nprocs template
+   cells, so its preimage through the alignment x -> stride*x + offset
+   repeats every (k*nprocs) / gcd(|stride|, k*nprocs) indices. *)
+let cyclic_x_period ~stride ~k ~nprocs =
+  let cells = k * nprocs in
+  cells / Util.gcd stride cells
+
+(* The period of the owned sets along [array_dim] when they are
+   [Periodic]: cyclic ownership whose x-period is below the extent.
+   Every coordinate's set shares it. *)
+let x_period t ~array_dim =
+  match t.roles.(array_dim) with
+  | Local -> None
+  | Dist pdim -> (
+    match t.sources.(pdim) with
+    | From_axis { stride; fmt = FCyclic k; _ } ->
+      let p = cyclic_x_period ~stride ~k ~nprocs:t.procs.shape.(pdim) in
+      if p < t.extents.(array_dim) then Some p else None
+    | From_axis { fmt = FBlock _; _ } | From_const _ | Replicated -> None)
 
 (* Owned indices along [array_dim] for [coord], in the compressed periodic
-   representation: cyclic ownership has period k*p in the template, and its
-   preimage through the alignment x -> stride*x + offset is periodic in x
-   with period (k*p) / gcd(|stride|, k*p).  This is what makes the
-   redistribution engine independent of the array extent.  The pattern is
-   computed in closed form, never by scanning an x-period: under a unit
-   stride the k owned cells pull back to one arc of the x-circle (at most
-   two intervals), and under any other stride each owned cell has at most
-   one preimage per x-period, so the cost is O(k), not O(k*p). *)
+   representation: cyclic ownership is periodic in x ([cyclic_x_period]),
+   and [Periodic] when that period is below the extent ([x_period]).
+   This is what makes the redistribution engine independent of the array
+   extent.  The pattern is computed in closed form, never by scanning an
+   x-period: under a unit stride the k owned cells pull back to one arc
+   of the x-circle (at most two intervals), and under any other stride
+   each owned cell has at most one preimage per x-period, so the cost is
+   k preimages, not k*p cells. *)
 let owned_set t ~array_dim ~coord : Ivset.t =
   let extent = t.extents.(array_dim) in
   match t.roles.(array_dim) with
@@ -233,9 +241,8 @@ let owned_set t ~array_dim ~coord : Ivset.t =
                (preimage_interval ~stride ~offset ~extent (lo, hi)))
       | FCyclic k ->
         let cell_period = k * nprocs in
-        let g = Util.gcd stride cell_period in
-        let x_period = cell_period / g in
-        let window = min x_period extent in
+        let xp = cyclic_x_period ~stride ~k ~nprocs in
+        let window = min xp extent in
         let pattern =
           if abs stride = 1 then begin
             (* x owned iff x is in the arc [a, a + k) of Z / (k*p) *)
@@ -251,23 +258,24 @@ let owned_set t ~array_dim ~coord : Ivset.t =
             else [ (0, min wrap window) ]
           end
           else begin
-            (* stride*x + offset = r (mod k*p) is solvable iff g divides
-               r - offset, with x = (r - offset)/g * inv (mod x_period) *)
-            let inv = inv_mod (stride / g) x_period in
+            (* stride*x + offset = r (mod k*p) is solvable iff
+               g = gcd(|stride|, k*p) divides r - offset, with
+               x = (r - offset)/g * inv (mod xp) *)
+            let g = cell_period / xp in
+            let inv = inv_mod (stride / g) xp in
             let xs = ref [] in
             for r = coord * k to (coord * k) + k - 1 do
               if (r - offset) mod g = 0 then begin
-                let x = Util.emod ((r - offset) / g * inv) x_period in
-                if x < window then xs := x :: !xs
+                let x = Util.emod ((r - offset) / g * inv) xp in
+                if x < window then xs := (x, x + 1) :: !xs
               end
             done;
-            let xs = Array.of_list !xs in
-            Array.sort Int.compare xs;
-            intervals_of_points xs
+            Ivset.merge_adjacent (List.sort compare !xs)
           end
         in
-        if x_period >= extent then Ivset.Finite pattern
-        else Ivset.Periodic { period = x_period; pattern; extent })
+        match x_period t ~array_dim with
+        | Some period -> Ivset.Periodic { period; pattern; extent }
+        | None -> Ivset.Finite pattern)
     | From_const _ | Replicated -> assert false)
 
 (* Number of owned indices strictly below [x] along [array_dim] for the

@@ -66,6 +66,11 @@ val owned_intervals : t -> array_dim:int -> coord:int -> (int * int) list
     independent of the extent. *)
 val owned_set : t -> array_dim:int -> coord:int -> Ivset.t
 
+(** [Some p] when the owned sets along [array_dim] are [Periodic] with
+    period [p] (cyclic ownership whose x-period is below the extent),
+    else [None]. *)
+val x_period : t -> array_dim:int -> int option
+
 (** Dense local index along one dimension (count of owned indices below). *)
 val local_index_along : t -> array_dim:int -> int -> int
 

@@ -426,13 +426,6 @@ let axis_of (l : Layout.t) d =
 
 let axis_coords = function Whole -> 1 | Axis a -> a.nprocs
 
-(* The period of dimension [d]'s owned sets when they are [Periodic],
-   else 0 (every coordinate's set has the same representation). *)
-let set_period (l : Layout.t) d =
-  match Layout.owned_set l ~array_dim:d ~coord:0 with
-  | Ivset.Periodic { period; _ } -> period
-  | Ivset.Finite _ -> 0
-
 let axis_coord ax x =
   match ax with
   | Whole -> 0
@@ -469,12 +462,13 @@ let axis_cut ax x =
 let dim_table ~(src : Layout.t) ~(dst : Layout.t) d : Ivset.t array array =
   let n = src.Layout.extents.(d) in
   let a1 = axis_of src d and a2 = axis_of dst d in
-  let p1 = set_period src d and p2 = set_period dst d in
+  let x_period l = Layout.x_period l ~array_dim:d in
   let period =
-    if p1 > 0 && p2 > 0 then
+    match (x_period src, x_period dst) with
+    | Some p1, Some p2 ->
       let l = Hpfc_base.Util.lcm p1 p2 in
       if l < n then l else 0
-    else 0
+    | _ -> 0
   in
   let w = if period > 0 then period else n in
   let n1 = axis_coords a1 and n2 = axis_coords a2 in
@@ -727,47 +721,54 @@ let side_addresser addressing ~rank_lin =
         | Some s -> Ivset.count_below s lo)
         * str.(d) )
 
-(* The box's intervals along dimension [d], flattened as (lo, len, src,
-   dst) quadruples, [src] and [dst] being each side's address offset of
-   [lo] along [d].  A periodic set costs one base lookup per pattern
-   interval; every later period adds both sides' constant per-period
-   deltas (the box's period is a multiple of both owned sets' periods,
-   and every box index is owned on both sides).  Intervals are thus cut
-   at period boundaries; the innermost dimension's offset-level merge
-   rejoins the pieces, which are contiguous in both address spaces. *)
+(* The box's intervals along dimension [d], flattened as (src, dst, len)
+   triples — the segment layout of [runs_of_segments] — [src] and [dst]
+   being each side's address offset of the interval's first index along
+   [d].  A periodic set costs one base lookup per pattern interval;
+   every later period adds both sides' constant per-period deltas (the
+   box's period is a multiple of both owned sets' periods, and every box
+   index is owned on both sides).  Intervals are thus cut at period
+   boundaries; the innermost dimension's offset-level merge rejoins the
+   pieces, which are contiguous in both address spaces. *)
 let dim_pieces (set : Ivset.t) ~sbase ~dbase d =
   match set with
   | Ivset.Finite ivs ->
-    let a = Array.make (4 * List.length ivs) 0 in
+    let a = Array.make (3 * List.length ivs) 0 in
     List.iteri
       (fun i (lo, hi) ->
-        a.(4 * i) <- lo;
-        a.((4 * i) + 1) <- hi - lo;
-        a.((4 * i) + 2) <- sbase d lo;
-        a.((4 * i) + 3) <- dbase d lo)
+        a.(3 * i) <- sbase d lo;
+        a.((3 * i) + 1) <- dbase d lo;
+        a.((3 * i) + 2) <- hi - lo)
       ivs;
     a
   | Ivset.Periodic { period; pattern; extent } ->
-    let pat = Array.of_list pattern in
-    let sa = Array.map (fun (lo, _) -> sbase d lo) pat
-    and da = Array.map (fun (lo, _) -> dbase d lo) pat in
     let sd = sbase d period and dd = dbase d period in
     let n =
-      Array.fold_left (fun acc (lo, _) -> acc + cdiv (extent - lo) period) 0 pat
+      List.fold_left
+        (fun acc (lo, _) -> acc + cdiv (extent - lo) period)
+        0 pattern
     in
-    let a = Array.make (4 * n) 0 and k = ref 0 in
+    let a = Array.make (3 * n) 0 and k = ref 0 in
     for j = 0 to cdiv extent period - 1 do
-      Array.iteri
+      List.iteri
         (fun i (lo, hi) ->
           let lo = (j * period) + lo in
           if lo < extent then begin
-            a.(!k) <- lo;
-            a.(!k + 1) <- min ((j * period) + hi) extent - lo;
-            a.(!k + 2) <- sa.(i) + (j * sd);
-            a.(!k + 3) <- da.(i) + (j * dd);
-            k := !k + 4
+            (* a later period exists only below the extent, so the
+               first period is whole: interval i's first piece is
+               triple i *)
+            if j = 0 then begin
+              a.(!k) <- sbase d lo;
+              a.(!k + 1) <- dbase d lo
+            end
+            else begin
+              a.(!k) <- a.(3 * i) + (j * sd);
+              a.(!k + 1) <- a.((3 * i) + 1) + (j * dd)
+            end;
+            a.(!k + 2) <- min ((j * period) + hi) extent - lo;
+            k := !k + 3
           end)
-        pat
+        pattern
     done;
     a
 
@@ -830,34 +831,12 @@ let runs_of_segments buf n =
   done;
   Array.sub runs 0 !nr
 
-(* A one-dimensional box whose pattern is a single interval [lo, hi): its
-   segments are the full periods, all of one length at constant deltas,
-   plus at most one clipped tail — one strided run and a tail in O(1),
-   or a single run when the deltas make the segments adjacent. *)
-let single_interval_runs ~sbase ~dbase ~period ~lo ~hi ~extent =
-  let len = hi - lo in
-  let sa = sbase 0 lo and da = dbase 0 lo in
-  let sd = sbase 0 period and dd = dbase 0 period in
-  let full = if hi <= extent then ((extent - hi) / period) + 1 else 0 in
-  let tail = max 0 (extent - ((full * period) + lo)) in
-  if sd = len && dd = len then [| mk_run sa da ((full * len) + tail) 1 0 0 |]
-  else
-    let head =
-      if full >= 2 then [ mk_run sa da len full sd dd ]
-      else if full = 1 then [ mk_run sa da len 1 0 0 ]
-      else []
-    and last =
-      if tail > 0 then
-        [ mk_run (sa + (full * sd)) (da + (full * dd)) tail 1 0 0 ]
-      else []
-    in
-    Array.of_list (head @ last)
-
 (* Lower a message's box into runs over the two flat address spaces.
    The box's per-dimension intervals ([dim_pieces]) are walked in
    row-major order (exactly [iter_box]'s packing order); each innermost
    interval yields one contiguous (src, dst, len) segment, written to an
-   int buffer sized up front.  The segments are then compressed at the
+   int buffer sized up front (a one-dimensional box's pieces are that
+   buffer already).  The segments are then compressed at the
    offset level ([runs_of_segments]), with no stride-constancy
    assumption on the layouts — a cyclic(k) innermost dimension becomes a
    single run of k-element segments.  [saddr rank] and [daddr rank] give
@@ -868,16 +847,15 @@ let compile_runs_with ~saddr ~daddr (m : message) : run array =
   if rank = 0 then [||]
   else begin
     let sstr, sbase = saddr m.m_from and dstr, dbase = daddr m.m_to in
+    let box = m.m_box in
+    let pieces = Array.mapi (fun d set -> dim_pieces set ~sbase ~dbase d) box in
+    let inner = rank - 1 in
+    let ninner = Array.length pieces.(inner) / 3 in
     let arr =
-      match m.m_box with
-      | [| Ivset.Periodic { period; pattern = [ (lo, hi) ]; extent } |] ->
-        single_interval_runs ~sbase ~dbase ~period ~lo ~hi ~extent
-      | box ->
-        let pieces =
-          Array.mapi (fun d set -> dim_pieces set ~sbase ~dbase d) box
-        in
-        let inner = rank - 1 in
-        let ninner = Array.length pieces.(inner) / 4 in
+      if inner = 0 then
+        (* a one-dimensional box's pieces are its segments *)
+        runs_of_segments pieces.(0) ninner
+      else begin
         let nouter = ref 1 in
         for d = 0 to inner - 1 do
           nouter := !nouter * Ivset.cardinal box.(d)
@@ -887,21 +865,22 @@ let compile_runs_with ~saddr ~daddr (m : message) : run array =
           let p = pieces.(d) in
           if d = inner then
             for i = 0 to ninner - 1 do
-              buf.(!k) <- s0 + p.((4 * i) + 2);
-              buf.(!k + 1) <- d0 + p.((4 * i) + 3);
-              buf.(!k + 2) <- p.((4 * i) + 1);
+              buf.(!k) <- s0 + p.(3 * i);
+              buf.(!k + 1) <- d0 + p.((3 * i) + 1);
+              buf.(!k + 2) <- p.((3 * i) + 2);
               k := !k + 3
             done
           else
-            for i = 0 to (Array.length p / 4) - 1 do
-              let s1 = s0 + p.((4 * i) + 2) and d1 = d0 + p.((4 * i) + 3) in
-              for x = 0 to p.((4 * i) + 1) - 1 do
+            for i = 0 to (Array.length p / 3) - 1 do
+              let s1 = s0 + p.(3 * i) and d1 = d0 + p.((3 * i) + 1) in
+              for x = 0 to p.((3 * i) + 2) - 1 do
                 walk (d + 1) (s1 + (x * sstr.(d))) (d1 + (x * dstr.(d)))
               done
             done
         in
         walk 0 0 0;
         runs_of_segments buf (!nouter * ninner)
+      end
     in
     assert (
       Array.fold_left (fun acc r -> acc + (r.r_len * r.r_count)) 0 arr

@@ -247,11 +247,10 @@ val iter_box : box -> (int array -> unit) -> unit
     compressed there at the offset level: exactly adjacent segments
     concatenate, and equal-length segments with constant src and dst
     deltas collapse into one strided run (a cyclic(k) innermost
-    dimension becomes a single run of k-element segments; a
-    one-dimensional box with a one-interval pattern becomes one strided
-    run plus a clipped tail, in O(1)).  The run total always equals
-    [m_count].  Memoized on the message per addressing-kind pair;
-    {!precompile_runs} fills the memo for a whole plan at once. *)
+    dimension becomes a single run of k-element segments).  The run
+    total always equals [m_count].  Memoized on the message per
+    addressing-kind pair; {!precompile_runs} fills the memo for a whole
+    plan at once. *)
 val message_runs : src:addressing -> dst:addressing -> message -> run array
 
 (** The message's compiled runs together with its staging-vs-direct

@@ -337,13 +337,7 @@ let maximal_within w ivs =
 
 (* Maximal intervals of a sorted list of distinct indices. *)
 let intervals_of_sorted xs =
-  List.rev
-    (List.fold_left
-       (fun acc x ->
-         match acc with
-         | (lo, hi) :: rest when hi = x -> (lo, x + 1) :: rest
-         | _ -> (x, x + 1) :: acc)
-       [] xs)
+  Ivset.merge_adjacent (List.map (fun x -> (x, x + 1)) xs)
 
 (* The closed-form cyclic owned set against per-element [owner_of_cell],
    exhaustively: extents <= 40, P <= 5, k <= 6, strides -3..3, and offsets
@@ -377,6 +371,9 @@ let test_owned_set_closed_form () =
                     (List.init n Fun.id)
                 in
                 let shape_ok =
+                  Layout.x_period l ~array_dim:0
+                  = (if x_period < n then Some x_period else None)
+                  &&
                   match set with
                   | Ivset.Periodic { period; pattern; extent } ->
                     x_period < n && period = x_period && extent = n

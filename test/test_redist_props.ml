@@ -127,16 +127,6 @@ let coord_along (l : Layout.t) d x =
         ((stride * x) + offset)
     | Layout.From_const _ | Layout.Replicated -> assert false)
 
-let x_period (l : Layout.t) d =
-  match l.Layout.roles.(d) with
-  | Layout.Local -> None
-  | Layout.Dist pdim -> (
-    match l.Layout.sources.(pdim) with
-    | Layout.From_axis { stride; fmt = Layout.FCyclic k; _ } ->
-      let cells = k * l.Layout.procs.Procs.shape.(pdim) in
-      Some (cells / Hpfc_base.Util.gcd stride cells)
-    | Layout.From_axis _ | Layout.From_const _ | Layout.Replicated -> None)
-
 (* Every entry of [Redist.dim_table] is {x | src owner c1, dst owner c2}
    along [d], represented as the pairwise intersection of owned sets
    would: [Periodic] with the lcm of both x-periods when both sides are
@@ -151,9 +141,10 @@ let table_ok ~(src : Layout.t) ~(dst : Layout.t) d =
     | Layout.Dist pdim -> l.Layout.procs.Procs.shape.(pdim)
   in
   let window =
-    match (x_period src d, x_period dst d) with
-    | Some p1, Some p2
-      when p1 < n && p2 < n && Hpfc_base.Util.lcm p1 p2 < n ->
+    match
+      (Layout.x_period src ~array_dim:d, Layout.x_period dst ~array_dim:d)
+    with
+    | Some p1, Some p2 when Hpfc_base.Util.lcm p1 p2 < n ->
       Some (Hpfc_base.Util.lcm p1 p2)
     | _ -> None
   in
