@@ -121,8 +121,7 @@ let owners t index =
   expand 0 [ [] ]
 
 let is_owner t ~proc index =
-  Array.for_all (fun _ -> true) proc
-  && Array.length proc = Procs.rank t.procs
+  Array.length proc = Procs.rank t.procs
   &&
   let base = owner t index in
   let ok = ref true in
@@ -335,8 +334,188 @@ let local_linear_index t index =
    the communication executor. *)
 let global_linear_index extents index =
   let acc = ref 0 in
-  Array.iteri (fun d x -> acc := (!acc * extents.(d)) + x) index;
+  for d = 0 to Array.length index - 1 do
+    acc := (!acc * extents.(d)) + index.(d)
+  done;
   !acc
+
+(* --- compiled element addressing ----------------------------------------- *)
+
+(* The element-to-storage map of one layout, compiled once (per copy) so
+   that every element access is O(rank) integer arithmetic and table
+   lookups with no allocation: the statically generated local addressing
+   of the SPMD code.  [owner], [owners] and [local_linear_index] above
+   stay the reference specification it is tested against. *)
+module Addr = struct
+  type layout = t
+
+  (* One array dimension.  [rstride] is the linear-rank stride of the
+     grid dimension it drives, [counts] each coordinate's local extent.
+
+     - [Ax_local]: collapsed; the local index is x itself.
+     - [Ax_block]: the coordinate is (stride*x + offset)/k; a block of
+       cells pulls back to an interval of x, so the local index is x
+       minus the coordinate's first owned index [first].
+     - [Ax_cyclic]: ownership repeats every [period] indices
+       ([cyclic_x_period]); [coord] and [local] tabulate, over the first
+       min(period, extent) indices, each one's coordinate and its local
+       index within the period, and a later period adds the
+       coordinate's [per_period] count. *)
+  type axis =
+    | Ax_local of int
+    | Ax_block of {
+        rstride : int;
+        stride : int;
+        offset : int;
+        k : int;
+        first : int array;
+        counts : int array;
+      }
+    | Ax_cyclic of {
+        rstride : int;
+        period : int;
+        coord : int array;
+        local : int array;
+        per_period : int array;
+        counts : int array;
+      }
+
+  type t = {
+    layout : layout;
+    axes : axis array;  (* indexed by array dimension *)
+    rank_base : int;  (* linear-rank share of the constant grid dims *)
+    replicas : int array;  (* linear-rank offsets of every replica, 0 first *)
+  }
+
+  let compile_axis ~extent ~nprocs ~rstride ~stride ~offset ~textent = function
+    | FBlock k ->
+      let first = Array.make nprocs 0 and counts = Array.make nprocs 0 in
+      for c = 0 to nprocs - 1 do
+        let lo = c * k and hi = min ((c + 1) * k) textent in
+        if lo < hi then
+          match preimage_interval ~stride ~offset ~extent (lo, hi) with
+          | Some (a, b) ->
+            first.(c) <- a;
+            counts.(c) <- b - a
+          | None -> ()
+      done;
+      Ax_block { rstride; stride; offset; k; first; counts }
+    | FCyclic k as fmt ->
+      let period = cyclic_x_period ~stride ~k ~nprocs in
+      let w = min period extent in
+      let coord = Array.make w 0 and local = Array.make w 0 in
+      let seen = Array.make nprocs 0 in
+      for r = 0 to w - 1 do
+        let c = owner_of_cell ~nprocs fmt ((stride * r) + offset) in
+        coord.(r) <- c;
+        local.(r) <- seen.(c);
+        seen.(c) <- seen.(c) + 1
+      done;
+      let per_period = Array.copy seen in
+      (* the partial last period: the first [extent mod period] residues *)
+      if w < extent then begin
+        Array.iteri (fun c n -> seen.(c) <- extent / period * n) per_period;
+        for r = 0 to (extent mod period) - 1 do
+          seen.(coord.(r)) <- seen.(coord.(r)) + 1
+        done
+      end;
+      Ax_cyclic { rstride; period; coord; local; per_period; counts = seen }
+
+  let make (l : layout) =
+    let shape = l.procs.Procs.shape in
+    let np = Array.length shape in
+    let pstride = Array.make np 1 in
+    for p = np - 2 downto 0 do
+      pstride.(p) <- pstride.(p + 1) * shape.(p + 1)
+    done;
+    let axes =
+      Array.mapi
+        (fun d role ->
+          match role with
+          | Local -> Ax_local l.extents.(d)
+          | Dist pdim -> (
+            match l.sources.(pdim) with
+            | From_axis { stride; offset; fmt; textent; _ } ->
+              compile_axis ~extent:l.extents.(d) ~nprocs:shape.(pdim)
+                ~rstride:pstride.(pdim) ~stride ~offset ~textent fmt
+            | From_const _ | Replicated -> assert false))
+        l.roles
+    in
+    let rank_base = ref 0 and replicas = ref [| 0 |] in
+    Array.iteri
+      (fun pdim source ->
+        match source with
+        | From_const c -> rank_base := !rank_base + (c * pstride.(pdim))
+        | Replicated ->
+          let offs = !replicas in
+          replicas :=
+            Array.concat
+              (List.init shape.(pdim) (fun c ->
+                   Array.map (fun o -> o + (c * pstride.(pdim))) offs))
+        | From_axis _ -> ())
+      l.sources;
+    { layout = l; axes; rank_base = !rank_base; replicas = !replicas }
+
+  let layout a = a.layout
+  let replicas a = a.replicas
+
+  let owner_rank a index =
+    let r = ref a.rank_base in
+    for d = 0 to Array.length a.axes - 1 do
+      match a.axes.(d) with
+      | Ax_local _ -> ()
+      | Ax_block b ->
+        r := !r + (b.rstride * (((b.stride * index.(d)) + b.offset) / b.k))
+      | Ax_cyclic y -> r := !r + (y.rstride * y.coord.(index.(d) mod y.period))
+    done;
+    !r
+
+  let offset a index =
+    let acc = ref 0 in
+    for d = 0 to Array.length a.axes - 1 do
+      let x = index.(d) in
+      match a.axes.(d) with
+      | Ax_local e -> acc := (!acc * e) + x
+      | Ax_block b ->
+        let c = ((b.stride * x) + b.offset) / b.k in
+        acc := (!acc * b.counts.(c)) + x - b.first.(c)
+      | Ax_cyclic y ->
+        let q = x / y.period in
+        let r = x - (q * y.period) in
+        let c = y.coord.(r) in
+        acc := (!acc * y.counts.(c)) + (q * y.per_period.(c)) + y.local.(r)
+    done;
+    !acc
+
+  let index_along a ~dim ~coord x =
+    match a.axes.(dim) with
+    | Ax_local _ -> x
+    | Ax_block b -> x - b.first.(coord)
+    | Ax_cyclic y ->
+      let q = x / y.period in
+      (q * y.per_period.(coord)) + y.local.(x - (q * y.period))
+
+  let local_extents a ~proc =
+    let l = a.layout in
+    let excluded = ref false in
+    Array.iteri
+      (fun pdim source ->
+        match source with
+        | From_const c -> if proc.(pdim) <> c then excluded := true
+        | From_axis _ | Replicated -> ())
+      l.sources;
+    Array.mapi
+      (fun d axis ->
+        if !excluded then 0
+        else
+          match (axis, l.roles.(d)) with
+          | Ax_local e, _ -> e
+          | Ax_block { counts; _ }, Dist pdim
+          | Ax_cyclic { counts; _ }, Dist pdim ->
+            counts.(proc.(pdim))
+          | (Ax_block _ | Ax_cyclic _), Local -> assert false)
+      a.axes
+end
 
 (* --- equality --------------------------------------------------------- *)
 

@@ -40,10 +40,13 @@ val nb_elements : t -> int
 (** Grid coordinate owning a template cell. *)
 val owner_of_cell : nprocs:int -> fmt -> int -> int
 
-(** Canonical owner coordinates of an element (replicated dims get 0). *)
+(** Canonical owner coordinates of an element (replicated dims get 0).
+    Reference specification: the runtime addresses elements through
+    {!Addr.owner_rank}, which the tests check against this. *)
 val owner : t -> int array -> int array
 
-(** All owner coordinates (expands replication). *)
+(** All owner coordinates (expands replication).  Reference
+    specification of {!Addr.owner_rank} plus {!Addr.replicas}. *)
 val owners : t -> int array -> int array list
 
 (** Does processor [proc] hold this element? *)
@@ -71,10 +74,12 @@ val owned_set : t -> array_dim:int -> coord:int -> Ivset.t
     else [None]. *)
 val x_period : t -> array_dim:int -> int option
 
-(** Dense local index along one dimension (count of owned indices below). *)
+(** Dense local index along one dimension (count of owned indices below).
+    Reference specification of {!Addr.index_along}. *)
 val local_index_along : t -> array_dim:int -> int -> int
 
-(** Dense local index vector of an element on its owner. *)
+(** Dense local index vector of an element on its owner (reference
+    specification). *)
 val local_index : t -> int array -> int array
 
 (** Per-dimension counts of owned indices for [proc]; all zero for a
@@ -84,14 +89,56 @@ val local_extents : t -> proc:int array -> int array
 (** Local allocation size (product of {!local_extents}). *)
 val local_size : t -> proc:int array -> int
 
-(** Row-major position of an element inside its owner's local allocation —
-    the address computation of the generated SPMD code. *)
+(** Row-major position of an element inside its owner's local allocation.
+    Reference specification of {!Addr.offset}, the address computation
+    the runtime performs; this one rebuilds owned sets per call. *)
 val local_linear_index : t -> int array -> int
 
 (** Row-major linear position of [index] in an array with [extents]: the
     single global address computation shared by payload accessors and the
     communication executor. *)
 val global_linear_index : int array -> int array -> int
+
+(** One layout's element addressing, compiled once so that each access
+    costs O(rank) integer operations and table lookups and allocates
+    nothing: the local addressing the generated SPMD code performs.
+    Per array dimension it keeps the owner coordinate and dense local
+    index in closed form (block: one division; cyclic(k): a table over
+    min(x-period, extent) indices, so O(x-period) memory per periodic
+    dimension and never O(product of extents)), each coordinate's local
+    extent, the linear-rank share of constant grid dimensions and the
+    rank offsets of the replicas.  Immutable once built, so domains may
+    share it. *)
+module Addr : sig
+  type layout := t
+  type t
+
+  val make : layout -> t
+  val layout : t -> layout
+
+  (** Linear rank of the canonical owner: [Procs.linearize procs (owner
+      layout index)]. *)
+  val owner_rank : t -> int array -> int
+
+  (** Linear-rank offsets from {!owner_rank} of every replica, [0]
+      first (one entry without replicated grid dimensions).  Shared:
+      do not mutate. *)
+  val replicas : t -> int array
+
+  (** Row-major position of an element in any owner's local allocation:
+      [local_linear_index layout index]. *)
+  val offset : t -> int array -> int
+
+  (** Number of indices below [x] along array dimension [dim] owned by
+      grid coordinate [coord] (the coordinate of the grid dimension
+      [dim] drives; ignored for a collapsed dimension).  Exact when
+      [coord] owns [x], or when [dim] is cyclic and [x] is a multiple of
+      its x-period; otherwise unspecified. *)
+  val index_along : t -> dim:int -> coord:int -> int -> int
+
+  (** [local_extents layout ~proc]. *)
+  val local_extents : t -> proc:int array -> int array
+end
 
 val equal_source : source -> source -> bool
 

@@ -58,16 +58,17 @@ type run = {
 
    - [Row_major extents]: one global row-major array (the canonical
      backend); an index addresses [global_linear_index extents index].
-   - [Owner_local layout]: one buffer per rank, laid out row-major over
+   - [Owner_local addr]: one buffer per rank, laid out row-major over
      the rank's local extents (the distributed backend); an index
-     addresses [local_linear_index layout index].
+     addresses [Layout.Addr.offset addr index], the layout's compiled
+     addressing.
 
    Equal layouts address identically, so runs compiled against one store
    are valid for any store that shares the plan (the plan cache key
    includes everything [Layout.equal] compares). *)
 type addressing =
   | Row_major of int array  (* global extents *)
-  | Owner_local of Layout.t
+  | Owner_local of Layout.Addr.t
 
 (* How a message's compiled runs move data: [Direct] runs copy payload
    to payload with no staging buffer (self-messages, and globally
@@ -696,30 +697,23 @@ let row_major_strides extents =
    spaces advance by exactly stride(d) per index — globals trivially,
    locals because every index of the interval is in the rank's owned
    set, so the dense local index rises by one per element.  That single
-   fact is what makes every innermost interval a contiguous run. *)
+   fact is what makes every innermost interval a contiguous run.  Local
+   offsets come from the copy's addresser ([Layout.Addr.index_along],
+   exact at owned indices and at multiples of a cyclic x-period, which
+   are the only points [dim_pieces] asks for). *)
 let side_addresser addressing ~rank_lin =
   match addressing with
   | Row_major extents ->
     let str = row_major_strides extents in
     (str, fun d lo -> lo * str.(d))
-  | Owner_local (l : Layout.t) ->
+  | Owner_local a ->
+    let l = Layout.Addr.layout a in
     let coords = Procs.delinearize l.Layout.procs rank_lin in
-    let str = row_major_strides (Layout.local_extents l ~proc:coords) in
-    let sets =
-      Array.mapi
-        (fun d role ->
-          match role with
-          | Layout.Local -> None
-          | Layout.Dist pdim ->
-            Some (Layout.owned_set l ~array_dim:d ~coord:coords.(pdim)))
-        l.Layout.roles
-    in
+    let str = row_major_strides (Layout.Addr.local_extents a ~proc:coords) in
+    let dim_coord = Array.init (Layout.rank l) (dim_coord l coords) in
     ( str,
       fun d lo ->
-        (match sets.(d) with
-        | None -> lo
-        | Some s -> Ivset.count_below s lo)
-        * str.(d) )
+        Layout.Addr.index_along a ~dim:d ~coord:dim_coord.(d) lo * str.(d) )
 
 (* The box's intervals along dimension [d], flattened as (src, dst, len)
    triples — the segment layout of [runs_of_segments] — [src] and [dst]
@@ -951,10 +945,9 @@ let message_runs ~src ~dst (m : message) =
 (* Fill the datapath memo of every message of [plan] for one addressing
    pair — the plan-level run compilation executors call before they move
    data.  Each (side, rank) addresser is built once for the whole plan,
-   not once per message: owner-local addressers rescan the layout's
-   owned sets and local extents, which is what dominated a cold plan's
-   compilation.  A plan whose memos are all filled costs one probe per
-   message.  Parallel executors call this on the coordinator, before
+   not once per message: an owner-local one delinearizes the rank and
+   reads its local extents.  A plan whose memos are all filled costs one
+   probe per message.  Parallel executors call this on the coordinator, before
    worker domains share the messages. *)
 let precompile_runs ~src ~dst (plan : plan) =
   let key = path_key ~src ~dst in

@@ -43,12 +43,13 @@ type run = {
 (** How a copy's flat storage is addressed — what box-to-run compilation
     needs to know about an endpoint: [Row_major extents] is one global
     row-major array (canonical backend, addressed by
-    [global_linear_index]); [Owner_local layout] is one buffer per rank,
+    [global_linear_index]); [Owner_local addr] is one buffer per rank,
     row-major over the rank's local extents (distributed backend,
-    addressed by [local_linear_index]). *)
+    addressed by the layout's compiled {!Hpfc_mapping.Layout.Addr}, the
+    same addresser the store's element accesses use). *)
 type addressing =
   | Row_major of int array  (** global extents *)
-  | Owner_local of Hpfc_mapping.Layout.t
+  | Owner_local of Hpfc_mapping.Layout.Addr.t
 
 (** How a message's compiled runs move data — the staging-vs-direct
     decision, made once per memoized message by {!message_datapath}:

@@ -2,9 +2,11 @@
    statically mapped copies, the current-version [status] word, and the
    per-copy [live] flags — exactly the data structure Sec. 5.1 requires.
 
-   Copy payloads are canonical global arrays (row-major); ownership and
-   communication are fully modeled by the layouts and the redistribution
-   plans, so values can be checked end-to-end while costs remain faithful.
+   A copy's payload is one global row-major buffer (the canonical
+   backend) or one buffer per processor laid out row-major over that
+   processor's local extents (the distributed backend); see [backend].
+   Every element access goes through the copy's compiled addresser
+   ([Layout.Addr]), built once when the copy is allocated.
 
    A copy can be live (values valid) or dead; dead copies are materialized
    without communication (the D case of Fig. 19).  Under a machine memory
@@ -19,11 +21,11 @@ open Hpfc_mapping
    - [Canonical]: one global row-major payload per copy.  Fast, and values
      are trivially comparable.
    - [Distributed]: one buffer per processor, sized by the layout's local
-     extents; every element access goes through the owner computation and
-     the closed-form local linear index — the address arithmetic the
-     generated SPMD code would perform.  Equivalence with the canonical
-     backend (tested end-to-end) validates the whole local-addressing
-     algebra. *)
+     extents; every element access asks the copy's addresser
+     ([Layout.Addr]) for the owner's rank and the local offset — the
+     address arithmetic the generated SPMD code would perform.
+     Equivalence with the canonical backend (tested end-to-end)
+     validates the whole local-addressing algebra. *)
 type backend = Exec.backend = Canonical | Distributed
 
 type payload =
@@ -33,29 +35,33 @@ type payload =
 type copy = {
   version : int;
   layout : Layout.t;
+  addr : Layout.Addr.t;  (* [layout]'s compiled element addressing *)
   payload : payload;  (* may be shared with a caller's copy *)
   footprint : int;  (* sum of per-processor local sizes (counts replicas) *)
 }
 
-(* Element access through a copy's payload. *)
-let copy_get (c : copy) index =
+(* Element access through a copy's payload; inlined so that callers
+   keep the float unboxed, and allocation-free. *)
+let[@inline] copy_get (c : copy) index =
   match c.payload with
   | Global g -> Buf.get g (Layout.global_linear_index c.layout.Layout.extents index)
   | Locals ls ->
-    let p = Procs.linearize c.layout.Layout.procs (Layout.owner c.layout index) in
-    Buf.get ls.(p) (Layout.local_linear_index c.layout index)
+    Buf.get
+      ls.(Layout.Addr.owner_rank c.addr index)
+      (Layout.Addr.offset c.addr index)
 
-let copy_set (c : copy) index v =
+(* Replicated layouts write every replica. *)
+let[@inline] copy_set (c : copy) index v =
   match c.payload with
   | Global g ->
     Buf.set g (Layout.global_linear_index c.layout.Layout.extents index) v
   | Locals ls ->
-    (* replicated layouts write every replica *)
-    let lli = Layout.local_linear_index c.layout index in
-    List.iter
-      (fun coords ->
-        Buf.set ls.(Procs.linearize c.layout.Layout.procs coords) lli v)
-      (Layout.owners c.layout index)
+    let off = Layout.Addr.offset c.addr index
+    and base = Layout.Addr.owner_rank c.addr index
+    and replicas = Layout.Addr.replicas c.addr in
+    for i = 0 to Array.length replicas - 1 do
+      Buf.set ls.(base + replicas.(i)) off v
+    done
 
 (* How the communication executor touches this copy's storage.  The
    global payload ignores the rank (every rank's access lands in the one
@@ -77,14 +83,13 @@ let endpoint_of_copy (c : copy) : Comm.endpoint =
       buffer = (fun ~rank:_ -> g);
     }
   | Locals ls ->
+    let a = c.addr in
     {
       Comm.read =
-        (fun ~rank index ->
-          Buf.get ls.(rank) (Layout.local_linear_index c.layout index));
+        (fun ~rank index -> Buf.get ls.(rank) (Layout.Addr.offset a index));
       write =
-        (fun ~rank index v ->
-          Buf.set ls.(rank) (Layout.local_linear_index c.layout index) v);
-      addressing = Redist.Owner_local c.layout;
+        (fun ~rank index v -> Buf.set ls.(rank) (Layout.Addr.offset a index) v);
+      addressing = Redist.Owner_local a;
       buffer = (fun ~rank -> ls.(rank));
     }
 
@@ -162,9 +167,10 @@ let create ?(backend = Canonical) ?(executor = Comm.execute) ?plans machine =
   }
 
 let descriptor t name =
-  match List.assoc_opt name t.descriptors with
-  | Some d -> d
-  | None -> Hpfc_base.Error.fail Runtime_fault "no descriptor for array %s" name
+  match List.assoc name t.descriptors with
+  | d -> d
+  | exception Not_found ->
+    Hpfc_base.Error.fail Runtime_fault "no descriptor for array %s" name
 
 let add_descriptor t ~name ~extents ~nb_versions ?caller_copy ?defined () =
   let nb_elements = Array.fold_left ( * ) 1 extents in
@@ -198,19 +204,21 @@ let ensure_version_capacity d version =
     d.live <- live
   end
 
-let footprint_of layout =
-  let total = ref 0 in
-  let procs = layout.Layout.procs in
-  for p = 0 to Procs.size procs - 1 do
-    total := !total + Layout.local_size layout ~proc:(Procs.delinearize procs p)
-  done;
-  !total
+(* Local allocation size of every linear rank. *)
+let local_sizes addr =
+  let procs = (Layout.Addr.layout addr).Layout.procs in
+  Array.init (Procs.size procs) (fun p ->
+      Array.fold_left ( * ) 1
+        (Layout.Addr.local_extents addr ~proc:(Procs.delinearize procs p)))
 
 let copy_exists d version =
   version < Array.length d.copies && d.copies.(version) <> None
 
 let get_copy d version =
-  match if version < Array.length d.copies then d.copies.(version) else None with
+  match
+    if version >= 0 && version < Array.length d.copies then d.copies.(version)
+    else None
+  with
   | Some c -> c
   | None ->
     Hpfc_base.Error.fail Runtime_fault "%s_%d is not allocated" d.name version
@@ -270,22 +278,18 @@ let make_room t needed =
 let alloc t d version layout =
   ensure_version_capacity d version;
   if not (copy_exists d version) then begin
-    let footprint = footprint_of layout in
+    let addr = Layout.Addr.make layout in
+    let sizes = local_sizes addr in
+    let footprint = Array.fold_left ( + ) 0 sizes in
     if not (make_room t footprint) then
       Hpfc_base.Error.fail Runtime_fault
         "out of memory allocating %s_%d (%d elements)" d.name version footprint;
     let payload =
       match t.backend with
       | Canonical -> Global (Buf.create (Array.fold_left ( * ) 1 d.extents))
-      | Distributed ->
-        Locals
-          (Array.init (Procs.size layout.Layout.procs) (fun p ->
-               Buf.create
-                 (max 1
-                    (Layout.local_size layout
-                       ~proc:(Procs.delinearize layout.Layout.procs p)))))
+      | Distributed -> Locals (Array.map (fun n -> Buf.create (max 1 n)) sizes)
     in
-    let c = { version; layout; payload; footprint } in
+    let c = { version; layout; addr; payload; footprint } in
     d.copies.(version) <- Some c;
     t.machine.Machine.memory_used <- t.machine.Machine.memory_used + footprint;
     t.machine.Machine.counters.Machine.allocs <-
@@ -336,12 +340,12 @@ let copy_version t d ~src ~dst ~with_data =
 (* --- element access ------------------------------------------------------ *)
 
 let linear_index extents index =
-  Array.iteri
-    (fun d x ->
-      if x < 0 || x >= extents.(d) then
-        Hpfc_base.Error.fail Runtime_fault "index %d out of bounds [0,%d)" x
-          extents.(d))
-    index;
+  for d = 0 to Array.length index - 1 do
+    let x = index.(d) in
+    if x < 0 || x >= extents.(d) then
+      Hpfc_base.Error.fail Runtime_fault "index %d out of bounds [0,%d)" x
+        extents.(d)
+  done;
   Layout.global_linear_index extents index
 
 (* Read/write through the *current* copy; a version check catches compiler

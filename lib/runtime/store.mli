@@ -1,8 +1,9 @@
 (** Run-time array store: per abstract array, its statically mapped
     copies, the current-version [status] word and per-copy [live] flags —
-    the data structure of Sec. 5.1.  Copy payloads are canonical global
-    arrays; ownership and communication are fully modeled by layouts and
-    plans, so values can be checked end-to-end while costs stay faithful.
+    the data structure of Sec. 5.1.  A copy's payload is one global
+    row-major buffer or one buffer per processor (see {!backend}); every
+    element access goes through the copy's compiled addresser
+    ({!Hpfc_mapping.Layout.Addr}), built once at allocation.
 
     Under a machine memory limit, allocation evicts live non-current
     copies first (Sec. 5.2); the runtime regenerates them later with
@@ -10,10 +11,10 @@
 
 (** Two execution backends share every analysis and the generated code:
     [Canonical] keeps one global payload per copy; [Distributed] keeps one
-    buffer per processor and routes every element access through the
-    owner computation and the closed-form local linear index — the address
-    arithmetic of the generated SPMD code.  Their end-to-end equivalence
-    validates the local-addressing algebra. *)
+    buffer per processor and addresses every element through the copy's
+    {!Hpfc_mapping.Layout.Addr} (owner rank and local offset) — the
+    address arithmetic of the generated SPMD code.  Their end-to-end
+    equivalence validates the local-addressing algebra. *)
 type backend = Exec.backend = Canonical | Distributed
 
 type payload =
@@ -23,12 +24,15 @@ type payload =
 type copy = {
   version : int;
   layout : Hpfc_mapping.Layout.t;
+  addr : Hpfc_mapping.Layout.Addr.t;  (** [layout]'s compiled addressing *)
   payload : payload;  (** shared with the caller's copy for dummy args *)
   footprint : int;  (** sum of per-processor local sizes *)
 }
 
 (** Read/write one element through the payload (writes update every
-    replica under a replicated layout). *)
+    replica under a replicated layout).  Their address arithmetic
+    allocates nothing; inlined (optimized builds), the float stays
+    unboxed too. *)
 val copy_get : copy -> int array -> float
 
 val copy_set : copy -> int array -> float -> unit
@@ -103,7 +107,6 @@ val add_descriptor :
   unit ->
   descriptor
 
-val footprint_of : Hpfc_mapping.Layout.t -> int
 val copy_exists : descriptor -> int -> bool
 
 (** @raise Hpfc_base.Error.Hpf_error when unallocated. *)

@@ -360,9 +360,16 @@ let enqueue t (req : Request.t) =
   Condition.broadcast t.work;
   Mutex.unlock t.lock
 
+(* A request naming a missing array or an unallocated version is
+   refused here, in the client's thread, with the store's diagnosis: a
+   worker domain meeting it in [resolve] would die and leave the
+   client's [await] blocked for ever. *)
 let submit_remap t ~tenant ~store ~array ~src ~dst =
   if tenant < 0 || tenant >= t.cfg.tenants then
     invalid_arg "Serve.submit_remap: bad tenant";
+  let d = Store.descriptor store array in
+  ignore (Store.get_copy d src : Store.copy);
+  ignore (Store.get_copy d dst : Store.copy);
   let req = Request.make ~tenant (Request.Remap { store; array; src; dst }) in
   enqueue t req;
   req

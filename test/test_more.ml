@@ -9,6 +9,7 @@ module State = Hpfc_remap.State
 module Graph = Hpfc_remap.Graph
 module Machine = Hpfc_runtime.Machine
 module Store = Hpfc_runtime.Store
+module Buf = Hpfc_runtime.Buf
 module I = Hpfc_interp.Interp
 module Figures = Hpfc_kernels.Figures
 open Hpfc_mapping
@@ -210,27 +211,125 @@ let test_trace_disabled_by_default () =
 
 (* --- store payloads ------------------------------------------------------------------------ *)
 
+(* The payload layouts: cyclic rows, block rows, cyclic(8), a strided
+   reversing alignment, and a replicated grid dimension (two copies of
+   every element on a 2x2 grid). *)
+let payload_layouts () =
+  let direct extents dist =
+    Layout.of_mapping ~extents
+      (Mapping.direct ~array_name:"a" ~extents ~dist
+         ~procs:(Procs.linear "P" 4))
+  in
+  let strided =
+    (* x -> 40 - 2x on a 41-cell template, cyclic(3) *)
+    Layout.of_mapping ~extents:[| 21 |]
+      (Mapping.v
+         ~template:(Template.make "T" [| 41 |])
+         ~align:[| Align.Axis { array_dim = 0; stride = -2; offset = 40 } |]
+         ~dist:[| Dist.cyclic_sized 3 |]
+         ~procs:(Procs.linear "P" 4))
+  in
+  let replicated =
+    Layout.of_mapping ~extents:[| 10; 3 |]
+      (Mapping.v
+         ~template:(Template.make "T" [| 10; 2 |])
+         ~align:
+           [|
+             Align.Axis { array_dim = 0; stride = 1; offset = 0 };
+             Align.Replicated;
+           |]
+         ~dist:[| Dist.block; Dist.block |]
+         ~procs:(Procs.make "G" [| 2; 2 |]))
+  in
+  [
+    ("cyclic rows", direct [| 6; 4 |] [| Dist.cyclic; Dist.star |]);
+    ("block rows", direct [| 9; 5 |] [| Dist.block; Dist.star |]);
+    ("cyclic(8)", direct [| 40 |] [| Dist.cyclic_sized 8 |]);
+    ("strided", strided);
+    ("replicated", replicated);
+  ]
+
+(* Row-major index vector of global position [k], written into [idx]. *)
+let set_index extents idx k =
+  let k = ref k in
+  for d = Array.length extents - 1 downto 0 do
+    idx.(d) <- !k mod extents.(d);
+    k := !k / extents.(d)
+  done
+
+(* Minor words allocated by 10 000 read-increment-write steps of [step]
+   over positions [0, n). *)
+let minor_words_of_steps n step =
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    step (i mod n)
+  done;
+  Gc.minor_words () -. before
+
+(* Every payload round-trips through fill_copy/to_global under both
+   backends.  On distributed copies, 10 000 copy_get + copy_set pairs
+   allocate no more than the same steps on one raw buffer: nothing in an
+   optimized build, and only the boxing of the float that crosses each
+   out-of-line call when cross-module inlining is off (the dev
+   profile's -opaque).  One word per call of address arithmetic would
+   read >= 10 000 more.  Every replica of every element stays equal. *)
 let test_fill_to_global_roundtrip () =
   List.iter
-    (fun backend ->
-      let m = Machine.create ~nprocs:4 () in
-      let s = Store.create ~backend m in
-      let layout =
-        Layout.of_mapping ~extents:[| 6; 4 |]
-          (Mapping.direct ~array_name:"a" ~extents:[| 6; 4 |]
-             ~dist:[| Dist.cyclic; Dist.star |]
-             ~procs:(Procs.linear "P" 4))
-      in
-      let d = Store.add_descriptor s ~name:"a" ~extents:[| 6; 4 |] ~nb_versions:1 () in
-      Store.alloc s d 0 layout;
-      let c = Store.get_copy d 0 in
-      Store.fill_copy c (fun k -> float_of_int (k * 3));
-      let g = Store.to_global c in
-      Alcotest.(check int) "size" 24 (Array.length g);
-      Array.iteri
-        (fun k v -> Alcotest.(check (float 0.0)) (Fmt.str "elem %d" k) (float_of_int (k * 3)) v)
-        g)
-    [ Store.Canonical; Store.Distributed ]
+    (fun (name, layout) ->
+      let extents = layout.Layout.extents in
+      let n = Layout.nb_elements layout in
+      List.iter
+        (fun backend ->
+          let m = Machine.create ~nprocs:4 () in
+          let s = Store.create ~backend m in
+          let d = Store.add_descriptor s ~name:"a" ~extents ~nb_versions:1 () in
+          Store.alloc s d 0 layout;
+          let c = Store.get_copy d 0 in
+          Store.fill_copy c (fun k -> float_of_int (k * 3));
+          let expected = Array.init n (fun k -> float_of_int (k * 3)) in
+          if backend = Store.Distributed then begin
+            let idx = Array.make (Array.length extents) 0 in
+            let raw = Buf.create n in
+            let floor =
+              minor_words_of_steps n (fun k ->
+                  Buf.set raw k (Buf.get raw k +. 1.0))
+            in
+            let words =
+              minor_words_of_steps n (fun k ->
+                  set_index extents idx k;
+                  Store.copy_set c idx (Store.copy_get c idx +. 1.0))
+            in
+            Alcotest.(check bool)
+              (Fmt.str "%s: 10 000 get+set allocate %.0f words, raw buffer %.0f"
+                 name words floor)
+              true
+              (words <= floor +. 100.0);
+            for i = 0 to 9_999 do
+              let k = i mod n in
+              expected.(k) <- expected.(k) +. 1.0
+            done;
+            let ep = Store.endpoint_of_copy c in
+            for k = 0 to n - 1 do
+              set_index extents idx k;
+              List.iter
+                (fun coords ->
+                  let rank = Procs.linearize layout.Layout.procs coords in
+                  Alcotest.(check (float 0.0))
+                    (Fmt.str "%s: elem %d on rank %d" name k rank)
+                    expected.(k) (ep.read ~rank idx))
+                (Layout.owners layout idx)
+            done
+          end;
+          let g = Store.to_global c in
+          Alcotest.(check int) (name ^ ": size") n (Array.length g);
+          Array.iteri
+            (fun k v ->
+              Alcotest.(check (float 0.0))
+                (Fmt.str "%s: elem %d" name k)
+                expected.(k) v)
+            g)
+        [ Store.Canonical; Store.Distributed ])
+    (payload_layouts ())
 
 (* --- interpreter expression semantics ------------------------------------------------------- *)
 

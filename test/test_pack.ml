@@ -20,6 +20,9 @@ let layout_nd ~extents dists p =
   Layout.of_mapping ~extents
     (Mapping.direct ~array_name:"a" ~extents ~dist:dists ~procs:(procs p))
 
+(* The distributed backend's addressing of a copy under [l]. *)
+let owner_local l = Redist.Owner_local (Layout.Addr.make l)
+
 (* --- (a) run decomposition is exact ------------------------------------------- *)
 
 (* The flat address of [index] on the side described by [addressing],
@@ -30,7 +33,8 @@ let layout_nd ~extents dists p =
 let oracle_address addressing extents index =
   match addressing with
   | Redist.Row_major _ -> Layout.global_linear_index extents index
-  | Redist.Owner_local l -> Layout.local_linear_index l index
+  | Redist.Owner_local a ->
+    Layout.local_linear_index (Layout.Addr.layout a) index
 
 (* Expand a run array into the (src, dst) address pairs it copies, in
    copy order. *)
@@ -54,9 +58,9 @@ let addressing_combos ~(src : Layout.t) ~(dst : Layout.t) =
   let extents = src.Layout.extents in
   [
     (Redist.Row_major extents, Redist.Row_major extents);
-    (Redist.Row_major extents, Redist.Owner_local dst);
-    (Redist.Owner_local src, Redist.Row_major extents);
-    (Redist.Owner_local src, Redist.Owner_local dst);
+    (Redist.Row_major extents, owner_local dst);
+    (owner_local src, Redist.Row_major extents);
+    (owner_local src, owner_local dst);
   ]
 
 (* The runs the executors read: compiled for the whole plan by the
@@ -190,7 +194,8 @@ let reference_addresser addressing ~rank_lin =
   | Redist.Row_major extents ->
     let str = Redist.row_major_strides extents in
     (str, fun d lo -> lo * str.(d))
-  | Redist.Owner_local (l : Layout.t) ->
+  | Redist.Owner_local a ->
+    let l = Layout.Addr.layout a in
     let coords = Procs.delinearize l.Layout.procs rank_lin in
     let str =
       Redist.row_major_strides (Layout.local_extents l ~proc:coords)
@@ -494,7 +499,7 @@ let prop_zero_copy_charged =
           ~datapath:Exec.Zero_copy ~src ~dst float_of_int
       in
       let plan' = Store.plan_for s' d' ~src:0 ~dst:1 in
-      let ol = (Redist.Owner_local src, Redist.Owner_local dst) in
+      let ol = (owner_local src, owner_local dst) in
       let c' = m'.Machine.counters in
       let distributed_ok =
         c'.Machine.zero_copy_runs = sum (segs ol) plan'.Redist.locals
@@ -602,7 +607,7 @@ let test_direct_overlap_inplace () =
   let buf = fresh () in
   Comm.run_local ~scalar:false
     ~src:(endpoint buf (Redist.Row_major [| n |]))
-    ~dst:(endpoint buf (Redist.Owner_local l))
+    ~dst:(endpoint buf (owner_local l))
     (message ());
   for k = 0 to (n / 2) - 1 do
     Alcotest.(check (float 0.0))
@@ -613,7 +618,7 @@ let test_direct_overlap_inplace () =
   (* scatter: buf[2k+1] := buf[k] — destination overtakes the source *)
   let buf = fresh () in
   Comm.run_local ~scalar:false
-    ~src:(endpoint buf (Redist.Owner_local l))
+    ~src:(endpoint buf (owner_local l))
     ~dst:(endpoint buf (Redist.Row_major [| n |]))
     (message ());
   for k = 0 to (n / 2) - 1 do

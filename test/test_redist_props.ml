@@ -70,9 +70,9 @@ let gen_pair =
    the array: stride in +-{1, 2, 3}, any valid offset within up to 12
    cells of slack, block or cyclic(k) on 1..5 processors.  [gen_pair]
    only makes the identity alignment. *)
-let gen_aligned_side ~n =
+let gen_aligned_side ?(max_p = 5) ~n () =
   QCheck2.Gen.(
-    let* p = int_range 1 5 in
+    let* p = int_range 1 max_p in
     let* stride = oneofl [ 1; 2; 3; -1; -2; -3 ] in
     let* slack = int_range 0 12 in
     let* j = int_range 0 slack in
@@ -88,7 +88,7 @@ let gen_aligned_side ~n =
 let gen_aligned =
   QCheck2.Gen.(
     let* n = int_range 1 40 in
-    pair (gen_aligned_side ~n) (gen_aligned_side ~n))
+    pair (gen_aligned_side ~n ()) (gen_aligned_side ~n ()))
 
 let print_pair (src, dst) =
   Fmt.str "src=%a dst=%a" Layout.pp src Layout.pp dst
@@ -363,6 +363,127 @@ let prop_cache_memoizes =
       && Redist.Plan_cache.misses cache = 1
       && Redist.Plan_cache.size cache = 1)
 
+(* --- compiled addressing ------------------------------------------- *)
+
+(* A rank-2 layout for the addresser property, extents <= 12 and at
+   most 4 processors: array dim 0 aligned as [gen_aligned_side] makes it
+   (strided, offset, reversed; block or cyclic(k)); array dim 1
+   collapsed or distributed block/cyclic(k); and optionally one more
+   template dim, constant-aligned or replicated, on its own grid dim. *)
+let gen_addr_layout =
+  QCheck2.Gen.(
+    let* n0 = int_range 1 12 and* n1 = int_range 1 12 in
+    let* side = gen_aligned_side ~max_p:4 ~n:n0 () in
+    let p = Procs.size side.Layout.procs in
+    let stride, offset, fmt0, textent =
+      match side.Layout.sources.(0) with
+      | Layout.From_axis { stride; offset; fmt; textent; _ } ->
+        ( stride,
+          offset,
+          (match fmt with
+          | Layout.FBlock k -> Dist.block_sized k
+          | Layout.FCyclic k -> Dist.cyclic_sized k),
+          textent )
+      | Layout.From_const _ | Layout.Replicated -> assert false
+    in
+    let* dim1 =
+      option
+        (pair (oneofl [ 1; 2 ])
+           (oneof [ return Dist.block; map Dist.cyclic_sized (int_range 1 3) ]))
+    in
+    let q1 = match dim1 with Some (q, _) when p * q <= 4 -> q | _ -> 1 in
+    let* extra =
+      option
+        (let* r = int_range 1 3 in
+         let* q = oneofl [ 1; 2 ] in
+         let* a =
+           oneof
+             [
+               return Align.Replicated;
+               map (fun c -> Align.Const c) (int_range 0 (r - 1));
+             ]
+         in
+         return (r, q, a))
+    in
+    let q2 =
+      match extra with Some (_, q, _) when p * q1 * q <= 4 -> q | _ -> 1
+    in
+    let dims =
+      [ (textent, Align.Axis { array_dim = 0; stride; offset }, fmt0, p) ]
+      @ (match dim1 with
+        | Some (_, f) ->
+          [ (n1, Align.Axis { array_dim = 1; stride = 1; offset = 0 }, f, q1) ]
+        | None -> [])
+      @
+      match extra with
+      | Some (r, _, a) -> [ (r, a, Dist.block, q2) ]
+      | None -> []
+    in
+    let col f = Array.of_list (List.map f dims) in
+    return
+      (Layout.of_mapping ~extents:[| n0; n1 |]
+         (Mapping.v
+            ~template:(Template.make "T" (col (fun (e, _, _, _) -> e)))
+            ~align:(col (fun (_, a, _, _) -> a))
+            ~dist:(col (fun (_, _, f, _) -> f))
+            ~procs:(Procs.make "G" (col (fun (_, _, _, q) -> q))))))
+
+(* [Layout.Addr] against the reference specification, on every element:
+   owner rank and replica ranks ([owner], [owners]), local offset
+   ([local_linear_index]), every processor's local extents, and the
+   per-dimension index at every owned index and at every multiple of a
+   cyclic x-period ([Ivset.count_below] of the owned set). *)
+let prop_addresser_matches_reference =
+  QCheck2.Test.make
+    ~name:"Layout.Addr = owner/owners/local_linear_index, exhaustive"
+    ~print:(Fmt.to_to_string Layout.pp) ~count:300 gen_addr_layout (fun l ->
+      let a = Layout.Addr.make l in
+      let procs = l.Layout.procs in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      for p = 0 to Procs.size procs - 1 do
+        let proc = Procs.delinearize procs p in
+        check (Layout.Addr.local_extents a ~proc = Layout.local_extents l ~proc)
+      done;
+      let e = l.Layout.extents in
+      for x0 = 0 to e.(0) - 1 do
+        for x1 = 0 to e.(1) - 1 do
+          let idx = [| x0; x1 |] in
+          let base = Layout.Addr.owner_rank a idx in
+          check (base = Procs.linearize procs (Layout.owner l idx));
+          check
+            (List.sort compare
+               (Array.to_list (Array.map (( + ) base) (Layout.Addr.replicas a)))
+            = List.sort compare
+                (List.map (Procs.linearize procs) (Layout.owners l idx)));
+          check (Layout.Addr.offset a idx = Layout.local_linear_index l idx)
+        done
+      done;
+      Array.iteri
+        (fun dim role ->
+          match role with
+          | Layout.Local ->
+            for x = 0 to e.(dim) - 1 do
+              check (Layout.Addr.index_along a ~dim ~coord:0 x = x)
+            done
+          | Layout.Dist pdim ->
+            for coord = 0 to procs.Procs.shape.(pdim) - 1 do
+              let set = Layout.owned_set l ~array_dim:dim ~coord in
+              let on_period x =
+                match Layout.x_period l ~array_dim:dim with
+                | Some p -> x mod p = 0
+                | None -> false
+              in
+              for x = 0 to e.(dim) - 1 do
+                if coord_along l dim x = coord || on_period x then
+                  check
+                    (Layout.Addr.index_along a ~dim ~coord x
+                    = Ivset.count_below set x)
+              done
+            done)
+        l.Layout.roles;
+      !ok)
+
 let suite =
   [
     Qcheck_env.to_alcotest prop_engines_agree_mixed;
@@ -378,4 +499,5 @@ let suite =
     Alcotest.test_case "sweep table, exhaustive on small grids" `Quick
       test_sweep_table_small;
     Qcheck_env.to_alcotest prop_steps_match_reference;
+    Qcheck_env.to_alcotest prop_addresser_matches_reference;
   ]

@@ -571,6 +571,47 @@ let test_submit_remap_bracketing () =
   Alcotest.(check int) "one Remap_begin" 1 begins;
   Alcotest.(check int) "one Remap_end" 1 ends
 
+(* A request naming a missing array or an unallocated version raises at
+   submit, in the client's thread (a worker that met it would die and
+   leave [await] blocked); the tenant's next valid request is served and
+   equals its solo replay. *)
+let test_submit_remap_rejects_bad_request () =
+  let ls = Lazy.force layouts in
+  let svc = Serve.create ~tenants:1 () in
+  let stream plans =
+    let m = Machine.create ~nprocs ~sched:Machine.Stepped () in
+    let s = Store.create ~plans m in
+    let d =
+      Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:3 ()
+    in
+    Store.alloc s d 0 ls.(0);
+    Store.alloc s d 1 ls.(1);
+    Store.fill_copy (Store.get_copy d 0) (fun k -> float_of_int (k + 1));
+    (m, s, d)
+  in
+  let m, s, d = stream (Serve.tenant_cache svc 0) in
+  let rejected what ~array ~src ~dst =
+    Alcotest.(check bool) (what ^ " raises at submit") true
+      (match Serve.submit_remap svc ~tenant:0 ~store:s ~array ~src ~dst with
+      | _ -> false
+      | exception Hpfc_base.Error.Hpf_error _ -> true)
+  in
+  rejected "unknown array" ~array:"b" ~src:0 ~dst:1;
+  rejected "unallocated destination" ~array:"a" ~src:0 ~dst:2;
+  rejected "unallocated source" ~array:"a" ~src:2 ~dst:1;
+  let req =
+    Serve.submit_remap svc ~tenant:0 ~store:s ~array:"a" ~src:0 ~dst:1
+  in
+  Serve.await svc req;
+  let stats = Serve.shutdown svc in
+  Alcotest.(check int) "only the valid request ran" 1 stats.Serve.requests;
+  let solo_m, solo_s, solo_d = stream (Redist.Plan_cache.create ()) in
+  Store.copy_version solo_s solo_d ~src:0 ~dst:1 ~with_data:true;
+  Alcotest.(check bool) "data = solo replay" true
+    (Store.to_global (Store.get_copy d 1)
+    = Store.to_global (Store.get_copy solo_d 1));
+  Alcotest.(check bool) "counters = solo replay" true (scrub m = scrub solo_m)
+
 let suite =
   [
     Alcotest.test_case "shard count policy" `Quick test_shard_defaults;
@@ -604,6 +645,8 @@ let suite =
       test_service_fuses_when_staged;
     Alcotest.test_case "submit_remap replays copy_version bracketing" `Quick
       test_submit_remap_bracketing;
+    Alcotest.test_case "submit_remap rejects a bad request at submit" `Quick
+      test_submit_remap_rejects_bad_request;
     Alcotest.test_case "tenants with different configurations stay isolated"
       `Quick test_mixed_configs_isolated;
     Alcotest.test_case "fusion never mixes configurations" `Quick
