@@ -162,7 +162,7 @@ let run_cmd =
   let par = Arg.(value & opt ~vopt:(Some "auto") (some string) None & info [ "par" ] ~docv:"N" ~doc:"Execute remappings for real on a pool of OCaml domains (implies --distributed): one worker per core by default, or N workers; ranks multiplex onto the pool.  Measured per-step wall-clock lands in the trace next to the modeled times.") in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the structured event timeline as JSON lines on stdout (remap begin/end, plan cache probes, step boundaries, messages, evictions); counters and scalars go to stderr.") in
   let scalars = Arg.(value & opt_all scalar_assignments [] & info [ "s"; "set" ] ~docv:"X=V" ~doc:"Set a scalar before execution.") in
-  let compare = Arg.(value & flag & info [ "compare" ] ~doc:"Run the naive and the optimized compilations and compare.") in
+  let compare = Arg.(value & flag & info [ "compare" ] ~doc:"Run the naive and the optimized compilations and compare; exit 1 if their values differ.") in
   let sched =
     sched_arg
       ~doc:
@@ -185,7 +185,8 @@ let run_cmd =
           let c =
             Hpfc_driver.Pipeline.compare_pipelines ~scalars ?entry ~exec src
           in
-          Fmt.pr "%a" Hpfc_driver.Pipeline.pp_comparison c
+          Fmt.pr "%a" Hpfc_driver.Pipeline.pp_comparison c;
+          if not c.Hpfc_driver.Pipeline.values_agree then exit 1
         end
         else begin
           let pool =
@@ -351,18 +352,11 @@ let serve_cmd =
         if check then begin
           (* solo replay: same stream, sequential executor, private
              cache of the same capacity — the correctness bar says the
-             serve-side values and counters must match byte for byte
-             (modulo the executor-history classes every cross-executor
-             comparison scrubs: wall clock, staging pool totals and
-             the service's own fusion counter) *)
+             serve-side values and modeled counters must match byte for
+             byte (a tenant and its replay share every configuration
+             axis) *)
           let scrubbed (m : Machine.t) =
-            let c = Machine.snapshot_counters m in
-            c.Machine.wall_time <- 0.0;
-            c.Machine.pool_hits <- 0;
-            c.Machine.pool_misses <- 0;
-            c.Machine.fused_remaps <- 0;
-            c.Machine.pool_lease_peak <- 0;
-            c
+            Machine.scrub ~varying:[] (Machine.snapshot_counters m)
           in
           let solo_exec : Hpfc_runtime.Comm.executor =
            fun mach ~src ~dst plan -> Hpfc_runtime.Comm.execute mach ~src ~dst plan

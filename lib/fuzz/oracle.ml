@@ -16,28 +16,22 @@
    Checks, in decreasing order of strength:
    - final arrays (program-defined elements) and untainted scalars are
      identical across every run, and across the two pipelines;
-   - counters that model the communication pattern (messages, volume,
-     local moves, remaps, allocation traffic, plan-cache behaviour) are
-     identical across every configuration of one pipeline;
-   - schedule-derived counters (modeled time, steps, peak step volume)
-     are identical across configurations sharing an (accounting mode,
-     lowering) pair, so the parallel executor's modeled counters are
-     checked byte-identical against the sequential runs; the collective
-     lowering legitimately charges a different phase count and
-     phase-program clock;
-   - peak staging bytes are identical across configurations sharing a
-     (backend, datapath, lowering) triple — the counter models the
-     schedule's staging high-water, which no executor choice may move —
-     and the collective lowering's peak never exceeds the p2p peak of
-     the same (backend, datapath): bounded peak staging memory is the
-     lowering's contract;
-   - datapath accounting: the scalar oracle blits and zero-copies
-     nothing, the staged path zero-copies nothing and stages every moved
-     byte, the zero-copy path stages nothing on the canonical backend
-     and exactly the cross-rank volume on the distributed one; runs
-     sharing (backend, datapath) agree on all three counters, and per
-     backend the staged path always blits at least as many segments as
-     the zero-copy path blits plus zero-copies;
+   - every modeled counter agrees across the configurations its
+     declared class says cannot move it: a [Modeled axes] counter
+     (Machine.rebuild declares them) equals the same counter of the
+     first run agreeing on [axes], so the parallel executor's and the
+     service's modeled counters are checked byte-identical against the
+     sequential runs;
+   - exact per-path laws on top: the scalar oracle blits and
+     zero-copies nothing, the staged path zero-copies nothing and
+     stages every moved byte, the zero-copy path stages nothing on the
+     canonical backend and exactly the cross-rank volume on the
+     distributed one; per backend the staged path always blits at least
+     as many segments as the zero-copy path blits plus zero-copies; the
+     collective lowering's peak staging bytes never exceed the p2p peak
+     of the same (backend, datapath) — bounded peak staging memory is
+     the lowering's contract; and no run outside the service charges
+     [fused_remaps];
    - the event trace agrees with the counters (Message events reproduce
      the message/volume totals — one event per message under p2p, at
      least one per message under the collective lowering, which slices
@@ -207,55 +201,24 @@ let pipelines_agree ~(naive : run) ~(optimized : run) =
 
 (* --- counter agreement ------------------------------------------------------ *)
 
-(* identical across every configuration of one pipeline: they model the
-   communication pattern, which no backend/executor/datapath/schedule
-   choice may change *)
-let core_fields =
-  [
-    ("messages", fun (c : M.counters) -> c.M.messages);
-    ("volume", fun c -> c.M.volume);
-    ("local_moves", fun c -> c.M.local_moves);
-    ("remaps_performed", fun c -> c.M.remaps_performed);
-    ("remaps_skipped", fun c -> c.M.remaps_skipped);
-    ("live_reuses", fun c -> c.M.live_reuses);
-    ("dead_copies", fun c -> c.M.dead_copies);
-    ("allocs", fun c -> c.M.allocs);
-    ("frees", fun c -> c.M.frees);
-    ("evictions", fun c -> c.M.evictions);
-    ("plan_hits", fun c -> c.M.plan_hits);
-    ("plan_misses", fun c -> c.M.plan_misses);
-    ("plan_evictions", fun c -> c.M.plan_evictions);
-  ]
-
-(* identical across configurations sharing a schedule mode *)
-let sched_fields =
-  [
-    ("steps", fun (c : M.counters) -> c.M.steps);
-    ("peak_step_volume", fun c -> c.M.peak_step_volume);
-  ]
-
 let counters_of (r : run) = r.res.I.machine.M.counters
 
-let same_counters ~what ref_run r =
-  let c0 = counters_of ref_run and c = counters_of r in
-  List.iter
-    (fun (name, f) ->
-      if f c <> f c0 then
-        failf "%s: %s = %d under %s but %d under %s" what name (f c)
-          (Exec.name r.cfg) (f c0) (Exec.name ref_run.cfg))
-    core_fields
-
-let same_sched_counters ~what ref_run r =
-  let c0 = counters_of ref_run and c = counters_of r in
-  List.iter
-    (fun (name, f) ->
-      if f c <> f c0 then
-        failf "%s: %s = %d under %s but %d under %s" what name (f c)
-          (Exec.name r.cfg) (f c0) (Exec.name ref_run.cfg))
-    sched_fields;
-  if not (float_eq c.M.time c0.M.time) then
-    failf "%s: modeled time %g under %s but %g under %s" what c.M.time
-      (Exec.name r.cfg) c0.M.time (Exec.name ref_run.cfg)
+(* The modeled-counter law, derived from the counter declaration: each
+   [Modeled axes] counter of [r] equals the same counter of the first
+   run of [runs] whose configuration agrees with [r]'s on [axes]. *)
+let same_modeled ~what (runs : run list) (r : run) =
+  List.iteri
+    (fun i (name, cls, v) ->
+      match cls with
+      | M.Modeled axes ->
+        let r0 = List.find (fun r0 -> Exec.agree axes r0.cfg r.cfg) runs in
+        let _, _, v0 = List.nth (M.fields (counters_of r0)) i in
+        if compare v v0 <> 0 then
+          failf "%s: %s = %s under %s but %s under %s" what name
+            (M.string_of_reading v) (Exec.name r.cfg) (M.string_of_reading v0)
+            (Exec.name r0.cfg)
+      | M.Executor_history | M.Service | M.Wall -> ())
+    (M.fields (counters_of r))
 
 (* --- trace agreement --------------------------------------------------------- *)
 
@@ -323,15 +286,11 @@ let trace_self_check ~what (r : run) =
     (* one event per message under p2p; the collective lowering slices,
        so it records at least one event per message (and the volume law
        below pins the slice lengths to the exact moved elements) *)
-    (match r.cfg.Exec.lower with
-    | Exec.Collective ->
-      if !n_msgs < c.M.messages then
-        failf "%s: %d Message events but messages = %d" ctx !n_msgs
-          c.M.messages
-    | Exec.P2p | Exec.Auto ->
-      if !n_msgs <> c.M.messages then
-        failf "%s: %d Message events but messages = %d" ctx !n_msgs
-          c.M.messages);
+    if
+      if r.cfg.Exec.lower = Exec.Collective then !n_msgs < c.M.messages
+      else !n_msgs <> c.M.messages
+    then
+      failf "%s: %d Message events but messages = %d" ctx !n_msgs c.M.messages;
     if !vol <> c.M.volume then
       failf "%s: traced volume %d but volume = %d" ctx !vol c.M.volume;
     if
@@ -343,10 +302,10 @@ let trace_self_check ~what (r : run) =
 
 (* --- whole-matrix check -------------------------------------------------------- *)
 
-(* Datapath accounting per run: exact per-path invariants, agreement
-   within each (backend, datapath) group (run segmentation follows the
-   payload layout, so counts are only comparable on one backend), and
-   the staged-vs-zero-copy conservation law per backend. *)
+(* Datapath accounting per run: exact per-path invariants, the
+   collective peak bound, and the staged-vs-zero-copy conservation law
+   per backend (run segmentation follows the payload layout, so counts
+   are only comparable on one backend). *)
 let check_datapath ~what (runs : run list) (r : run) =
   let ctx = Printf.sprintf "%s %s" what (Exec.name r.cfg) in
   let c = counters_of r in
@@ -377,39 +336,6 @@ let check_datapath ~what (runs : run list) (r : run) =
       if c.M.staged_bytes <> 8 * c.M.volume then
         failf "%s: distributed zero-copy staged_bytes = %d, volume = %d" ctx
           c.M.staged_bytes c.M.volume));
-  (* agreement with the first run sharing (backend, datapath) *)
-  let group_ref =
-    List.find
-      (fun r' ->
-        r'.cfg.Exec.backend = r.cfg.Exec.backend
-        && r'.cfg.Exec.datapath = r.cfg.Exec.datapath)
-      runs
-  in
-  let c0 = counters_of group_ref in
-  if
-    (c.M.run_blits, c.M.zero_copy_runs, c.M.staged_bytes)
-    <> (c0.M.run_blits, c0.M.zero_copy_runs, c0.M.staged_bytes)
-  then
-    failf "%s: datapath counters (%d, %d, %d) but (%d, %d, %d) under %s" ctx
-      c.M.run_blits c.M.zero_copy_runs c.M.staged_bytes c0.M.run_blits
-      c0.M.zero_copy_runs c0.M.staged_bytes
-      (Exec.name group_ref.cfg);
-  (* peak staging bytes model the schedule's staging high-water: they
-     depend on the lowering (which shapes the schedule) on top of
-     (backend, datapath), and on nothing else *)
-  let peak_ref =
-    List.find
-      (fun r' ->
-        r'.cfg.Exec.backend = r.cfg.Exec.backend
-        && r'.cfg.Exec.datapath = r.cfg.Exec.datapath
-        && r'.cfg.Exec.lower = r.cfg.Exec.lower)
-      runs
-  in
-  let cp = counters_of peak_ref in
-  if c.M.peak_bytes <> cp.M.peak_bytes then
-    failf "%s: peak_bytes = %d but %d under %s" ctx c.M.peak_bytes
-      cp.M.peak_bytes
-      (Exec.name peak_ref.cfg);
   (* the collective lowering's contract: its bounded phases never stage
      more at once than the p2p step program of the same (backend,
      datapath) *)
@@ -417,8 +343,7 @@ let check_datapath ~what (runs : run list) (r : run) =
     List.iter
       (fun r' ->
         if
-          r'.cfg.Exec.backend = r.cfg.Exec.backend
-          && r'.cfg.Exec.datapath = r.cfg.Exec.datapath
+          Exec.agree [ Backend; Datapath ] r'.cfg r.cfg
           && r'.cfg.Exec.lower = Exec.P2p
         then begin
           let c' = counters_of r' in
@@ -435,7 +360,7 @@ let check_datapath ~what (runs : run list) (r : run) =
     List.iter
       (fun r' ->
         if
-          r'.cfg.Exec.backend = r.cfg.Exec.backend
+          Exec.agree [ Backend ] r'.cfg r.cfg
           && r'.cfg.Exec.datapath = Exec.Staged
         then begin
           let cs = counters_of r' in
@@ -453,21 +378,7 @@ let check_pipeline ~what (runs : run list) =
     (fun r ->
       trace_self_check ~what r;
       same_result ~what ref_run r;
-      same_counters ~what ref_run r;
-      (* schedule-derived counters: compare to the first run sharing the
-         (accounting mode, lowering) pair — sequential and parallel
-         executors sit in one group, so the "modeled counters
-         byte-identical" law is checked for free; the collective
-         lowering legitimately charges a different step count (phases)
-         and clock (phase program) *)
-      let sched_ref =
-        List.find
-          (fun r' ->
-            r'.cfg.Exec.sched = r.cfg.Exec.sched
-            && r'.cfg.Exec.lower = r.cfg.Exec.lower)
-          runs
-      in
-      same_sched_counters ~what sched_ref r;
+      same_modeled ~what runs r;
       let c = counters_of r in
       (* fusion is a service-only behaviour: no matrix run may charge it *)
       if c.M.fused_remaps <> 0 then
@@ -480,7 +391,7 @@ let check_pipeline ~what (runs : run list) =
            collective lowering slices); the per-(from, to) volume totals
            are pipeline-wide *)
         let lower_ref =
-          List.find (fun r' -> r'.cfg.Exec.lower = r.cfg.Exec.lower) runs
+          List.find (fun r' -> Exec.agree [ Lower ] r'.cfg r.cfg) runs
         in
         if
           lower_ref.dropped = 0
@@ -506,12 +417,11 @@ let leq ~what name a b =
    plans looked up through its tenant cache over the shared sharded
    cache.  The service's correctness bar is checked against the
    reference run (canonical / sequential / zero-copy / burst): every
-   value, every core and schedule counter, and the traced Message
-   multiset must be byte-identical per tenant — the interleaving, the
-   plan sharing, and any remap fusion between the two streams must be
-   invisible to each tenant's observables.  [fused_remaps] is the one
-   counter the service may move, and it is excluded from the core
-   fields by construction. *)
+   value, every modeled counter (a tenant shares every configuration
+   axis with the reference) and the traced Message multiset must be
+   byte-identical per tenant — the interleaving, the plan sharing, and
+   any remap fusion between the two streams must be invisible to each
+   tenant's observables. *)
 let check_serve ~what (ref_run : run) prog entry =
   let module Serve = Hpfc_serve.Serve in
   let svc = Serve.create ~tenants:2 () in
@@ -545,8 +455,7 @@ let check_serve ~what (ref_run : run) prog entry =
       let what = Printf.sprintf "%s serve tenant %d" what i in
       trace_self_check ~what r;
       same_result ~what ref_run r;
-      same_counters ~what ref_run r;
-      same_sched_counters ~what ref_run r;
+      same_modeled ~what [ ref_run ] r;
       if
         (not (r.dropped > 0 || ref_run.dropped > 0))
         && messages_of r <> ref_msgs

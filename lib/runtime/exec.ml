@@ -19,6 +19,20 @@ type t = {
   lower : lower;
 }
 
+(* The five axes by name: what a counter's declared class says may move
+   it ([Machine.counter_class]). *)
+type axis = Backend | Par | Datapath | Sched | Lower
+
+let agree axes a b =
+  List.for_all
+    (function
+      | Backend -> a.backend = b.backend
+      | Par -> a.par = b.par
+      | Datapath -> a.datapath = b.datapath
+      | Sched -> a.sched = b.sched
+      | Lower -> a.lower = b.lower)
+    axes
+
 let reference =
   {
     backend = Canonical;

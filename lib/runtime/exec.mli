@@ -36,6 +36,15 @@ type t = {
   lower : lower;
 }
 
+(** The five axes by name, one constructor per field of {!t}: a
+    counter's declared class ({!Machine.counter_class}) lists the axes
+    that may move it. *)
+type axis = Backend | Par | Datapath | Sched | Lower
+
+(** [agree axes a b]: [a] and [b] are equal on every axis of [axes]
+    (vacuously true on []). *)
+val agree : axis list -> t -> t -> bool
+
 (** canonical / seq / zerocopy / burst / p2p: the head of {!all}. *)
 val reference : t
 

@@ -178,7 +178,7 @@ type t = {
   sched : sched_mode;  (* how remapping messages are charged to [time] *)
   datapath : Exec.datapath;  (* how every executor moves this run's data *)
   lower : Exec.lower;  (* how this run's plans are lowered *)
-  counters : counters;
+  mutable counters : counters;  (* replaced whole by [reset] *)
   memory_limit : int option;  (* max live elements across all copies *)
   mutable memory_used : int;
   trace : trace;
@@ -228,37 +228,6 @@ let events t =
 
 let dropped_events t = t.trace.dropped
 let trace_capacity t = Array.length t.trace.buf
-
-let pp_event ppf = function
-  | Remap_begin { array; src; dst } ->
-    Fmt.pf ppf "remap %s_%s -> %s_%d begin" array
-      (match src with Some v -> string_of_int v | None -> "?")
-      array dst
-  | Remap_end { array; src; dst; volume; time } ->
-    Fmt.pf ppf "remap %s_%s -> %s_%d end (%d moved, t=%.1f)" array
-      (match src with Some v -> string_of_int v | None -> "?")
-      array dst volume time
-  | Plan_lookup { hit } -> Fmt.pf ppf "plan  %s" (if hit then "hit" else "miss")
-  | Step_begin { index; nb_messages; volume } ->
-    Fmt.pf ppf "step  #%d begin (%d msgs, %d elements)" index nb_messages
-      volume
-  | Step_end { index; time } -> Fmt.pf ppf "step  #%d end (t=%.1f)" index time
-  | Message { from_rank; to_rank; count } ->
-    Fmt.pf ppf "msg   P%d -> P%d (%d)" from_rank to_rank count
-  | Wall_step { index; wall } ->
-    Fmt.pf ppf "step  #%d wall %.3f ms" index (wall *. 1e3)
-  | Wall_remap { steps; wall } ->
-    Fmt.pf ppf "remap wall %.3f ms over %d steps" (wall *. 1e3) steps
-  | Dead_copy { array; src; dst } ->
-    Fmt.pf ppf "dead  %s_%s -> %s_%d" array
-      (match src with Some v -> string_of_int v | None -> "?")
-      array dst
-  | Live_reuse { array; dst } -> Fmt.pf ppf "reuse %s_%d" array dst
-  | Skip { array; dst } -> Fmt.pf ppf "skip  %s_%d" array dst
-  | Evict { array; version } -> Fmt.pf ppf "evict %s_%d" array version
-
-let pp_trace ppf t =
-  List.iter (fun e -> Fmt.pf ppf "%a@." pp_event e) (events t)
 
 (* --- JSON-lines encoding (no JSON library in the toolchain) ------------- *)
 
@@ -325,57 +294,121 @@ let event_to_json = function
     Printf.sprintf {|{"ev":"evict","array":"%s","version":%d}|}
       (json_escape array) version
 
+(* --- the counter classes ------------------------------------------------- *)
+
+(* What may move a counter between two runs of one program (machine.mli
+   describes each class). *)
+type counter_class =
+  | Modeled of Exec.axis list
+  | Executor_history
+  | Service
+  | Wall
+
+type reading = Int of int | Float of float
+
+let string_of_reading = function
+  | Int n -> string_of_int n
+  | Float f -> json_float f
+
+type walker = {
+  int : string -> counter_class -> int -> int;
+  float : string -> counter_class -> float -> float;
+}
+
+(* The declaration: every counter's name and class, once.  It is one
+   full record literal, so a counter added to the type without a class
+   here fails to compile; every scrub, agreement law and field walk, in
+   the oracle and in the tests, is derived from it.  The fields evaluate
+   in an unspecified order, so no walker may depend on it. *)
+let rebuild f c =
+  let core = Modeled []
+  and sched = Modeled [ Sched; Lower ]
+  and dpath = Modeled [ Backend; Datapath ] in
+  {
+    messages = f.int "messages" core c.messages;
+    volume = f.int "volume" core c.volume;
+    local_moves = f.int "local_moves" core c.local_moves;
+    remaps_performed = f.int "remaps_performed" core c.remaps_performed;
+    remaps_skipped = f.int "remaps_skipped" core c.remaps_skipped;
+    live_reuses = f.int "live_reuses" core c.live_reuses;
+    dead_copies = f.int "dead_copies" core c.dead_copies;
+    allocs = f.int "allocs" core c.allocs;
+    frees = f.int "frees" core c.frees;
+    evictions = f.int "evictions" core c.evictions;
+    plan_hits = f.int "plan_hits" core c.plan_hits;
+    plan_misses = f.int "plan_misses" core c.plan_misses;
+    plan_evictions = f.int "plan_evictions" core c.plan_evictions;
+    steps = f.int "steps" sched c.steps;
+    peak_step_volume = f.int "peak_step_volume" sched c.peak_step_volume;
+    run_blits = f.int "run_blits" dpath c.run_blits;
+    zero_copy_runs = f.int "zero_copy_runs" dpath c.zero_copy_runs;
+    staged_bytes = f.int "staged_bytes" dpath c.staged_bytes;
+    pool_hits = f.int "pool_hits" Executor_history c.pool_hits;
+    pool_misses = f.int "pool_misses" Executor_history c.pool_misses;
+    peak_bytes =
+      f.int "peak_bytes" (Modeled [ Backend; Datapath; Lower ]) c.peak_bytes;
+    pool_lease_peak =
+      f.int "pool_lease_peak" Executor_history c.pool_lease_peak;
+    layout_pad = 0;
+    fused_remaps = f.int "fused_remaps" Service c.fused_remaps;
+    time = f.float "time" sched c.time;
+    wall_time = f.float "wall_time" Wall c.wall_time;
+  }
+
+(* Every counter as (name, class, reading), sorted by name. *)
+let fields c =
+  let acc = ref [] in
+  let note name cls r = acc := (name, cls, r) :: !acc in
+  ignore
+    (rebuild
+       {
+         int = (fun n k v -> note n k (Int v); v);
+         float = (fun n k v -> note n k (Float v); v);
+       }
+       c
+      : counters);
+  List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !acc
+
+(* The counters two runs must agree on when their configurations differ
+   only on the axes [varying]: the modeled counters none of those axes
+   may move; every other counter reads 0. *)
+let scrub ~varying c =
+  let keeps = function
+    | Modeled axes -> not (List.exists (fun a -> List.mem a varying) axes)
+    | Executor_history | Service | Wall -> false
+  in
+  rebuild
+    {
+      int = (fun _ k v -> if keeps k then v else 0);
+      float = (fun _ k v -> if keeps k then v else 0.0);
+    }
+    c
+
 (* One-line JSON summary of the trace dump, emitted after the retained
-   events so a truncated trace is never mistaken for a complete one. *)
+   events so a truncated trace is never mistaken for a complete one,
+   plus the counters that say where the bytes went: the executor
+   history and every datapath-dependent modeled counter. *)
 let trace_summary_json t =
+  let counter = function
+    | _, Modeled axes, _ when not (List.mem Exec.Datapath axes) -> None
+    | _, (Service | Wall), _ -> None
+    | n, _, r -> Some (Printf.sprintf {|,"%s":%s|} n (string_of_reading r))
+  in
   Printf.sprintf
-    {|{"ev":"trace_summary","events":%d,"dropped":%d,"capacity":%d,"complete":%b,"pool_hits":%d,"pool_misses":%d,"zero_copy_runs":%d,"staged_bytes":%d,"peak_bytes":%d,"pool_lease_peak":%d}|}
+    {|{"ev":"trace_summary","events":%d,"dropped":%d,"capacity":%d,"complete":%b%s}|}
     t.trace.len t.trace.dropped (trace_capacity t) (t.trace.dropped = 0)
-    t.counters.pool_hits t.counters.pool_misses t.counters.zero_copy_runs
-    t.counters.staged_bytes t.counters.peak_bytes t.counters.pool_lease_peak
+    (String.concat "" (List.filter_map counter (fields t.counters)))
 
-(* Copy every field of [src] into [dst].  [reset] and the cross-run
-   isolation tests rely on this covering the whole record: when a counter
-   is added, the compiler does not force an update here, so the coverage
-   test in test_runtime.ml compares a reset record against a fresh one
-   structurally. *)
-let copy_counters ~into:(dst : counters) (src : counters) =
-  dst.messages <- src.messages;
-  dst.volume <- src.volume;
-  dst.local_moves <- src.local_moves;
-  dst.remaps_performed <- src.remaps_performed;
-  dst.remaps_skipped <- src.remaps_skipped;
-  dst.live_reuses <- src.live_reuses;
-  dst.dead_copies <- src.dead_copies;
-  dst.allocs <- src.allocs;
-  dst.frees <- src.frees;
-  dst.evictions <- src.evictions;
-  dst.plan_hits <- src.plan_hits;
-  dst.plan_misses <- src.plan_misses;
-  dst.plan_evictions <- src.plan_evictions;
-  dst.steps <- src.steps;
-  dst.peak_step_volume <- src.peak_step_volume;
-  dst.run_blits <- src.run_blits;
-  dst.zero_copy_runs <- src.zero_copy_runs;
-  dst.staged_bytes <- src.staged_bytes;
-  dst.pool_hits <- src.pool_hits;
-  dst.pool_misses <- src.pool_misses;
-  dst.peak_bytes <- src.peak_bytes;
-  dst.pool_lease_peak <- src.pool_lease_peak;
-  dst.fused_remaps <- src.fused_remaps;
-  dst.time <- src.time;
-  dst.wall_time <- src.wall_time
-
-let reset t = copy_counters ~into:t.counters (fresh_counters ())
+(* A fresh record covers every field by construction; a record read
+   before the reset keeps its values. *)
+let reset t = t.counters <- fresh_counters ()
 
 (* A detached copy of the live counters — the serve layer's per-tenant
    snapshots: the record is mutable and another domain may be executing
    against it, so handing out the live record would let a report skew
    mid-read. *)
 let snapshot_counters t =
-  let c = fresh_counters () in
-  copy_counters ~into:c t.counters;
-  c
+  rebuild { int = (fun _ _ v -> v); float = (fun _ _ v -> v) } t.counters
 
 let pp_counters ppf (c : counters) =
   Fmt.pf ppf

@@ -98,9 +98,48 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-(** Copy every field of the second record into [into] (used by {!reset}
-    and the counter-isolation tests). *)
-val copy_counters : into:counters -> counters -> unit
+(** {2 Counter classes}
+
+    What may move a counter between two runs of one program.
+    [Modeled axes]: only a difference on one of the configuration
+    [axes]; runs whose configurations {!Exec.agree} on [axes] agree on
+    it byte for byte, whatever executor or service ran them.
+    [Executor_history]: the staging-pool totals, which follow each
+    executor's pool history.  [Service]: charged only by the
+    multi-tenant service.  [Wall]: measured.  {!rebuild} declares each
+    counter's class. *)
+type counter_class =
+  | Modeled of Exec.axis list
+  | Executor_history
+  | Service
+  | Wall
+
+type reading = Int of int | Float of float
+
+val string_of_reading : reading -> string
+
+(** A per-field map for {!rebuild}: called with the field's name, its
+    class and its value, it returns the field's new value. *)
+type walker = {
+  int : string -> counter_class -> int -> int;
+  float : string -> counter_class -> float -> float;
+}
+
+(** The declaration of every counter's name and class: a fresh record
+    whose every field is the walker's answer for the corresponding field
+    of the argument ([layout_pad] stays 0).  The walker is called once
+    per field, in an unspecified order.  It is one full record literal, so a counter added to {!counters}
+    without a class does not compile. *)
+val rebuild : walker -> counters -> counters
+
+(** Every counter as (name, class, reading), sorted by name. *)
+val fields : counters -> (string * counter_class * reading) list
+
+(** [scrub ~varying c]: the counters two runs must agree on when their
+    configurations differ only on [varying] — every [Modeled] counter
+    whose axes avoid [varying] — with every other counter zeroed.
+    [scrub ~varying:[]] keeps exactly the modeled counters. *)
+val scrub : varying:Exec.axis list -> counters -> counters
 
 (** Structured execution-trace events (gated by [record_trace]), one
     constructor per observable transition of the plan / schedule / execute
@@ -151,7 +190,7 @@ type t = {
       (** how every executor moves this run's data (zero-copy, staged or
           the scalar oracle) *)
   lower : Exec.lower;  (** how this run's plans are lowered *)
-  counters : counters;
+  mutable counters : counters;  (** replaced whole by {!reset} *)
   memory_limit : int option;  (** max live elements across all copies *)
   mutable memory_used : int;
   trace : trace;
@@ -186,19 +225,19 @@ val dropped_events : t -> int
 val trace_capacity : t -> int
 
 (** One-line JSON summary of the trace ([events], [dropped], [capacity],
-    [complete]) plus the machine's staging-pool totals
-    ([pool_hits]/[pool_misses]); dumped after the retained events so a
-    truncated trace is never mistaken for a complete one. *)
+    [complete]) plus, sorted by name, every [Executor_history] counter
+    and every [Modeled] counter whose axes include [Datapath]
+    ([peak_bytes], [pool_hits], [pool_lease_peak], [pool_misses],
+    [run_blits], [staged_bytes], [zero_copy_runs]); dumped after the
+    retained events so a truncated trace is never mistaken for a
+    complete one. *)
 val trace_summary_json : t -> string
-
-val pp_event : Format.formatter -> event -> unit
-val pp_trace : Format.formatter -> t -> unit
 
 (** One event as a single-line JSON object (the [--trace] dump format);
     hand-rolled, since the toolchain carries no JSON library. *)
 val event_to_json : event -> string
 
-(** Zero all counters. *)
+(** Zero all counters: [t.counters] becomes a fresh record. *)
 val reset : t -> unit
 
 (** A detached copy of the machine's live counters — safe to report from

@@ -1017,13 +1017,6 @@ let iter_run_slice (runs : run array) ~off ~len f =
       pos := base + total)
     runs
 
-let pp_run ppf r =
-  if r.r_count = 1 then
-    Fmt.pf ppf "src+%d -> dst+%d : %d" r.r_src r.r_dst r.r_len
-  else
-    Fmt.pf ppf "src+%d/%+d -> dst+%d/%+d : %d x %d" r.r_src r.r_src_stride
-      r.r_dst r.r_dst_stride r.r_count r.r_len
-
 let pp_box ppf (b : box) =
   Fmt.pf ppf "%a"
     (Hpfc_base.Util.pp_list ~sep:" x " (fun ppf s ->

@@ -291,7 +291,6 @@ val iter_box_slice : box -> off:int -> len:int -> (int array -> unit) -> unit
 (** Row-major strides of an extents vector (last dimension stride 1). *)
 val row_major_strides : int array -> int array
 
-val pp_run : Format.formatter -> run -> unit
 val pp_box : Format.formatter -> box -> unit
 val pp_message : Format.formatter -> message -> unit
 

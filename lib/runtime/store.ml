@@ -379,9 +379,3 @@ let write ?(defined = true) t ~name ~version index value =
   d.defined.(li) <- defined;
   (* the written copy is authoritative *)
   d.live.(version) <- true
-
-let pp_descriptor ppf d =
-  Fmt.pf ppf "%s: status=%s live={%a}" d.name
-    (match d.status with Some v -> string_of_int v | None -> "_")
-    (Hpfc_base.Util.pp_list Fmt.int)
-    (List.filteri (fun i _ -> d.live.(i)) (Array.to_list (Array.mapi (fun i _ -> i) d.live)))

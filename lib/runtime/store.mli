@@ -150,5 +150,3 @@ val read : t -> name:string -> version:int -> int array -> float
     @raise Hpfc_base.Error.Hpf_error when [version] is not current. *)
 val write :
   ?defined:bool -> t -> name:string -> version:int -> int array -> float -> unit
-
-val pp_descriptor : Format.formatter -> descriptor -> unit

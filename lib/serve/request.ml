@@ -12,7 +12,8 @@
 
    Requests are handed between the submitting tenant thread and the
    service workers under the service lock; the mutable fields are only
-   ever written with that lock held (or before submission).  [finished]
+   ever written with that lock held (or before submission, or by the
+   worker executing the request).  [finished]
    is set last, after every other write of the request's execution, so
    a client that reads it true (an atomic read, no lock) also sees
    [state], [completed] and the tenant's data and counters. *)
@@ -28,7 +29,9 @@ type payload =
       plan : Redist.plan;
     }
 
-type state = Queued | Running | Done
+(* [Failed e]: resolving or executing the request raised [e], and
+   [Serve.await] re-raises it; a failed request has no [completed]. *)
+type state = Queued | Running | Done | Failed of exn
 
 type t = {
   tenant : int;

@@ -28,9 +28,9 @@
      has solo semantics (capacity, LRU order, hit/miss/eviction
      counters) because parent chaining only changes who *constructs* a
      plan, never whether the tenant's lookup hits;
-   - the only per-tenant counters a serve run may legitimately move are
-     the executor-history classes every cross-executor comparison
-     already scrubs (pool totals, wall clock) plus [fused_remaps];
+   - a tenant and its solo run share every configuration axis, so they
+     agree on every [Modeled] counter of the declaration
+     ([Machine.rebuild]); only the other classes may move;
    - cross-domain safety: plans travel between workers only through the
      shard-atomic snapshots of the cache (safe publication of the plan,
      its precompiled step program, and any datapath memos, which are
@@ -165,6 +165,11 @@ let resolve t (req : Request.t) =
       bracket = Some (array, src, dst, t0);
     }
 
+(* A request that raised [e] while resolving or executing fails alone
+   (or with its fused batch): the worker that owns it marks it and
+   keeps serving. *)
+let fail (req : Request.t) e = req.Request.state <- Request.Failed e
+
 (* Close the [Remap] flavor's bracket exactly as [Store.copy_version]
    does after the executor returns. *)
 let close_bracket (m : member) =
@@ -186,7 +191,9 @@ let close_bracket (m : member) =
 (* Execute one dispatched batch: fuse, run, close brackets.  Members of
    a >= 2-member fused batch get [fused_remaps] charged; a singleton
    batch runs through the same fused walk, which degenerates to the
-   sequential [Comm.execute].
+   sequential [Comm.execute].  A raising [Comm.execute_fused] call fails
+   exactly its members, their brackets left open as a raising
+   [Comm.execute] leaves [Store.copy_version]'s.
    The fused walk lowers each group the way [Comm.execute] would solo
    (step or phase program), so collective-lowered members fuse like any
    other; fusion only ever batches members whose machines agree on the
@@ -218,13 +225,17 @@ let run_batch t pool (members : member list) =
               ms)
           batch
       end;
-      Comm.execute_fused ~pool
-        (List.map
-           (fun (plan, ms) ->
-             (plan, List.map (fun m -> (m.mach, m.src_ep, m.dst_ep)) ms))
-           batch))
+      match
+        Comm.execute_fused ~pool
+          (List.map
+             (fun (plan, ms) ->
+               (plan, List.map (fun m -> (m.mach, m.src_ep, m.dst_ep)) ms))
+             batch)
+      with
+      | () -> List.iter (fun (_, ms) -> List.iter close_bracket ms) batch
+      | exception e ->
+        List.iter (fun (_, ms) -> List.iter (fun m -> fail m.req e) ms) batch)
     batches;
-  List.iter close_bracket members;
   (List.length batches, !fused_batches, !fused_members)
 
 (* --- worker loop ------------------------------------------------------------ *)
@@ -258,19 +269,29 @@ let rec worker_loop t pool =
     Mutex.unlock t.lock
   | Some reqs ->
     Mutex.unlock t.lock;
-    let members = List.map (resolve t) reqs in
+    let members =
+      List.filter_map
+        (fun req ->
+          match resolve t req with
+          | m -> Some m
+          | exception e -> fail req e; None)
+        reqs
+    in
     let batches, fused_b, fused_m = run_batch t pool members in
     let now = Unix.gettimeofday () in
     Mutex.lock t.lock;
     List.iter
-      (fun (m : member) ->
-        m.req.Request.completed <- now;
-        m.req.Request.state <- Request.Done;
-        Atomic.set m.req.Request.finished true;
-        t.tenants.(m.req.Request.tenant).busy <- false;
-        t.n_requests <- t.n_requests + 1;
-        t.lat <- Request.latency m.req :: t.lat)
-      members;
+      (fun (req : Request.t) ->
+        (match req.Request.state with
+        | Request.Failed _ -> ()
+        | _ ->
+          req.Request.completed <- now;
+          req.Request.state <- Request.Done;
+          t.n_requests <- t.n_requests + 1;
+          t.lat <- Request.latency req :: t.lat);
+        Atomic.set req.Request.finished true;
+        t.tenants.(req.Request.tenant).busy <- false)
+      reqs;
     t.n_batches <- t.n_batches + batches;
     t.n_fused_batches <- t.n_fused_batches + fused_b;
     t.n_fused_members <- t.n_fused_members + fused_m;
@@ -396,7 +417,8 @@ let await t (req : Request.t) =
       Condition.wait t.completion t.lock
     done;
     Mutex.unlock t.lock
-  end
+  end;
+  match req.Request.state with Request.Failed e -> raise e | _ -> ()
 
 (* A [Comm.executor] that routes every plan through the service as
    tenant [tenant]: installs into [Store.create ~executor] (with the

@@ -152,15 +152,7 @@ let prop_par_counters_equal_seq =
     ~name:"collective modeled counters: parallel = sequential"
     ~print:Test_redist_props.print_pair ~count:80 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      let scrub (m : Machine.t) =
-        {
-          m.Machine.counters with
-          Machine.wall_time = 0.0;
-          Machine.pool_hits = 0;
-          Machine.pool_misses = 0;
-          Machine.pool_lease_peak = 0;
-        }
-      in
+      let scrub (m : Machine.t) = Machine.scrub ~varying:[ Par ] m.counters in
       let mp, _, _ =
         Test_par.remap_par ~sched:Machine.Stepped ~lower:Exec.Collective
           ~src ~dst float_of_int

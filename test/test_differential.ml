@@ -409,22 +409,9 @@ let test_counters_isolated () =
   let scalars = [ ("t", I.VInt 2) ] in
   let c1 = P.compare_pipelines ~scalars src in
   let c2 = P.compare_pipelines ~scalars src in
-  (* wall_time is measured, not modeled: it legitimately differs between
-     repeated runs on a real parallel backend; pool hits/misses depend on
-     the process-global staging pool's history across runs.  So
-     repeatability is checked on the modeled counters only. *)
-  let scrub (c : Machine.counters) =
-    {
-      c with
-      Machine.wall_time = 0.0;
-      Machine.pool_hits = 0;
-      Machine.pool_misses = 0;
-      Machine.pool_lease_peak = 0;
-    }
-  in
-  let eq a b =
-    scrub a.I.machine.Machine.counters = scrub b.I.machine.Machine.counters
-  in
+  (* repeatability is checked on the modeled counters only *)
+  let scrub (r : I.result) = Machine.scrub ~varying:[] r.machine.counters in
+  let eq a b = scrub a = scrub b in
   Alcotest.(check bool) "naive leg repeatable" true (eq c1.P.naive c2.P.naive);
   Alcotest.(check bool) "optimized leg repeatable" true
     (eq c1.P.optimized c2.P.optimized);

@@ -340,21 +340,8 @@ let observe ~datapath ~backend ?executor (src, dst) =
   let m, _, d =
     Test_comm.remap ~backend ?executor ~datapath ~src ~dst float_of_int
   in
-  let c =
-    {
-      m.Machine.counters with
-      (* the only counters allowed to differ between the paths *)
-      Machine.run_blits = 0;
-      Machine.zero_copy_runs = 0;
-      Machine.staged_bytes = 0;
-      Machine.peak_bytes = 0;
-      Machine.pool_hits = 0;
-      Machine.pool_misses = 0;
-      Machine.pool_lease_peak = 0;
-      Machine.wall_time = 0.0;
-    }
-  in
-  (Store.to_global (Store.get_copy d 1), c)
+  ( Store.to_global (Store.get_copy d 1),
+    Machine.scrub ~varying:[ Exec.Datapath ] m.Machine.counters )
 
 let all_paths_agree ?executor ~backend (src, dst) =
   match

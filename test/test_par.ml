@@ -126,18 +126,7 @@ let prop_par_counters_equal_seq =
     ~name:"parallel modeled counters = sequential (wall and pool excluded)"
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
-      (* wall time is measured, and pool hit/miss splits depend on each
-         executor's pool history; everything else — including run_blits,
-         charged from the shared memoized runs — must match exactly *)
-      let scrub (m : Machine.t) =
-        {
-          m.Machine.counters with
-          Machine.wall_time = 0.0;
-          Machine.pool_hits = 0;
-          Machine.pool_misses = 0;
-          Machine.pool_lease_peak = 0;
-        }
-      in
+      let scrub (m : Machine.t) = Machine.scrub ~varying:[ Par ] m.counters in
       let mp, _, _ = remap_par ~sched:Machine.Stepped ~src ~dst float_of_int
       and ms, _, _ = remap_seq ~sched:Machine.Stepped ~src ~dst float_of_int in
       scrub mp = scrub ms)

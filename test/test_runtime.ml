@@ -282,35 +282,29 @@ let test_trace_ring_buffer_no_drop () =
 
 (* Machine.reset and fresh_counters must cover every counter — a stale
    field would leak state between the naive and optimized legs of
-   compare_pipelines and void the differential soundness claims. *)
+   compare_pipelines and void the differential soundness claims.  The
+   dirty record comes from the counter declaration, which gives every
+   field its own non-zero value, so a new counter is covered without
+   touching this test. *)
 let test_counter_reset_coverage () =
+  let k = ref 0 in
+  let next () = incr k; !k in
   let m = Machine.create ~nprocs:4 () in
-  let c = m.Machine.counters in
-  c.Machine.messages <- 1;
-  c.Machine.volume <- 2;
-  c.Machine.local_moves <- 3;
-  c.Machine.remaps_performed <- 4;
-  c.Machine.remaps_skipped <- 5;
-  c.Machine.live_reuses <- 6;
-  c.Machine.dead_copies <- 7;
-  c.Machine.allocs <- 8;
-  c.Machine.frees <- 9;
-  c.Machine.evictions <- 10;
-  c.Machine.plan_hits <- 11;
-  c.Machine.plan_misses <- 12;
-  c.Machine.plan_evictions <- 13;
-  c.Machine.steps <- 14;
-  c.Machine.peak_step_volume <- 15;
-  c.Machine.run_blits <- 16;
-  c.Machine.zero_copy_runs <- 21;
-  c.Machine.staged_bytes <- 22;
-  c.Machine.pool_hits <- 17;
-  c.Machine.pool_misses <- 18;
-  c.Machine.time <- 19.0;
-  c.Machine.wall_time <- 20.0;
+  m.Machine.counters <-
+    Machine.rebuild
+      {
+        Machine.int = (fun _ _ _ -> next ());
+        float = (fun _ _ _ -> float_of_int (next ()));
+      }
+      m.Machine.counters;
+  let readings = List.map (fun (_, _, r) -> r) (Machine.fields m.Machine.counters) in
+  Alcotest.(check int) "every field dirty, each with its own value" !k
+    (List.length (List.sort_uniq compare readings));
+  Alcotest.(check bool) "snapshot copies every field" true
+    (Machine.snapshot_counters m = m.Machine.counters);
   Machine.reset m;
   Alcotest.(check bool) "reset zeroes every field" true
-    (c = Machine.fresh_counters ())
+    (m.Machine.counters = Machine.fresh_counters ())
 
 let suite =
   [

@@ -2,10 +2,8 @@
 
    The correctness bar under test: for any interleaving, each tenant's
    final arrays and modeled counters are byte-identical to running its
-   stream alone through the sequential executor — the service may only
-   move the executor-history counters every cross-executor comparison
-   already scrubs (wall clock, staging pool totals) plus its own
-   [fused_remaps].  Alongside the end-to-end stress, the pieces get
+   stream alone through the sequential executor — which counters count
+   as modeled is declared once, in [Machine.rebuild].  Alongside the end-to-end stress, the pieces get
    direct units: sharded cache conservation and no-duplicate
    construction under domain hammering, O(1) LRU recency semantics,
    two-level (tenant over shared) accounting, the bounded queue, the
@@ -35,6 +33,10 @@ let layouts =
       layout Dist.block; layout Dist.cyclic;
       layout (Dist.cyclic_sized 2); layout (Dist.cyclic_sized 4);
     |]
+
+(* A tenant or fused member and its solo replay share every
+   configuration axis, so they agree on every modeled counter. *)
+let scrub (m : Machine.t) = Machine.scrub ~varying:[] m.Machine.counters
 
 (* --- sharded plan cache: shard count policy ------------------------------------- *)
 
@@ -331,15 +333,6 @@ let test_execute_fused_equals_solo () =
   Alcotest.(check bool) "member 1 data = solo" true (final d1 = expected);
   Alcotest.(check bool) "member 2 data = solo" true (final d2 = expected);
   Alcotest.(check bool) "solo data intact" true (final ds = expected);
-  let scrub (m : Machine.t) =
-    {
-      m.Machine.counters with
-      Machine.wall_time = 0.0;
-      Machine.pool_hits = 0;
-      Machine.pool_misses = 0;
-      Machine.pool_lease_peak = 0;
-    }
-  in
   Alcotest.(check bool) "member 1 counters = solo" true (scrub m1 = scrub ms);
   Alcotest.(check bool) "member 2 counters = solo" true (scrub m2 = scrub ms)
 
@@ -368,18 +361,6 @@ let tenant_stream ?executor ?datapath ?lower ~plans ~rounds () =
     last := dst
   done;
   (m, Store.to_global (Store.get_copy d !last))
-
-(* The service may only move wall clock, pool totals, and its own fusion
-   counter — everything else must match the solo run byte for byte. *)
-let scrub (m : Machine.t) =
-  {
-    m.Machine.counters with
-    Machine.wall_time = 0.0;
-    Machine.pool_hits = 0;
-    Machine.pool_misses = 0;
-    Machine.pool_lease_peak = 0;
-    Machine.fused_remaps = 0;
-  }
 
 (* No tenant pins its machine's datapath or lowering. *)
 let ambient_config _ = (None, None)
@@ -572,9 +553,8 @@ let test_submit_remap_bracketing () =
   Alcotest.(check int) "one Remap_end" 1 ends
 
 (* A request naming a missing array or an unallocated version raises at
-   submit, in the client's thread (a worker that met it would die and
-   leave [await] blocked); the tenant's next valid request is served and
-   equals its solo replay. *)
+   submit, in the client's thread; the tenant's next valid request is
+   served and equals its solo replay. *)
 let test_submit_remap_rejects_bad_request () =
   let ls = Lazy.force layouts in
   let svc = Serve.create ~tenants:1 () in
@@ -612,6 +592,46 @@ let test_submit_remap_rejects_bad_request () =
     = Store.to_global (Store.get_copy solo_d 1));
   Alcotest.(check bool) "counters = solo replay" true (scrub m = scrub solo_m)
 
+(* A [Planned] request whose destination buffers are empty makes
+   [Buf.copy_run] raise before any write.  Exactly that request fails:
+   its [await] re-raises, the sole worker keeps serving, and its
+   tenant's later requests and the other tenant equal their solo
+   replays. *)
+let test_raising_request_fails_alone () =
+  let ls = Lazy.force layouts and rounds = 2 in
+  let svc = Serve.create ~tenants:2 ~workers:1 ~fusion:false () in
+  let stream i () =
+    tenant_stream ~executor:(Serve.executor svc ~tenant:i)
+      ~plans:(Serve.tenant_cache svc i) ~rounds ()
+  in
+  let other = Domain.spawn (stream 1) in
+  let faulty () =
+    let m = Machine.create ~nprocs ~datapath:Exec.Zero_copy () in
+    let s = Store.create m in
+    let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:2 () in
+    Store.alloc s d 0 ls.(0);
+    Store.alloc s d 1 ls.(1);
+    let ep v = Store.endpoint_of_copy (Store.get_copy d v) and empty = Buf.create 0 in
+    Serve.executor svc ~tenant:0 m ~src:(ep 0)
+      ~dst:{ (ep 1) with Comm.buffer = (fun ~rank:_ -> empty) }
+      (Redist.plan_intervals ~src:ls.(0) ~dst:ls.(1))
+  in
+  Alcotest.check_raises "the failed request's await raises"
+    (Invalid_argument "Buf.copy_run") faulty;
+  let served = [ stream 0 (); Domain.join other ] in
+  let stats = Serve.shutdown svc in
+  List.iter
+    (fun (m, data) ->
+      let solo_m, solo_data =
+        tenant_stream ~plans:(Redist.Plan_cache.create ()) ~rounds ()
+      in
+      Alcotest.(check bool) "data = solo replay" true (data = solo_data);
+      Alcotest.(check bool) "counters = solo replay" true
+        (scrub m = scrub solo_m))
+    served;
+  Alcotest.(check int) "every other request completed"
+    (2 * rounds * Array.length ls) stats.Serve.requests
+
 let suite =
   [
     Alcotest.test_case "shard count policy" `Quick test_shard_defaults;
@@ -647,6 +667,8 @@ let suite =
       test_submit_remap_bracketing;
     Alcotest.test_case "submit_remap rejects a bad request at submit" `Quick
       test_submit_remap_rejects_bad_request;
+    Alcotest.test_case "a raising request fails alone" `Quick
+      test_raising_request_fails_alone;
     Alcotest.test_case "tenants with different configurations stay isolated"
       `Quick test_mixed_configs_isolated;
     Alcotest.test_case "fusion never mixes configurations" `Quick
