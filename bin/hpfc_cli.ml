@@ -72,8 +72,7 @@ let sched_arg ~doc =
    ([Exec.default]) with the command-line choices on top.  The parallel
    executor implies per-rank payloads (what the workers may touch
    race-free). *)
-let exec_of_flags ?(distributed = false) ?(par = false) ?datapath ~sched ~lower
-    () =
+let exec_of_flags ?(distributed = false) ?(par = false) ~sched ~lower () =
   let d = Exec.default () in
   let sched = Option.value sched ~default:d.Exec.sched in
   let par = par || d.Exec.par in
@@ -81,7 +80,6 @@ let exec_of_flags ?(distributed = false) ?(par = false) ?datapath ~sched ~lower
     Exec.backend =
       (if distributed || par then Exec.Distributed else Exec.Canonical);
     par;
-    datapath = Option.value datapath ~default:d.Exec.datapath;
     sched;
     lower = Option.value lower ~default:d.Exec.lower;
   }
@@ -171,14 +169,12 @@ let run_cmd =
          contention-free steps (serialized, one send and one receive per \
          processor per step; also the bare --sched spelling)."
   in
-  let datapath = Arg.(value & vflag None [ (Some Exec.Scalar, info [ "scalar" ] ~doc:"Move data element by element through the per-element closures (the differential oracle) instead of blitting compiled runs."); (Some Exec.Staged, info [ "staged" ] ~doc:"Stage every message through a pooled pack/unpack buffer even when a zero-copy direct blit is eligible.") ]) in
   let compare_lex (a, _) (b, _) = Stdlib.compare a b in
-  let run file naive entry scalars compare distributed par trace sched datapath
-      lower plan_cache =
+  let run file naive entry scalars compare distributed par trace sched lower
+      plan_cache =
     handle (fun () ->
         let exec =
-          exec_of_flags ~distributed ~par:(par <> None) ?datapath ~sched ~lower
-            ()
+          exec_of_flags ~distributed ~par:(par <> None) ~sched ~lower ()
         in
         let src = read_file file in
         if compare then begin
@@ -205,8 +201,7 @@ let run_cmd =
               par
           in
           let machine =
-            Machine.create ~nprocs:4
-              ~sched:exec.Exec.sched ~datapath:exec.Exec.datapath
+            Machine.create ~nprocs:4 ~sched:exec.Exec.sched
               ~lower:exec.Exec.lower ~record_trace:trace ()
           in
           let finally () = Option.iter Hpfc_par.Par.destroy pool in
@@ -250,7 +245,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated machine.")
-    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ compare $ distributed $ par $ trace $ sched $ datapath $ lower_arg $ plan_cache_arg)
+    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ compare $ distributed $ par $ trace $ sched $ lower_arg $ plan_cache_arg)
 
 (* --- serve -------------------------------------------------------------------- *)
 
@@ -299,7 +294,7 @@ let serve_cmd =
              across replays *)
           let machine =
             Machine.create ~nprocs:4 ~sched:exec.Exec.sched
-              ~datapath:exec.Exec.datapath ~lower:exec.Exec.lower ()
+              ~lower:exec.Exec.lower ()
           in
           let last = ref None in
           for _ = 1 to repeat do

@@ -2,13 +2,13 @@
    pipeline matrix and cross-check every observable.
 
    Matrix: {optimized, unoptimized} x {canonical, distributed} x
-   {sequential, parallel} x {zerocopy, staged, scalar} x
-   {burst, stepped} x {p2p, collective}.  The parallel executor requires
-   the distributed payload (replicated writes into the shared canonical
-   payload would race), and the collective lowering is exercised only
-   under stepped accounting (under burst it charges exactly like p2p,
-   so a burst/collective run would duplicate the burst/p2p one), so 27
-   configurations are valid — 54 runs per accepted program, plus one
+   {sequential, parallel} x {burst, stepped} x {p2p, collective}.  The
+   parallel executor requires the distributed payload (replicated
+   writes into the shared canonical payload would race), and the
+   collective lowering is exercised only under stepped accounting
+   (under burst it charges exactly like p2p, so a burst/collective run
+   would duplicate the burst/p2p one), so 9 configurations are valid —
+   18 runs per accepted program, plus one
    2-tenant pass of the optimized pipeline through the multi-tenant
    remap service ([check_serve]) whose per-tenant observables must
    match the reference run byte for byte.
@@ -22,16 +22,12 @@
      first run agreeing on [axes], so the parallel executor's and the
      service's modeled counters are checked byte-identical against the
      sequential runs;
-   - exact per-path laws on top: the scalar oracle blits and
-     zero-copies nothing, the staged path zero-copies nothing and
-     stages every moved byte, the zero-copy path stages nothing on the
+   - exact datapath laws on top: a run stages nothing on the
      canonical backend and exactly the cross-rank volume on the
-     distributed one; per backend the staged path always blits at least
-     as many segments as the zero-copy path blits plus zero-copies; the
-     collective lowering's peak staging bytes never exceed the p2p peak
-     of the same (backend, datapath) — bounded peak staging memory is
-     the lowering's contract; and no run outside the service charges
-     [fused_remaps];
+     distributed one; the collective lowering's peak staging bytes
+     never exceed the p2p peak on the same backend — bounded peak
+     staging memory is the lowering's contract; and no run outside the
+     service charges [fused_remaps];
    - the event trace agrees with the counters (Message events reproduce
      the message/volume totals — one event per message under p2p, at
      least one per message under the collective lowering, which slices
@@ -302,72 +298,34 @@ let trace_self_check ~what (r : run) =
 
 (* --- whole-matrix check -------------------------------------------------------- *)
 
-(* Datapath accounting per run: exact per-path invariants, the
-   collective peak bound, and the staged-vs-zero-copy conservation law
-   per backend (run segmentation follows the payload layout, so counts
-   are only comparable on one backend). *)
+(* Datapath accounting per run: the exact staging law per backend and
+   the collective peak bound. *)
 let check_datapath ~what (runs : run list) (r : run) =
   let ctx = Printf.sprintf "%s %s" what (Exec.name r.cfg) in
   let c = counters_of r in
-  (match r.cfg.Exec.datapath with
-  | Exec.Scalar ->
-    if c.M.run_blits <> 0 then
-      failf "%s: scalar path performed %d blits" ctx c.M.run_blits;
-    if c.M.zero_copy_runs <> 0 then
-      failf "%s: scalar path zero-copied %d runs" ctx c.M.zero_copy_runs;
+  (match r.cfg.Exec.backend with
+  | Store.Canonical ->
+    (* globally addressed endpoints: every message is Direct *)
+    if c.M.run_blits <> 0 || c.M.staged_bytes <> 0 then
+      failf "%s: canonical run staged (%d blits, %d bytes)" ctx c.M.run_blits
+        c.M.staged_bytes
+  | Store.Distributed ->
+    (* per-rank buffers: exactly the cross-rank messages stage *)
     if c.M.staged_bytes <> 8 * c.M.volume then
-      failf "%s: scalar staged_bytes = %d, volume = %d" ctx c.M.staged_bytes
-        c.M.volume
-  | Exec.Staged ->
-    if c.M.zero_copy_runs <> 0 then
-      failf "%s: staged path zero-copied %d runs" ctx c.M.zero_copy_runs;
-    if c.M.staged_bytes <> 8 * c.M.volume then
-      failf "%s: staged staged_bytes = %d, volume = %d" ctx c.M.staged_bytes
-        c.M.volume
-  | Exec.Zero_copy -> (
-    match r.cfg.Exec.backend with
-    | Store.Canonical ->
-      (* globally addressed endpoints: every message is Direct *)
-      if c.M.run_blits <> 0 || c.M.staged_bytes <> 0 then
-        failf "%s: canonical zero-copy staged (%d blits, %d bytes)" ctx
-          c.M.run_blits c.M.staged_bytes
-    | Store.Distributed ->
-      (* per-rank buffers: exactly the cross-rank messages stage *)
-      if c.M.staged_bytes <> 8 * c.M.volume then
-        failf "%s: distributed zero-copy staged_bytes = %d, volume = %d" ctx
-          c.M.staged_bytes c.M.volume));
+      failf "%s: distributed staged_bytes = %d, volume = %d" ctx
+        c.M.staged_bytes c.M.volume);
   (* the collective lowering's contract: its bounded phases never stage
-     more at once than the p2p step program of the same (backend,
-     datapath) *)
+     more at once than the p2p step program on the same backend *)
   if r.cfg.Exec.lower = Exec.Collective then
     List.iter
       (fun r' ->
-        if
-          Exec.agree [ Backend; Datapath ] r'.cfg r.cfg
-          && r'.cfg.Exec.lower = Exec.P2p
+        if Exec.agree [ Backend ] r'.cfg r.cfg && r'.cfg.Exec.lower = Exec.P2p
         then begin
           let c' = counters_of r' in
           if c.M.peak_bytes > c'.M.peak_bytes then
             failf "%s: collective peak_bytes %d > p2p peak_bytes %d (%s)"
               ctx c.M.peak_bytes c'.M.peak_bytes
               (Exec.name r'.cfg)
-        end)
-      runs;
-  (* conservation: staged blits locals once and every move twice; zero
-     shifts locals and Direct moves to zero_copy_runs, so per backend
-     staged.run_blits >= zero.run_blits + zero.zero_copy_runs *)
-  if r.cfg.Exec.datapath = Exec.Zero_copy then
-    List.iter
-      (fun r' ->
-        if
-          Exec.agree [ Backend ] r'.cfg r.cfg
-          && r'.cfg.Exec.datapath = Exec.Staged
-        then begin
-          let cs = counters_of r' in
-          if cs.M.run_blits < c.M.run_blits + c.M.zero_copy_runs then
-            failf
-              "%s: staged run_blits %d < zero-copy blits %d + zero-copies %d"
-              ctx cs.M.run_blits c.M.run_blits c.M.zero_copy_runs
         end)
       runs
 
@@ -416,7 +374,7 @@ let leq ~what name a b =
    remappings delegated to the shared service ([Serve.executor]) and its
    plans looked up through its tenant cache over the shared sharded
    cache.  The service's correctness bar is checked against the
-   reference run (canonical / sequential / zero-copy / burst): every
+   reference run (canonical / sequential / burst / p2p): every
    value, every modeled counter (a tenant shares every configuration
    axis with the reference) and the traced Message multiset must be
    byte-identical per tenant — the interleaving, the plan sharing, and

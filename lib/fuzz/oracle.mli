@@ -1,7 +1,7 @@
 (** Differential oracle for generated programs.
 
     Runs a program through both pipelines under every configuration of
-    {!Hpfc_runtime.Exec.all} (27 configurations, 54 runs), and
+    {!Hpfc_runtime.Exec.all} (9 configurations, 18 runs), and
     cross-checks final values, modeled counters, and event traces.  See
     the implementation header for the exact invariant list. *)
 

@@ -443,8 +443,7 @@ let run ?(machine : Machine.t option) ?exec ?(record_trace = false) ?backend
         | Some e -> e.Exec.sched
         | None -> Machine.Burst
       in
-      Machine.create ~sched ~datapath:e.Exec.datapath ~lower:e.Exec.lower
-        ~record_trace
+      Machine.create ~sched ~lower:e.Exec.lower ~record_trace
         ~nprocs:target.Gen.graph.Graph.env.Env.default_procs.shape.(0) ()
   in
   let backend = Option.value backend ~default:e.Exec.backend in

@@ -16,13 +16,12 @@
    takes and unpacks the messages addressed to it, and crosses a
    sense-reversing barrier before the next step.
 
-   Data movement follows the machine's datapath: compiled-run blits by
-   default — with [Redist.Direct]-eligible messages copied payload to
-   payload by the sending rank, never posted to a mailbox — the
-   per-element scalar oracle or the unconditional staging path when the
-   machine says so.  The coordinator copies that choice into the job,
-   and precompiles the run memo and datapath decision on each message
-   before the job is submitted, so worker domains only ever read them.
+   Data moves through compiled-run blits, one rule per message:
+   [Redist.Direct] messages are copied payload to payload by the sending
+   rank, never posted to a mailbox; the rest go through the mailboxes as
+   above.  The coordinator precompiles the run memo and datapath
+   decision on each message before the job is submitted, so worker
+   domains only ever read them.
 
    The caller's domain stays the coordinator: it submits the job, waits
    for the team, and then owns all machine accounting — counters and
@@ -33,7 +32,7 @@
    [Wall_remap] per remap) are the executor's own.  Worker domains never
    touch the machine, so tracing needs no locks.
 
-   A worker that raises (a faulty endpoint closure, say) aborts the job
+   A worker that raises (a faulty endpoint buffer, say) aborts the job
    rather than leaving its siblings waiting on a barrier or a mailbox
    forever: the first exception is recorded, every waiter of the job is
    woken and unwinds, and the coordinator re-raises it once the whole
@@ -43,7 +42,6 @@ module Machine = Hpfc_runtime.Machine
 module Redist = Hpfc_runtime.Redist
 module Comm = Hpfc_runtime.Comm
 module Buf = Hpfc_runtime.Buf
-module Exec = Hpfc_runtime.Exec
 
 (* Raised inside the workers of an aborted job to unwind from a wait. *)
 exception Aborted
@@ -157,7 +155,6 @@ type job = {
          lowering a direct message moves whole in the round of its
          offset-zero slice. *)
   j_recvs : int array array;  (* round -> rank -> expected staged packets *)
-  j_scalar : bool;  (* the machine's datapath is the scalar oracle *)
   j_src : Comm.endpoint;
   j_dst : Comm.endpoint;
   j_mailboxes : mailbox array;  (* indexed by receiving rank *)
@@ -200,16 +197,16 @@ let atomic_max cell n =
 (* Pack positions [off, off + len) of one message's row-major box order
    into a pooled staging buffer — the identical walk as the sequential
    executor's, performed on the sending rank. *)
-let pack_buf pool live_peak ~scalar ~src ~dst (m : Redist.message) ~off ~len =
+let pack_buf pool live_peak ~src ~dst (m : Redist.message) ~off ~len =
   let _, buf = Comm.Pool.acquire pool len in
   atomic_max live_peak (Comm.Pool.live_leases ());
-  Comm.pack_staged ~scalar ~src ~dst m ~off ~len buf;
+  Comm.pack_staged ~src ~dst m ~off ~len buf;
   buf
 
 (* Unpack on the receiving rank, then release the packet buffer into the
    receiving worker's pool. *)
-let unpack_buf pool ~scalar ~src ~dst (m : Redist.message) ~off ~len buf =
-  Comm.unpack_staged ~scalar ~src ~dst m ~off ~len buf;
+let unpack_buf pool ~src ~dst (m : Redist.message) ~off ~len buf =
+  Comm.unpack_staged ~src ~dst m ~off ~len buf;
   Comm.Pool.release pool buf
 
 (* --- the job body --------------------------------------------------------- *)
@@ -230,7 +227,7 @@ let run_job pool w (job : job) =
   let abort = pool.p_abort in
   each_rank (fun r ->
       List.iter
-        (Comm.run_local ~scalar:job.j_scalar ~src:job.j_src ~dst:job.j_dst)
+        (Comm.run_direct ~src:job.j_src ~dst:job.j_dst)
         job.j_locals.(r));
   barrier_await pool.p_barrier ~abort ~on_last:(fun () ->
       job.j_tick <- Unix.gettimeofday ());
@@ -242,8 +239,8 @@ let run_job pool w (job : job) =
         List.iter
           (fun ((m : Redist.message), off, len) ->
             let buf =
-              pack_buf my_pool job.j_live_peak ~scalar:job.j_scalar
-                ~src:job.j_src ~dst:job.j_dst m ~off ~len
+              pack_buf my_pool job.j_live_peak ~src:job.j_src
+                ~dst:job.j_dst m ~off ~len
             in
             mailbox_post
               job.j_mailboxes.(m.Redist.m_to)
@@ -252,8 +249,8 @@ let run_job pool w (job : job) =
     each_rank (fun r ->
         for _ = 1 to job.j_recvs.(i).(r) do
           let p = mailbox_take ~abort job.j_mailboxes.(r) in
-          unpack_buf my_pool ~scalar:job.j_scalar ~src:job.j_src
-            ~dst:job.j_dst p.p_msg ~off:p.p_off ~len:p.p_len p.p_buf
+          unpack_buf my_pool ~src:job.j_src ~dst:job.j_dst p.p_msg
+            ~off:p.p_off ~len:p.p_len p.p_buf
         done);
     barrier_await pool.p_barrier ~abort ~on_last:(fun () ->
         let now = Unix.gettimeofday () in
@@ -378,7 +375,6 @@ let make_mailboxes pool nranks =
 
 let execute pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
   let collective = Comm.collective_chosen mach plan in
-  let scalar = mach.Machine.datapath = Exec.Scalar in
   let nranks =
     Int.max 1 (Int.max plan.Redist.nprocs_src plan.Redist.nprocs_dst)
   in
@@ -392,8 +388,7 @@ let execute pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
      only read the memos).  (The schedule memos — step program,
      collective program — are likewise populated below by the
      coordinator's own builder walk.) *)
-  Comm.precompile mach ~src ~dst plan;
-  let direct_ok = Comm.direct_enabled mach in
+  Comm.precompile ~src ~dst plan;
   (* The lowered schedule, each round split into staged send items and
      direct-eligible messages.  A direct message is never a send item:
      it moves payload to payload whole, in the round of its offset-zero
@@ -406,7 +401,7 @@ let execute pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
            let sends = ref [] and directs = ref [] in
            Comm.iter_items
              (fun m off len ->
-               if direct_ok && Comm.message_direct ~src ~dst m then begin
+               if Comm.message_direct ~src ~dst m then begin
                  if off = 0 then directs := m :: !directs
                end
                else sends := (m, off, len) :: !sends)
@@ -448,7 +443,6 @@ let execute pool (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
       j_sends = sends;
       j_directs = directs;
       j_recvs = recvs;
-      j_scalar = scalar;
       j_src = src;
       j_dst = dst;
       j_mailboxes = make_mailboxes pool nranks;

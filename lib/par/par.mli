@@ -10,14 +10,13 @@
     ranks' mailboxes, unpacks what it received, and crosses a barrier —
     so the schedule's contention-freedom is exercised by construction.
 
-    Data movement follows the machine's datapath: compiled-run blits by
-    default (run memos are precompiled on the coordinator before workers
-    share the messages), the per-element scalar oracle or the
-    unconditional staging path when selected; staging buffers come from
-    one [Comm.Pool] per worker domain and migrate between pools as
-    packets cross mailboxes.  The caller's domain owns all machine
-    accounting: the usual counters and modeled clock (shared with the
-    sequential executor through [Comm.charge] and the replayed
+    Data moves through compiled-run blits (run memos are precompiled on
+    the coordinator before workers share the messages): direct messages
+    payload to payload on the sending rank, the rest through staging
+    buffers that come from one [Comm.Pool] per worker domain and migrate
+    between pools as packets cross mailboxes.  The caller's domain owns
+    all machine accounting: the usual counters and modeled clock (shared
+    with the sequential executor through [Comm.charge] and the replayed
     [Comm.record_rounds] stream, so modeled numbers are byte-identical
     across executors) plus the pool hit/miss deltas, the [wall_time]
     counter and the measured wall events, [Wall_step] per step and

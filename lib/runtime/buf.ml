@@ -1,6 +1,6 @@
 (* Payload buffers: one C-layout float64 Bigarray.Array1 type shared by
-   store payloads, communication endpoints, staging pools, parallel
-   packets and the scalar oracle.  Flat and unboxed, so segment copies
+   store payloads, communication endpoints, staging pools and parallel
+   packets.  Flat and unboxed, so segment copies
    are memcpy/memmove and sub-views alias without copying — the
    representation zero-copy interop (mmap, C, devices) needs. *)
 

@@ -1,6 +1,6 @@
 (** Payload buffers: the one storage type every layer moves floats
-    through — store payloads, communication endpoints, staging buffers,
-    parallel-backend packets and the scalar oracle all carry [Buf.t].
+    through — store payloads, communication endpoints, staging buffers
+    and parallel-backend packets all carry [Buf.t].
 
     Backed by a C-layout float64 {!Bigarray.Array1}, so a buffer is a
     flat, unboxed, GC-pinned block: segment copies are [memmove]s,

@@ -12,31 +12,21 @@
    validates the communication IR itself, not just final values.
 
    Payloads, staging buffers and packets all carry one buffer type,
-   [Buf.t] (C-layout float64 bigarrays), and three data paths implement
-   the walk:
-
-   - the *zero-copy* path (default): messages whose memoized datapath is
-     [Redist.Direct] — self-messages, and messages between globally
-     addressed endpoints — copy their runs payload to payload with
-     [Buf.copy_run] kernel calls and touch no staging buffer at all
-     (charged to [zero_copy_runs]); everything else stages as below;
-   - the *staged* path ([Exec.Staged]): every cross-processor message
-     packs its compiled runs into a pooled staging buffer through the
-     same kernel and unpacks on the receive side — PR 4's behaviour,
-     kept continuously differential-tested;
-   - the *scalar* path ([Exec.Scalar]): the original per-element
-     endpoint closures, the oracle both blit paths are tested against;
-     it stages every message.
-
-   The path, like the lowering, is a field of the machine the executor
-   is handed ([Machine.datapath], [Machine.lower]), so runs on different
-   machines may differ on both at once.
+   [Buf.t] (C-layout float64 bigarrays), and one rule moves the data,
+   decided per message ([Redist.message_datapath]): a message whose
+   buffers are reachable from one address space — a self-message, or
+   any message between globally addressed endpoints — is [Direct] and
+   copies its compiled runs payload to payload with [Buf.copy_run]
+   kernel calls, touching no staging buffer (charged to
+   [zero_copy_runs]); every other message is [Staged]: it packs its
+   runs into a pooled staging buffer through the same kernel and
+   unpacks on the receive side.  The lowering is a field of the machine
+   the executor is handed ([Machine.lower]), so runs on different
+   machines may differ on it.
 
    Staging buffers come from a size-classed pool, so steady-state remaps
-   allocate nothing per message (and nothing at all on the zero-copy
-   path); modeled counters (messages, volume, steps, time) are identical
-   by construction, only [run_blits]/[zero_copy_runs]/[staged_bytes] and
-   the pool totals distinguish the paths.
+   allocate nothing per message (and nothing at all when every message
+   is direct).
 
    The executor also owns the accounting: message/volume/local-move
    counters always, and clock charges according to the machine's
@@ -49,21 +39,12 @@
 (* How the executor touches a copy's storage.  [rank] is the linear
    processor rank the access is performed on: backends with per-rank
    buffers address [rank]'s buffer directly; global payloads ignore it.
-   [addressing] and [buffer] expose the same storage to the blit path:
-   flat offsets computed from [addressing] index directly into
+   Flat offsets computed from [addressing] index directly into
    [buffer ~rank]. *)
 type endpoint = {
-  read : rank:int -> int array -> float;
-  write : rank:int -> int array -> float -> unit;
   addressing : Redist.addressing;
   buffer : rank:int -> Buf.t;
 }
-
-(* Zero-copy is a blit-path refinement: the scalar oracle stages every
-   message, and the staged datapath disables the direct fast path. *)
-let direct_enabled (mach : Machine.t) = mach.Machine.datapath = Exec.Zero_copy
-
-let scalar (mach : Machine.t) = mach.Machine.datapath = Exec.Scalar
 
 (* The auto rule: lower collectively exactly when its modeled time does
    not exceed the stepped point-to-point time (the collective never
@@ -159,14 +140,11 @@ let runs_of ~src ~dst (m : Redist.message) =
   Redist.message_runs ~src:src.addressing ~dst:dst.addressing m
 
 (* Compile the whole plan's runs for this endpoint pair before any data
-   moves (the scalar oracle never reads them). *)
-let precompile mach ~src ~dst (plan : Redist.plan) =
-  if not (scalar mach) then
-    Redist.precompile_runs ~src:src.addressing ~dst:dst.addressing plan
+   moves. *)
+let precompile ~src ~dst (plan : Redist.plan) =
+  Redist.precompile_runs ~src:src.addressing ~dst:dst.addressing plan
 
-(* Is this message's memoized datapath [Direct] under these endpoints?
-   (Independent of the machine's datapath; callers combine it with
-   [direct_enabled].) *)
+(* Is this message's memoized datapath [Direct] under these endpoints? *)
 let message_direct ~src ~dst (m : Redist.message) =
   match
     Redist.message_datapath ~src:src.addressing ~dst:dst.addressing m
@@ -175,10 +153,11 @@ let message_direct ~src ~dst (m : Redist.message) =
   | Redist.Staged _ -> false
 
 (* Copy a message's runs payload to payload, no staging buffer, one
-   kernel call per run.  The two endpoint buffers may alias (an in-place
-   copy exposes one buffer to both endpoints): the kernel walks each
-   run's segments away from the overlap, which is memmove semantics for
-   the gather and scatter runs such a copy compiles to. *)
+   kernel call per run — also every on-processor move.  The two
+   endpoint buffers may alias (an in-place copy exposes one buffer to
+   both endpoints): the kernel walks each run's segments away from the
+   overlap, which is memmove semantics for the gather and scatter runs
+   such a copy compiles to. *)
 let run_direct ~src ~dst (m : Redist.message) =
   let sbuf = src.buffer ~rank:m.Redist.m_from
   and dbuf = dst.buffer ~rank:m.Redist.m_to in
@@ -189,14 +168,6 @@ let run_direct ~src ~dst (m : Redist.message) =
       r.Redist.r_dst r.Redist.r_dst_stride ~len:r.Redist.r_len
       ~count:r.Redist.r_count
   done
-
-(* On-processor move: no staging buffer, no message.  The blit path
-   copies payload to payload directly, run by run. *)
-let run_local ~scalar ~src ~dst (m : Redist.message) =
-  if scalar then
-    Redist.iter_box m.Redist.m_box (fun index ->
-        dst.write ~rank:m.Redist.m_to index (src.read ~rank:m.Redist.m_from index))
-  else run_direct ~src ~dst m
 
 (* The sequential executor's staging pool (the parallel backend keeps
    its own, one per worker domain). *)
@@ -247,44 +218,23 @@ let unpack_runs (runs : Redist.run array) staging dbuf (m : Redist.message)
   end
 
 (* The send side of one staged transfer, positions [off, off + len) of
-   the message: through the per-element closures under the scalar
-   oracle, else through the compiled runs. *)
-let pack_staged ~scalar ~src ~dst (m : Redist.message) ~off ~len staging =
-  if scalar then begin
-    let k = ref 0 in
-    Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
-        Buf.set staging !k (src.read ~rank:m.Redist.m_from index);
-        incr k)
-  end
-  else
-    pack_runs (runs_of ~src ~dst m)
-      (src.buffer ~rank:m.Redist.m_from)
-      m ~off ~len staging
+   the message, through its compiled runs. *)
+let pack_staged ~src ~dst (m : Redist.message) ~off ~len staging =
+  pack_runs (runs_of ~src ~dst m)
+    (src.buffer ~rank:m.Redist.m_from)
+    m ~off ~len staging
 
 (* The receive side: the inverse walk. *)
-let unpack_staged ~scalar ~src ~dst (m : Redist.message) ~off ~len staging =
-  if scalar then begin
-    let k = ref 0 in
-    Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
-        dst.write ~rank:m.Redist.m_to index (Buf.get staging !k);
-        incr k)
-  end
-  else
-    unpack_runs (runs_of ~src ~dst m) staging
-      (dst.buffer ~rank:m.Redist.m_to)
-      m ~off ~len
+let unpack_staged ~src ~dst (m : Redist.message) ~off ~len staging =
+  unpack_runs (runs_of ~src ~dst m) staging
+    (dst.buffer ~rank:m.Redist.m_to)
+    m ~off ~len
 
 (* Both sides on one thread of control, looking the runs up once. *)
-let transfer_staged ~scalar ~src ~dst (m : Redist.message) ~off ~len staging =
-  if scalar then begin
-    pack_staged ~scalar ~src ~dst m ~off ~len staging;
-    unpack_staged ~scalar ~src ~dst m ~off ~len staging
-  end
-  else begin
-    let runs = runs_of ~src ~dst m in
-    pack_runs runs (src.buffer ~rank:m.Redist.m_from) m ~off ~len staging;
-    unpack_runs runs staging (dst.buffer ~rank:m.Redist.m_to) m ~off ~len
-  end
+let transfer_staged ~src ~dst (m : Redist.message) ~off ~len staging =
+  let runs = runs_of ~src ~dst m in
+  pack_runs runs (src.buffer ~rank:m.Redist.m_from) m ~off ~len staging;
+  unpack_runs runs staging (dst.buffer ~rank:m.Redist.m_to) m ~off ~len
 
 (* Take a staging lease from [pool] on behalf of [mach], mirroring the
    hit or miss into its counters. *)
@@ -309,7 +259,7 @@ let record_message mach (m : Redist.message) count =
    peak staging memory). *)
 let run_staged mach ~src ~dst (m : Redist.message) ~off ~len =
   let staging = lease default_pool mach len in
-  transfer_staged ~scalar:(scalar mach) ~src ~dst m ~off ~len staging;
+  transfer_staged ~src ~dst m ~off ~len staging;
   Pool.release default_pool staging;
   record_message mach m len
 
@@ -412,19 +362,13 @@ let charge_modeled ~collective (mach : Machine.t) (plan : Redist.plan) =
     c.Machine.time <- c.Machine.time +. Redist.modeled_time_of_steps cost prog
 
 (* Datapath accounting for one executed plan — [run_blits],
-   [zero_copy_runs] and [staged_bytes].  Derived from the memoized runs
-   and datapath decisions rather than bumped inside the data movement,
-   so every executor — including the parallel backend, whose workers
-   never touch the machine — charges byte-identically:
-
-   - scalar oracle: no blits, no zero-copy; every moved element stages
-     ([staged_bytes = 8 * volume]);
-   - staged: PR 4's accounting — locals copy once, messages pack
-     and unpack ([run_blits = L + 2 * M] segments), every moved element
-     stages;
-   - zero-copy (default): locals and [Direct] messages charge their
-     segments to [zero_copy_runs], only [Staged] messages blit twice and
-     stage their bytes.
+   [zero_copy_runs], [staged_bytes] and [peak_bytes].  Derived from the
+   memoized runs and datapath decisions rather than bumped inside the
+   data movement, so every executor — including the parallel backend,
+   whose workers never touch the machine — charges byte-identically:
+   locals and [Direct] messages charge their segments to
+   [zero_copy_runs], [Staged] messages blit twice (pack and unpack) and
+   stage their bytes.
 
    [run_blits]/[staged_bytes] count what the datapath copies in total
    and are charged from the same formulas under both lowerings (slicing
@@ -436,14 +380,11 @@ let charge_modeled ~collective (mach : Machine.t) (plan : Redist.plan) =
    is all-or-nothing across a plan's messages (a cross-processor message
    is [Direct] iff both endpoints address row-major, a per-plan
    property), so probing one move decides the whole plan. *)
-let staged_peak_volume mach ~src ~dst ~collective (plan : Redist.plan) =
+let staged_peak_volume ~src ~dst ~collective (plan : Redist.plan) =
   match plan.Redist.moves with
   | [] -> 0
   | m :: _ ->
-    let staged =
-      (not (direct_enabled mach)) || not (message_direct ~src ~dst m)
-    in
-    if not staged then 0
+    if message_direct ~src ~dst m then 0
     else if collective then Redist.peak_collective_volume plan
     else Redist.peak_step_volume (Redist.step_program plan)
 
@@ -452,33 +393,22 @@ let charge_datapath ~collective (mach : Machine.t) ~src ~dst
   let c = mach.Machine.counters in
   c.Machine.peak_bytes <-
     Int.max c.Machine.peak_bytes
-      (8 * staged_peak_volume mach ~src ~dst ~collective plan);
-  let stage_all () =
-    c.Machine.staged_bytes <-
-      c.Machine.staged_bytes + (8 * Redist.total_moved plan)
-  in
+      (8 * staged_peak_volume ~src ~dst ~collective plan);
   let segments m = Redist.nb_run_segments (runs_of ~src ~dst m) in
-  let sum f msgs = List.fold_left (fun acc m -> acc + f m) 0 msgs in
-  match mach.Machine.datapath with
-  | Exec.Scalar -> stage_all ()
-  | Exec.Staged ->
-    c.Machine.run_blits <-
-      c.Machine.run_blits + sum segments plan.Redist.locals
-      + (2 * sum segments plan.Redist.moves);
-    stage_all ()
-  | Exec.Zero_copy ->
-    c.Machine.zero_copy_runs <-
-      c.Machine.zero_copy_runs + sum segments plan.Redist.locals;
-    List.iter
-      (fun (m : Redist.message) ->
-        if message_direct ~src ~dst m then
-          c.Machine.zero_copy_runs <- c.Machine.zero_copy_runs + segments m
-        else begin
-          c.Machine.run_blits <- c.Machine.run_blits + (2 * segments m);
-          c.Machine.staged_bytes <-
-            c.Machine.staged_bytes + (8 * m.Redist.m_count)
-        end)
-      plan.Redist.moves
+  List.iter
+    (fun m ->
+      c.Machine.zero_copy_runs <- c.Machine.zero_copy_runs + segments m)
+    plan.Redist.locals;
+  List.iter
+    (fun (m : Redist.message) ->
+      if message_direct ~src ~dst m then
+        c.Machine.zero_copy_runs <- c.Machine.zero_copy_runs + segments m
+      else begin
+        c.Machine.run_blits <- c.Machine.run_blits + (2 * segments m);
+        c.Machine.staged_bytes <-
+          c.Machine.staged_bytes + (8 * m.Redist.m_count)
+      end)
+    plan.Redist.moves
 
 (* All accounting for one executed plan, shared by every executor so it
    cannot drift between backends: the modeled charge and the datapath
@@ -490,22 +420,21 @@ let charge ~collective mach ~src ~dst plan =
 (* Execute a plan: local moves first (they need no schedule), then the
    lowered schedule round by round — the step program, or the phase
    program when the machine's lowering (or the auto cost rule) picks
-   the collective one.  A direct-eligible message skips the staging
-   pool and moves payload to payload whole, at its offset-zero item
-   (plan messages write disjoint destination regions, so completing a
-   sliced message "early" is unobservable); every item still records
-   its [Message] event, so the trace is datapath-independent. *)
+   the collective one.  A direct message skips the staging pool and
+   moves payload to payload whole, at its offset-zero item (plan
+   messages write disjoint destination regions, so completing a sliced
+   message "early" is unobservable); every item still records its
+   [Message] event, so the trace is datapath-independent. *)
 let execute (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
   let collective = collective_chosen mach plan in
-  precompile mach ~src ~dst plan;
-  List.iter (run_local ~scalar:(scalar mach) ~src ~dst) plan.Redist.locals;
-  let direct_ok = direct_enabled mach in
+  precompile ~src ~dst plan;
+  List.iter (run_direct ~src ~dst) plan.Redist.locals;
   List.iteri
     (fun i r ->
       step_begin mach i r;
       iter_items
         (fun m off len ->
-          if direct_ok && message_direct ~src ~dst m then begin
+          if message_direct ~src ~dst m then begin
             if off = 0 then run_direct ~src ~dst m;
             record_message mach m len
           end
@@ -524,9 +453,9 @@ let execute (mach : Machine.t) ~src ~dst (plan : Redist.plan) =
    whose rank footprints the caller has checked are disjoint, so
    overlaying their rounds index by index keeps every fused step
    contention-free in the modeled machine.  Every member's machine must
-   agree on the datapath and the lowering — a member never runs under
-   another member's configuration — and each group runs the schedule
-   [execute] would lower it to solo.
+   agree on the lowering — a member never runs under another member's
+   configuration — and each group runs the schedule [execute] would
+   lower it to solo.
 
    Per member, the observable accounting is exactly the sequential
    [execute]'s: the same [Step_begin] / [Message] / [Step_end] stream on
@@ -550,21 +479,17 @@ let execute_fused ?(pool = default_pool)
         (fun (_, members) ->
           List.exists
             (fun ((m : Machine.t), _, _) ->
-              m.Machine.datapath <> lead.Machine.datapath
-              || m.Machine.lower <> lead.Machine.lower)
+              m.Machine.lower <> lead.Machine.lower)
             members)
         groups
-    then
-      invalid_arg
-        "Comm.execute_fused: members disagree on datapath or lowering";
-    let scalar = scalar lead and direct_ok = direct_enabled lead in
+    then invalid_arg "Comm.execute_fused: members disagree on lowering";
     (* local moves first, per member, exactly like [execute] *)
     List.iter
       (fun ((plan : Redist.plan), members) ->
         List.iter
-          (fun (mach, src, dst) ->
-            precompile mach ~src ~dst plan;
-            List.iter (run_local ~scalar ~src ~dst) plan.Redist.locals)
+          (fun (_, src, dst) ->
+            precompile ~src ~dst plan;
+            List.iter (run_direct ~src ~dst) plan.Redist.locals)
           members)
       groups;
     (* the group's first machine applies the auto rule's cost model *)
@@ -595,7 +520,7 @@ let execute_fused ?(pool = default_pool)
                 let staging = ref None in
                 List.iter
                   (fun (mach, src, dst) ->
-                    (if direct_ok && message_direct ~src ~dst m then begin
+                    (if message_direct ~src ~dst m then begin
                        if off = 0 then run_direct ~src ~dst m
                      end
                      else begin
@@ -607,7 +532,7 @@ let execute_fused ?(pool = default_pool)
                            staging := Some b;
                            b
                        in
-                       transfer_staged ~scalar ~src ~dst m ~off ~len buf
+                       transfer_staged ~src ~dst m ~off ~len buf
                      end);
                     record_message mach m len)
                   members;

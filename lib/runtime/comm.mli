@@ -11,36 +11,24 @@
     traced step times sum to the time charged.
 
     Every payload, staging buffer and packet carries one buffer type,
-    {!Buf.t}, and data movement runs on one of three paths: the default
-    *zero-copy* path copies [Redist.Direct]-eligible messages
-    (self-messages, globally addressed endpoints) payload to payload with
-    overlap-safe {!Buf.copy_run} calls and no staging buffer; the *staged*
-    path packs every message's compiled runs into a pooled staging buffer
-    and unpacks on the receive side; the *scalar* path keeps the original
-    per-element closures as a differential oracle.  The path and the
-    lowering are fields of the machine handed to the executor
-    ({!Machine.t}'s [datapath] and [lower]), so runs on different
-    machines may differ on both.  Modeled counters (messages, volume,
-    steps, time) are identical between the paths by construction; only
-    [run_blits]/[zero_copy_runs]/[staged_bytes] and the pool totals
-    differ. *)
+    {!Buf.t}, and one rule moves the data, per message
+    ({!Redist.message_datapath}): a message whose buffers are reachable
+    from one address space (a self-message, or globally addressed
+    endpoints) is [Direct] and copies its compiled runs payload to
+    payload with overlap-safe {!Buf.copy_run} calls and no staging
+    buffer; every other message packs its runs into a pooled staging
+    buffer and unpacks on the receive side.  The lowering is a field of
+    the machine handed to the executor ({!Machine.t}'s [lower]), so runs
+    on different machines may differ on it. *)
 
-(** How the executor touches a copy's storage.  [rank] is the linear
-    processor rank the access is performed on: per-rank backends address
-    that rank's buffer directly; global payloads ignore it.
-    [addressing] and [buffer] expose the same storage to the blit path:
-    flat offsets computed from [addressing] index directly into
-    [buffer ~rank]. *)
+(** How the executor touches a copy's storage: flat offsets computed
+    from [addressing] index directly into [buffer ~rank], where [rank]
+    is the linear processor rank the access is performed on (per-rank
+    backends return that rank's buffer; global payloads ignore it). *)
 type endpoint = {
-  read : rank:int -> int array -> float;
-  write : rank:int -> int array -> float -> unit;
   addressing : Redist.addressing;
   buffer : rank:int -> Buf.t;
 }
-
-(** Does the machine's datapath take the zero-copy direct path for
-    [Redist.Direct]-eligible messages (neither scalar nor staged)? *)
-val direct_enabled : Machine.t -> bool
 
 (** Does the machine's lowering pick the collective phase program for
     this plan?  Under [Exec.Auto]: yes iff the plan has cross-processor
@@ -87,18 +75,17 @@ end
 val runs_of : src:endpoint -> dst:endpoint -> Redist.message -> Redist.run array
 
 (** Compile every message's runs of a plan for this endpoint pair
-    ({!Redist.precompile_runs}); a no-op under the scalar datapath.  The
-    executors call it before moving data. *)
-val precompile :
-  Machine.t -> src:endpoint -> dst:endpoint -> Redist.plan -> unit
+    ({!Redist.precompile_runs}).  The executors call it before moving
+    data. *)
+val precompile : src:endpoint -> dst:endpoint -> Redist.plan -> unit
 
 (** Is the message's memoized datapath ({!Redist.message_datapath})
-    [Direct] under these endpoints?  Independent of the machine's
-    datapath; callers combine it with {!direct_enabled}. *)
+    [Direct] under these endpoints? *)
 val message_direct : src:endpoint -> dst:endpoint -> Redist.message -> bool
 
 (** Copy a message's runs payload to payload with no staging buffer,
-    one {!Buf.copy_run} per run.  The endpoint buffers may alias (an
+    one {!Buf.copy_run} per run: every on-processor move and every
+    [Direct] message.  The endpoint buffers may alias (an
     in-place copy exposes one buffer to both endpoints): the kernel
     walks each run away from the overlap, which gives memmove semantics
     for the gather and scatter runs such a copy compiles to.  Records
@@ -106,19 +93,12 @@ val message_direct : src:endpoint -> dst:endpoint -> Redist.message -> bool
     messages. *)
 val run_direct : src:endpoint -> dst:endpoint -> Redist.message -> unit
 
-(** On-processor move: no staging buffer, no [Message] event.  The blit
-    path copies payload to payload directly, run by run; [scalar] walks
-    the per-element closures instead. *)
-val run_local :
-  scalar:bool -> src:endpoint -> dst:endpoint -> Redist.message -> unit
-
-(** [pack_staged ~scalar ~src ~dst m ~off ~len staging] copies positions
+(** [pack_staged ~src ~dst m ~off ~len staging] copies positions
     [off, off + len) of the message's row-major box order into the first
-    [len] slots of [staging] — through the per-element closures when
-    [scalar], else through the compiled runs ({!Redist.iter_run_slice}'s
-    walk; the whole-message range is one kernel call per run). *)
+    [len] slots of [staging] through the compiled runs
+    ({!Redist.iter_run_slice}'s walk; the whole-message range is one
+    kernel call per run). *)
 val pack_staged :
-  scalar:bool ->
   src:endpoint ->
   dst:endpoint ->
   Redist.message ->
@@ -129,7 +109,6 @@ val pack_staged :
 
 (** The inverse walk on the receive side. *)
 val unpack_staged :
-  scalar:bool ->
   src:endpoint ->
   dst:endpoint ->
   Redist.message ->
@@ -173,12 +152,11 @@ val record_rounds : ?on_step:(int -> unit) -> Machine.t -> round list -> unit
     machine's scheduling mode (stepped mode counts steps or phases), and
     the datapath counters — [run_blits]/[zero_copy_runs]/
     [staged_bytes]/[peak_bytes] — derived from the memoized runs and
-    datapath decisions, never from inside the data movement.  Scalar and
-    staged runs stage every moved element ([staged_bytes = 8 * volume];
-    staged charges [run_blits = locals + 2 * moves] segments);
-    zero-copy charges locals and [Direct] messages to [zero_copy_runs].
-    [peak_bytes] is the staged high-water of one round of the schedule
-    that ran (0 when every message is direct). *)
+    datapath decisions, never from inside the data movement: locals and
+    [Direct] messages charge their segments to [zero_copy_runs], [Staged]
+    messages charge [run_blits] twice their segments and [staged_bytes]
+    8 bytes per element.  [peak_bytes] is the staged high-water of one
+    round of the schedule that ran (0 when every message is direct). *)
 val charge :
   collective:bool ->
   Machine.t ->
@@ -198,7 +176,7 @@ val execute : executor
     different payloads); distinct groups must carry plans with disjoint
     rank footprints, so overlaying their step programs index by index
     keeps every fused step contention-free.  Every member's machine must
-    agree on the datapath and the lowering.  Per member, the observable
+    agree on the lowering.  Per member, the observable
     accounting (trace stream, {!charge}) is exactly the sequential
     {!execute}'s; what fusion shares is the work — one
     step walk per group and one pooled staging lease per message reused
@@ -206,8 +184,8 @@ val execute : executor
     distinguish a fused run from solo runs.  The caller charges
     [fused_remaps].  [pool] defaults to the sequential executor's; pass
     a private pool from concurrent workers.
-    @raise Invalid_argument if two members' machines differ in datapath
-    or lowering. *)
+    @raise Invalid_argument if two members' machines differ in
+    lowering. *)
 val execute_fused :
   ?pool:Pool.t ->
   (Redist.plan * (Machine.t * endpoint * endpoint) list) list ->

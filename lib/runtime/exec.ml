@@ -1,46 +1,37 @@
-(* One execution configuration: the five axes a run is executed under,
-   as one immutable value.  The datapath and the lowering travel as
-   fields of the machine a run owns, the schedule is the machine's
-   accounting mode, and the backend is fixed when a store is built, so
-   nothing here is global mutable state.  [of_env] is the only
-   reader of the HPFC_FORCE_* variables (the CI hook that runs the whole
-   suite under a forced setting). *)
+(* One execution configuration: the four axes a run is executed under,
+   as one immutable value.  The lowering travels as a field of the
+   machine a run owns, the schedule is the machine's accounting mode,
+   and the backend is fixed when a store is built, so nothing here is
+   global mutable state.  [of_env] is the only reader of the
+   HPFC_FORCE_* variables (the CI hook that runs the whole suite under a
+   forced setting). *)
 
 type backend = Canonical | Distributed
-type datapath = Zero_copy | Staged | Scalar
 type sched = Burst | Stepped
 type lower = P2p | Collective | Auto
 
 type t = {
   backend : backend;
   par : bool;
-  datapath : datapath;
   sched : sched;
   lower : lower;
 }
 
-(* The five axes by name: what a counter's declared class says may move
+(* The four axes by name: what a counter's declared class says may move
    it ([Machine.counter_class]). *)
-type axis = Backend | Par | Datapath | Sched | Lower
+type axis = Backend | Par | Sched | Lower
 
 let agree axes a b =
   List.for_all
     (function
       | Backend -> a.backend = b.backend
       | Par -> a.par = b.par
-      | Datapath -> a.datapath = b.datapath
       | Sched -> a.sched = b.sched
       | Lower -> a.lower = b.lower)
     axes
 
 let reference =
-  {
-    backend = Canonical;
-    par = false;
-    datapath = Zero_copy;
-    sched = Burst;
-    lower = P2p;
-  }
+  { backend = Canonical; par = false; sched = Burst; lower = P2p }
 
 (* The parallel executor needs the distributed payload (replicated
    writes into a shared canonical payload would race). *)
@@ -55,10 +46,9 @@ let all =
   let ( let* ) l f = List.concat_map f l in
   let* backend = [ Canonical; Distributed ] in
   let* par = [ false; true ] in
-  let* datapath = [ Zero_copy; Staged; Scalar ] in
   let* sched = [ Burst; Stepped ] in
   let* lower = [ P2p; Collective ] in
-  let e = { backend; par; datapath; sched; lower } in
+  let e = { backend; par; sched; lower } in
   if invalid e = None && not (lower = Collective && sched = Burst) then [ e ]
   else []
 
@@ -68,9 +58,6 @@ let all =
    is the one [name] prints. *)
 let backends = [ ("canonical", Canonical); ("distributed", Distributed) ]
 let executors = [ ("seq", false); ("par", true) ]
-
-let datapaths =
-  [ ("zerocopy", Zero_copy); ("staged", Staged); ("scalar", Scalar) ]
 
 let scheds = [ ("burst", Burst); ("stepped", Stepped) ]
 let lowers = [ ("p2p", P2p); ("collective", Collective); ("auto", Auto) ]
@@ -88,7 +75,6 @@ let name e =
     [
       spelling backends e.backend;
       spelling executors e.par;
-      spelling datapaths e.datapath;
       sched_name e.sched;
       lower_name e.lower;
     ]
@@ -107,21 +93,19 @@ let lower_of_string = parse ~what:"lowering" name_lowers lowers
 let of_string s =
   let ( let* ) = Result.bind in
   match String.split_on_char '/' s with
-  | [ b; x; d; sc; l ] -> (
+  | [ b; x; sc; l ] -> (
     let* backend = parse ~what:"backend" backends backends b in
     let* par = parse ~what:"executor" executors executors x in
-    let* datapath = parse ~what:"datapath" datapaths datapaths d in
     let* sched = sched_of_string sc in
     let* lower = lower_of_string l in
-    let e = { backend; par; datapath; sched; lower } in
+    let e = { backend; par; sched; lower } in
     match invalid e with
     | Some why -> Error (Printf.sprintf "%S: %s" s why)
     | None -> Ok e)
   | _ ->
     Error
       (Printf.sprintf
-         "invalid configuration %S, expected \
-          backend/executor/datapath/sched/lower"
+         "invalid configuration %S, expected backend/executor/sched/lower"
          s)
 
 (* --- the environment ------------------------------------------------------ *)
@@ -129,14 +113,30 @@ let of_string s =
 let bad var v expected =
   Hpfc_base.Error.fail Invalid_config "%s=%S: expected %s" var v expected
 
-let flag getenv var =
-  match getenv var with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+(* Variables that once selected a configuration axis, each with what
+   replaced it: an on-value is diagnosed, never silently ignored. *)
+let removed =
+  [
+    ( "HPFC_FORCE_ASYNC",
+      "the async executor was removed; HPFC_FORCE_PAR selects the \
+       parallel executor" );
+    ( "HPFC_FORCE_SCALAR",
+      "the scalar datapath was removed; every run moves data through \
+       compiled runs" );
+    ( "HPFC_FORCE_STAGED",
+      "the staged datapath was removed; a message stages exactly when its \
+       buffers are not reachable from one address space" );
+  ]
 
 (* The one reader of the HPFC_FORCE_* variables: the configuration and
    the team size HPFC_FORCE_PAR asks for. *)
 let read getenv =
+  List.iter
+    (fun (var, why) ->
+      match getenv var with
+      | None | Some "" | Some "0" -> ()
+      | Some v -> Hpfc_base.Error.fail Invalid_config "%s=%S: %s" var v why)
+    removed;
   let par, team =
     match getenv "HPFC_FORCE_PAR" with
     | None | Some "" | Some "0" -> (false, None)
@@ -150,25 +150,6 @@ let read getenv =
           bad "HPFC_FORCE_PAR" v
             "a positive integer, \"auto\", \"0\" or empty"))
   in
-  (match getenv "HPFC_FORCE_ASYNC" with
-  | None | Some "" | Some "0" -> ()
-  | Some v ->
-    Hpfc_base.Error.fail Invalid_config
-      "HPFC_FORCE_ASYNC=%S: the async executor was removed; \
-       HPFC_FORCE_PAR selects the parallel executor"
-      v);
-  let datapath =
-    match
-      (flag getenv "HPFC_FORCE_SCALAR", flag getenv "HPFC_FORCE_STAGED")
-    with
-    | true, true ->
-      Hpfc_base.Error.fail Invalid_config
-        "HPFC_FORCE_SCALAR and HPFC_FORCE_STAGED are both set: one run has \
-         one datapath, set at most one of them"
-    | true, false -> Scalar
-    | false, true -> Staged
-    | false, false -> Zero_copy
-  in
   let lower =
     match getenv "HPFC_FORCE_LOWER" with
     | None | Some "" | Some "0" -> P2p
@@ -181,7 +162,6 @@ let read getenv =
   ( {
       backend = (if par then Distributed else Canonical);
       par;
-      datapath;
       sched = Burst;
       lower;
     },

@@ -60,15 +60,12 @@ type counters = {
   mutable steps : int;  (* contention-free steps executed (Stepped only) *)
   mutable peak_step_volume : int;  (* max elements in flight in one step *)
   mutable run_blits : int;
-      (* contiguous segments copied by the compiled-run pack/unpack path;
-         0 under the scalar oracle path *)
+      (* contiguous segments copied by the staged pack/unpack path *)
   mutable zero_copy_runs : int;
       (* contiguous segments copied payload-to-payload with no staging
-         buffer (on-processor moves and direct-eligible messages); 0
-         under the scalar and staged datapaths *)
+         buffer (on-processor moves and direct-eligible messages) *)
   mutable staged_bytes : int;
-      (* bytes routed through staging buffers (8 per element, both
-         under the scalar oracle and the staged blit path); elided
+      (* bytes routed through staging buffers (8 per element); elided
          traffic shows up as zero_copy_runs instead *)
   mutable pool_hits : int;  (* staging buffers served from a buffer pool *)
   mutable pool_misses : int;  (* staging buffers freshly allocated *)
@@ -176,7 +173,6 @@ type t = {
   nprocs : int;
   cost : cost_model;
   sched : sched_mode;  (* how remapping messages are charged to [time] *)
-  datapath : Exec.datapath;  (* how every executor moves this run's data *)
   lower : Exec.lower;  (* how this run's plans are lowered *)
   mutable counters : counters;  (* replaced whole by [reset] *)
   memory_limit : int option;  (* max live elements across all copies *)
@@ -185,16 +181,14 @@ type t = {
   record_trace : bool;
 }
 
-let create ?(cost = default_cost) ?(sched = Burst) ?datapath ?lower
-    ?memory_limit ?(record_trace = false)
-    ?(trace_capacity = default_trace_capacity) ~nprocs () =
-  let d = Exec.default () in
+let create ?(cost = default_cost) ?(sched = Burst) ?lower ?memory_limit
+    ?(record_trace = false) ?(trace_capacity = default_trace_capacity) ~nprocs
+    () =
   {
     nprocs;
     cost;
     sched;
-    datapath = Option.value datapath ~default:d.Exec.datapath;
-    lower = Option.value lower ~default:d.Exec.lower;
+    lower = Option.value lower ~default:(Exec.default ()).Exec.lower;
     counters = fresh_counters ();
     memory_limit;
     memory_used = 0;
@@ -323,7 +317,7 @@ type walker = {
 let rebuild f c =
   let core = Modeled []
   and sched = Modeled [ Sched; Lower ]
-  and dpath = Modeled [ Backend; Datapath ] in
+  and dpath = Modeled [ Backend ] in
   {
     messages = f.int "messages" core c.messages;
     volume = f.int "volume" core c.volume;
@@ -346,7 +340,7 @@ let rebuild f c =
     pool_hits = f.int "pool_hits" Executor_history c.pool_hits;
     pool_misses = f.int "pool_misses" Executor_history c.pool_misses;
     peak_bytes =
-      f.int "peak_bytes" (Modeled [ Backend; Datapath; Lower ]) c.peak_bytes;
+      f.int "peak_bytes" (Modeled [ Backend; Lower ]) c.peak_bytes;
     pool_lease_peak =
       f.int "pool_lease_peak" Executor_history c.pool_lease_peak;
     layout_pad = 0;
@@ -387,10 +381,10 @@ let scrub ~varying c =
 (* One-line JSON summary of the trace dump, emitted after the retained
    events so a truncated trace is never mistaken for a complete one,
    plus the counters that say where the bytes went: the executor
-   history and every datapath-dependent modeled counter. *)
+   history and every backend-dependent modeled counter. *)
 let trace_summary_json t =
   let counter = function
-    | _, Modeled axes, _ when not (List.mem Exec.Datapath axes) -> None
+    | _, Modeled axes, _ when not (List.mem Exec.Backend axes) -> None
     | _, (Service | Wall), _ -> None
     | n, _, r -> Some (Printf.sprintf {|,"%s":%s|} n (string_of_reading r))
   in

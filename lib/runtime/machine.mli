@@ -54,18 +54,17 @@ type counters = {
       (** max elements in flight within one step — a peak-memory proxy
           for communication staging buffers *)
   mutable run_blits : int;
-      (** contiguous segments copied by the compiled-run pack/unpack path
-          (a strided run of [count] segments counts [count]); 0 under the
-          scalar oracle path *)
+      (** contiguous segments copied by the staged pack/unpack path (a
+          strided run of [count] segments counts [count]; a staged
+          message packs and unpacks, so it counts its segments twice) *)
   mutable zero_copy_runs : int;
       (** contiguous segments copied payload-to-payload with no staging
-          buffer: on-processor moves and direct-eligible messages under
-          the zero-copy datapath; 0 under the scalar and staged
-          datapaths *)
+          buffer: on-processor moves and direct-eligible messages
+          ({!Redist.message_datapath}) *)
   mutable staged_bytes : int;
-      (** bytes routed through staging buffers (8 per staged element;
-          scalar and staged-datapath runs stage every moved element, so
-          there it equals [8 * volume]) *)
+      (** bytes routed through staging buffers (8 per staged element: 0
+          on the canonical backend, [8 * volume] on the distributed
+          one, whose cross-processor messages all stage) *)
   mutable pool_hits : int;
       (** staging buffers served from a size-classed buffer pool *)
   mutable pool_misses : int;  (** staging buffers freshly allocated *)
@@ -186,9 +185,6 @@ type t = {
   nprocs : int;
   cost : cost_model;
   sched : sched_mode;  (** how remapping messages are charged to [time] *)
-  datapath : Exec.datapath;
-      (** how every executor moves this run's data (zero-copy, staged or
-          the scalar oracle) *)
   lower : Exec.lower;  (** how this run's plans are lowered *)
   mutable counters : counters;  (** replaced whole by {!reset} *)
   memory_limit : int option;  (** max live elements across all copies *)
@@ -197,13 +193,12 @@ type t = {
   record_trace : bool;
 }
 
-(** A fresh machine.  [sched] defaults to [Burst]; [datapath] and
-    [lower] default to {!Exec.default}'s, so a forced environment
-    reaches every machine that does not pin them. *)
+(** A fresh machine.  [sched] defaults to [Burst]; [lower] defaults to
+    {!Exec.default}'s, so a forced environment reaches every machine
+    that does not pin it. *)
 val create :
   ?cost:cost_model ->
   ?sched:sched_mode ->
-  ?datapath:Exec.datapath ->
   ?lower:Exec.lower ->
   ?memory_limit:int ->
   ?record_trace:bool ->
@@ -226,7 +221,7 @@ val trace_capacity : t -> int
 
 (** One-line JSON summary of the trace ([events], [dropped], [capacity],
     [complete]) plus, sorted by name, every [Executor_history] counter
-    and every [Modeled] counter whose axes include [Datapath]
+    and every [Modeled] counter whose axes include [Backend]
     ([peak_bytes], [pool_hits], [pool_lease_peak], [pool_misses],
     [run_blits], [staged_bytes], [zero_copy_runs]); dumped after the
     retained events so a truncated trace is never mistaken for a

@@ -668,18 +668,6 @@ let iter_box (b : box) f =
   in
   if rank > 0 then loop 0
 
-(* [iter_box] restricted to positions [off, off + len) of the row-major
-   packing walk — the scalar oracle's view of one payload slice. *)
-let iter_box_slice (b : box) ~off ~len f =
-  let stop = off + len in
-  let k = ref 0 in
-  try
-    iter_box b (fun index ->
-        if !k >= stop then raise Exit;
-        if !k >= off then f index;
-        incr k)
-  with Exit -> ()
-
 (* --- box-to-run compilation ------------------------------------------------- *)
 
 (* Row-major strides of an extents vector (last dimension stride 1). *)

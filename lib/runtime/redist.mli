@@ -284,10 +284,6 @@ val nb_run_segments : run array -> int
 val iter_run_slice :
   run array -> off:int -> len:int -> (int -> int -> int -> unit) -> unit
 
-(** {!iter_box} restricted to positions [off, off + len) of the
-    row-major packing walk — the scalar oracle's view of one slice. *)
-val iter_box_slice : box -> off:int -> len:int -> (int array -> unit) -> unit
-
 (** Row-major strides of an extents vector (last dimension stride 1). *)
 val row_major_strides : int array -> int array
 

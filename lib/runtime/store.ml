@@ -72,24 +72,13 @@ let[@inline] copy_set (c : copy) index v =
 let endpoint_of_copy (c : copy) : Comm.endpoint =
   match c.payload with
   | Global g ->
-    let extents = c.layout.Layout.extents in
     {
-      Comm.read =
-        (fun ~rank:_ index -> Buf.get g (Layout.global_linear_index extents index));
-      write =
-        (fun ~rank:_ index v ->
-          Buf.set g (Layout.global_linear_index extents index) v);
-      addressing = Redist.Row_major extents;
+      Comm.addressing = Redist.Row_major c.layout.Layout.extents;
       buffer = (fun ~rank:_ -> g);
     }
   | Locals ls ->
-    let a = c.addr in
     {
-      Comm.read =
-        (fun ~rank index -> Buf.get ls.(rank) (Layout.Addr.offset a index));
-      write =
-        (fun ~rank index v -> Buf.set ls.(rank) (Layout.Addr.offset a index) v);
-      addressing = Redist.Owner_local a;
+      Comm.addressing = Redist.Owner_local c.addr;
       buffer = (fun ~rank -> ls.(rank));
     }
 

@@ -40,9 +40,9 @@ val copy_set : copy -> int array -> float -> unit
 (** How the communication executor touches this copy's storage: global
     payloads ignore the rank; local buffers address the given rank
     directly (a replicated target is written one replica per message).
-    Besides the per-element closures, the endpoint exposes the raw
-    payload buffers and their {!Redist.addressing} so the blit path can
-    copy compiled runs directly. *)
+    The endpoint exposes the raw payload buffers and their
+    {!Redist.addressing}, so the executors copy compiled runs
+    directly. *)
 val endpoint_of_copy : copy -> Comm.endpoint
 
 (** Initialize a payload from a global-linear-position function. *)

@@ -9,9 +9,8 @@
    step programs index by index keeps every fused step contention-free:
    no rank gains a second send or receive it would not have had solo.
 
-   Only members whose machines agree on the datapath and the lowering
-   ever share a batch: a fused walk moves every member's data one way
-   and lowers each group once, so mixing configurations would run a
+   Only members whose machines agree on the lowering ever share a batch:
+   a fused walk lowers each group once, so mixing lowerings would run a
    tenant under another tenant's.  Members first split into
    configuration classes (order of first appearance).
 
@@ -75,11 +74,7 @@ let rec config_batches ~(machine : 'a -> Machine.t) = function
   | [] -> []
   | (_, x) :: _ as pairs ->
     let mx = machine x in
-    let same_config (_, y) =
-      let my = machine y in
-      my.Machine.datapath = mx.Machine.datapath
-      && my.Machine.lower = mx.Machine.lower
-    in
+    let same_config (_, y) = (machine y).Machine.lower = mx.Machine.lower in
     if List.for_all same_config pairs then batches pairs
     else
       let same, rest = List.partition same_config pairs in

@@ -197,7 +197,7 @@ let close_bracket (m : member) =
    The fused walk lowers each group the way [Comm.execute] would solo
    (step or phase program), so collective-lowered members fuse like any
    other; fusion only ever batches members whose machines agree on the
-   datapath and the lowering. *)
+   lowering. *)
 let run_batch t pool (members : member list) =
   let batches =
     if t.cfg.fusion then

@@ -13,17 +13,14 @@ open Hpfc_runtime
 (* Run one data-carrying remap src -> dst on a fresh traced machine and
    return the machine, the store and the descriptor for inspection.
    [executor] swaps in an alternative communication executor (the
-   domain-parallel backend in test_par.ml).  [datapath] and [lower] pin
-   the machine's datapath and plan lowering for path- or
-   lowering-specific tests (the p2p trace-shape laws here, the
-   collective ones in test_collective.ml); left out, the machine takes
-   the environment's, so the generic properties run under whichever
-   setting the environment forces. *)
+   domain-parallel backend in test_par.ml).  [lower] pins the machine's
+   plan lowering for lowering-specific tests (the p2p trace-shape laws
+   here, the collective ones in test_collective.ml); left out, the
+   machine takes the environment's, so the generic properties run under
+   whichever setting the environment forces. *)
 let remap ?(backend = Store.Canonical) ?(sched = Machine.Burst) ?executor
-    ?datapath ?lower ~src ~dst fill =
-  let m =
-    Machine.create ~nprocs:4 ~sched ?datapath ?lower ~record_trace:true ()
-  in
+    ?lower ~src ~dst fill =
+  let m = Machine.create ~nprocs:4 ~sched ?lower ~record_trace:true () in
   let s = Store.create ~backend ?executor m in
   let d =
     Store.add_descriptor s ~name:"a" ~extents:src.Layout.extents ~nb_versions:2

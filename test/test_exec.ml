@@ -6,38 +6,20 @@
 
 open Hpfc_runtime
 
-(* The oracle's 27 configurations, in order, the reference first —
+(* The oracle's 9 configurations, in order, the reference first —
    spelled out so that a lost, added or reordered configuration fails
    here rather than silently changing what the fuzzer covers. *)
 let pinned_names =
   [
-    "canonical/seq/zerocopy/burst/p2p";
-    "canonical/seq/zerocopy/stepped/p2p";
-    "canonical/seq/zerocopy/stepped/coll";
-    "canonical/seq/staged/burst/p2p";
-    "canonical/seq/staged/stepped/p2p";
-    "canonical/seq/staged/stepped/coll";
-    "canonical/seq/scalar/burst/p2p";
-    "canonical/seq/scalar/stepped/p2p";
-    "canonical/seq/scalar/stepped/coll";
-    "distributed/seq/zerocopy/burst/p2p";
-    "distributed/seq/zerocopy/stepped/p2p";
-    "distributed/seq/zerocopy/stepped/coll";
-    "distributed/seq/staged/burst/p2p";
-    "distributed/seq/staged/stepped/p2p";
-    "distributed/seq/staged/stepped/coll";
-    "distributed/seq/scalar/burst/p2p";
-    "distributed/seq/scalar/stepped/p2p";
-    "distributed/seq/scalar/stepped/coll";
-    "distributed/par/zerocopy/burst/p2p";
-    "distributed/par/zerocopy/stepped/p2p";
-    "distributed/par/zerocopy/stepped/coll";
-    "distributed/par/staged/burst/p2p";
-    "distributed/par/staged/stepped/p2p";
-    "distributed/par/staged/stepped/coll";
-    "distributed/par/scalar/burst/p2p";
-    "distributed/par/scalar/stepped/p2p";
-    "distributed/par/scalar/stepped/coll";
+    "canonical/seq/burst/p2p";
+    "canonical/seq/stepped/p2p";
+    "canonical/seq/stepped/coll";
+    "distributed/seq/burst/p2p";
+    "distributed/seq/stepped/p2p";
+    "distributed/seq/stepped/coll";
+    "distributed/par/burst/p2p";
+    "distributed/par/stepped/p2p";
+    "distributed/par/stepped/coll";
   ]
 
 let test_matrix_pinned () =
@@ -54,19 +36,21 @@ let test_name_round_trip () =
       | Error msg -> Alcotest.failf "%s rejected: %s" (Exec.name e) msg)
     Exec.all;
   Alcotest.(check bool) "long lowering spelling" true
-    (Exec.of_string "Distributed/par/staged/stepped/collective"
-    = Exec.of_string "distributed/par/staged/stepped/coll");
+    (Exec.of_string "Distributed/par/stepped/collective"
+    = Exec.of_string "distributed/par/stepped/coll");
   List.iter
     (fun s ->
       match Exec.of_string s with
       | Ok e -> Alcotest.failf "%S accepted as %s" s (Exec.name e)
       | Error _ -> ())
     [
-      "canonical/par/zerocopy/burst/p2p" (* parallel needs distributed *);
-      "distributed/par/zerocopy/async/p2p" (* async was removed *);
-      "distributed/seq/zerocopy/async/p2p";
-      "distributed/seq/zerocopy/burst";
-      "distributed/seq/fast/burst/p2p";
+      "canonical/par/burst/p2p" (* parallel needs distributed *);
+      "distributed/par/async/p2p" (* async was removed *);
+      "distributed/seq/burst";
+      "distributed/seq/fast/p2p";
+      (* a five-field name, with a datapath, has no configuration *)
+      "distributed/seq/zerocopy/burst/p2p";
+      "distributed/seq/staged/stepped/p2p";
       "";
     ]
 
@@ -86,12 +70,16 @@ let test_of_env_settings () =
       ("HPFC_FORCE_LOWER", "0");
     ]
     r;
-  check "async off" [ ("HPFC_FORCE_ASYNC", "0") ] r;
+  (* the removed variables accept every off spelling *)
+  List.iter
+    (fun var ->
+      List.iter
+        (fun v -> check (var ^ " off") [ (var, v) ] r)
+        [ ""; "0" ])
+    [ "HPFC_FORCE_ASYNC"; "HPFC_FORCE_SCALAR"; "HPFC_FORCE_STAGED" ];
   let par = { r with backend = Distributed; par = true } in
   check "par team" [ ("HPFC_FORCE_PAR", "3") ] par;
   check "par auto" [ ("HPFC_FORCE_PAR", "auto") ] par;
-  check "scalar" [ ("HPFC_FORCE_SCALAR", "1") ] { r with datapath = Scalar };
-  check "staged" [ ("HPFC_FORCE_STAGED", "yes") ] { r with datapath = Staged };
   check "collective" [ ("HPFC_FORCE_LOWER", " Collective ") ]
     { r with lower = Collective };
   check "auto" [ ("HPFC_FORCE_LOWER", "auto") ] { r with lower = Auto };
@@ -121,20 +109,22 @@ let test_of_env_strict () =
     [ "HPFC_FORCE_LOWER"; "ring"; "p2p"; "collective"; "auto" ];
   rejects [ ("HPFC_FORCE_PAR", "many") ] [ "HPFC_FORCE_PAR"; "many"; "auto" ];
   rejects [ ("HPFC_FORCE_PAR", "-2") ] [ "HPFC_FORCE_PAR"; "positive integer" ];
-  rejects
-    [ ("HPFC_FORCE_SCALAR", "1"); ("HPFC_FORCE_STAGED", "1") ]
-    [ "HPFC_FORCE_SCALAR"; "HPFC_FORCE_STAGED" ];
-  (* the async executor is gone: an on-value is diagnosed, not ignored
-     (unset, empty and "0" stay accepted, see "off spellings") *)
+  (* the async executor and the scalar and staged datapaths are gone: an
+     on-value of their variables is diagnosed, not ignored (unset, empty
+     and "0" stay accepted, see "environment settings") *)
   List.iter
-    (fun v ->
-      rejects
-        [ ("HPFC_FORCE_ASYNC", v) ]
-        [ "HPFC_FORCE_ASYNC"; "removed"; "HPFC_FORCE_PAR" ])
-    [ "1"; "yes" ];
+    (fun var ->
+      List.iter
+        (fun v -> rejects [ (var, v) ] [ var; "removed" ])
+        [ "1"; "yes" ])
+    [ "HPFC_FORCE_ASYNC"; "HPFC_FORCE_SCALAR"; "HPFC_FORCE_STAGED" ];
+  rejects [ ("HPFC_FORCE_ASYNC", "1") ] [ "HPFC_FORCE_PAR" ];
   rejects
     [ ("HPFC_FORCE_ASYNC", "1"); ("HPFC_FORCE_PAR", "3") ]
-    [ "HPFC_FORCE_ASYNC"; "removed" ]
+    [ "HPFC_FORCE_ASYNC"; "removed" ];
+  rejects
+    [ ("HPFC_FORCE_SCALAR", "1"); ("HPFC_FORCE_LOWER", "collective") ]
+    [ "HPFC_FORCE_SCALAR"; "removed" ]
 
 let suite =
   [

@@ -1,6 +1,6 @@
 (* Whole-pipeline differential fuzzing: random mini-HPF programs checked
-   end-to-end across every backend / executor / datapath / schedule /
-   lowering combination (lib/fuzz).
+   end-to-end across every backend / executor / schedule / lowering
+   combination (lib/fuzz).
 
    Order matters: the corpus of minimized repros from past failures
    replays first, then the generative properties run.  Any failing
@@ -10,7 +10,7 @@
 
    The last test enforces the coverage floor: at least HPFC_FUZZ_FLOOR
    (default 300) generated programs must actually go through the full
-   54-run differential matrix per `dune runtest` — rejections don't
+   18-run differential matrix per `dune runtest` — rejections don't
    count — topping up beyond the property counts when needed. *)
 
 module F = Hpfc_fuzz
@@ -104,8 +104,8 @@ let prop_roundtrip =
 let prop_matrix =
   QCheck2.Test.make
     ~name:
-      "differential matrix: pipelines x backends x executors x datapaths x \
-       schedules x lowerings"
+      "differential matrix: pipelines x backends x executors x schedules x \
+       lowerings"
     ~count:matrix_count ~print:FG.print_case FG.gen_case (fun c ->
       match O.check_case c with
       | O.Pass ->

@@ -10,6 +10,7 @@ module Graph = Hpfc_remap.Graph
 module Machine = Hpfc_runtime.Machine
 module Store = Hpfc_runtime.Store
 module Buf = Hpfc_runtime.Buf
+module Comm = Hpfc_runtime.Comm
 module I = Hpfc_interp.Interp
 module Figures = Hpfc_kernels.Figures
 open Hpfc_mapping
@@ -308,15 +309,20 @@ let test_fill_to_global_roundtrip () =
               let k = i mod n in
               expected.(k) <- expected.(k) +. 1.0
             done;
+            (* every replica, read from the rank's raw buffer at the
+               reference local index rather than through the
+               addresser the store itself uses *)
             let ep = Store.endpoint_of_copy c in
             for k = 0 to n - 1 do
               set_index extents idx k;
+              let off = Layout.local_linear_index layout idx in
               List.iter
                 (fun coords ->
                   let rank = Procs.linearize layout.Layout.procs coords in
                   Alcotest.(check (float 0.0))
                     (Fmt.str "%s: elem %d on rank %d" name k rank)
-                    expected.(k) (ep.read ~rank idx))
+                    expected.(k)
+                    (Buf.get (ep.Comm.buffer ~rank) off))
                 (Layout.owners layout idx)
             done
           end;

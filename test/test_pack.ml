@@ -1,15 +1,12 @@
-(* Properties of box-to-run compilation and the blit pack/unpack path:
-   the compiled runs of every message must enumerate exactly the
-   (source address, destination address) pairs the per-element walk
-   produces, in the same row-major box order, under all four addressing
-   combinations (global row-major / owner-local on either side); and an
-   end-to-end remap must move bit-identical data whether the executor
-   copies direct zero-copy runs, blits through staged pack/unpack, or
-   routes every element through the scalar closures, on both store
-   backends and under both the sequential and the domain-parallel
-   executor.  Modeled counters never distinguish the paths; only
-   [run_blits]/[zero_copy_runs]/[staged_bytes] and the staging-pool
-   totals do. *)
+(* Properties of box-to-run compilation and the datapath: the compiled
+   runs of every message must enumerate exactly the (source address,
+   destination address) pairs the per-element walk produces, in the
+   same row-major box order, under all four addressing combinations
+   (global row-major / owner-local on either side); an end-to-end remap
+   must leave every global value unchanged — the known answer — on both
+   store backends and under both the sequential and the domain-parallel
+   executor; and the datapath counters follow the per-message
+   Direct/Staged rule exactly. *)
 
 open Hpfc_mapping
 open Hpfc_runtime
@@ -332,62 +329,48 @@ let test_precompile_corners () =
     (corner_pairs ())
 
 
-(* --- (b) zero-copy == staged == scalar, end to end ------------------------------ *)
+(* --- (b) a remap moves values, never changes them ----------------------------- *)
 
-(* Final values and modeled counters of one remap, on a given backend
-   and executor, with the data path pinned. *)
-let observe ~datapath ~backend ?executor (src, dst) =
-  let m, _, d =
-    Test_comm.remap ~backend ?executor ~datapath ~src ~dst float_of_int
-  in
-  ( Store.to_global (Store.get_copy d 1),
-    Machine.scrub ~varying:[ Exec.Datapath ] m.Machine.counters )
+(* The known answer: a remap leaves every global value unchanged, so the
+   target copy's global view equals the fill, whichever backend and
+   executor ran it. *)
+let moves_exactly ?executor ~backend (src, dst) =
+  let _, _, d = Test_comm.remap ~backend ?executor ~src ~dst float_of_int in
+  Store.to_global (Store.get_copy d 1)
+  = Array.init (Array.fold_left ( * ) 1 src.Layout.extents) float_of_int
 
-let all_paths_agree ?executor ~backend (src, dst) =
-  match
-    List.map
-      (fun datapath -> observe ~datapath ~backend ?executor (src, dst))
-      [ Exec.Zero_copy; Exec.Staged; Exec.Scalar ]
-  with
-  | ref_obs :: rest -> List.for_all (fun o -> o = ref_obs) rest
-  | [] -> assert false
-
-let prop_paths_equal =
+let prop_remap_exact =
   QCheck2.Test.make
-    ~name:"zero-copy = staged = scalar (values and modeled counters)"
+    ~name:"remap leaves global values unchanged on both backends"
     ~print:Test_redist_props.print_pair ~count:80 Test_redist_props.gen_pair
     (fun (src, dst) ->
       List.for_all
-        (fun backend -> all_paths_agree ~backend (src, dst))
+        (fun backend -> moves_exactly ~backend (src, dst))
         [ Store.Canonical; Store.Distributed ])
 
-let prop_paths_equal_par =
-  QCheck2.Test.make
-    ~name:"parallel zero-copy = parallel staged = parallel scalar"
+let prop_remap_exact_par =
+  QCheck2.Test.make ~name:"parallel remap leaves global values unchanged"
     ~print:Test_redist_props.print_pair ~count:40 Test_comm.gen_irregular_pair
     (fun (src, dst) ->
-      all_paths_agree ~backend:Store.Distributed
+      moves_exactly ~backend:Store.Distributed
         ~executor:(Test_par.par_executor ()) (src, dst))
 
 (* Self-message-rich remaps: identity layout pairs are all locals, so
-   the zero-copy path touches no staging buffer at all — and must still
-   agree with the staged and scalar paths element-wise. *)
+   the direct path touches no staging buffer at all — and must still
+   move every value exactly. *)
 let print_layout l = Fmt.str "%a" Layout.pp l
 
-let prop_paths_equal_identity =
+let prop_identity_exact =
   QCheck2.Test.make
-    ~name:"identity remaps: three paths agree, zero-copy stages nothing"
+    ~name:"identity remaps: values unchanged, direct path stages nothing"
     ~print:print_layout ~count:60
     (Test_redist_props.gen_side ~n:48)
     (fun l ->
       List.for_all
         (fun backend ->
-          all_paths_agree ~backend (l, l)
+          moves_exactly ~backend (l, l)
           &&
-          let m, _, _ =
-            Test_comm.remap ~backend ~datapath:Exec.Zero_copy ~src:l ~dst:l
-              float_of_int
-          in
+          let m, _, _ = Test_comm.remap ~backend ~src:l ~dst:l float_of_int in
           let c = m.Machine.counters in
           (* a replicated layout broadcasts even onto itself: only the
              cross-rank moves may stage, and a move-free identity remap
@@ -400,15 +383,21 @@ let prop_paths_equal_identity =
           && (c.Machine.local_moves = 0 || c.Machine.zero_copy_runs > 0))
         [ Store.Canonical; Store.Distributed ])
 
-(* Deterministic self-message-heavy corners: a transpose remap on one
-   rank (everything is a self-message) and block -> block over nested
-   grids (shared owners keep most elements local). *)
-let test_paths_self_message_corners () =
+(* Deterministic self-message-heavy corners, on both backends and both
+   executors: a transpose remap on one rank (everything is a
+   self-message) and block -> block over nested grids (shared owners
+   keep most elements local). *)
+let test_self_message_corners () =
   let check name pair =
     List.iter
-      (fun backend ->
-        Alcotest.(check bool) name true (all_paths_agree ~backend pair))
-      [ Store.Canonical; Store.Distributed ]
+      (fun (what, backend, executor) ->
+        Alcotest.(check bool) (name ^ ", " ^ what) true
+          (moves_exactly ?executor ~backend pair))
+      [
+        ("canonical", Store.Canonical, None);
+        ("distributed", Store.Distributed, None);
+        ("parallel", Store.Distributed, Some (Test_par.par_executor ()));
+      ]
   in
   let e2 = [| 6; 8 |] in
   check "transpose on 1 rank"
@@ -421,37 +410,9 @@ let test_paths_self_message_corners () =
     ( layout_nd ~extents:[| 64 |] [| Dist.block |] 4,
       layout_nd ~extents:[| 64 |] [| Dist.block |] 2 )
 
-(* Datapath accounting, charged from the memoized runs and decisions.
-   Under the forced-staged path, PR 4's formula: locals copy once,
-   moves pack and unpack.  Under the zero-copy default, locals and
-   Direct-eligible moves charge zero_copy_runs, the rest blit twice and
-   stage their bytes. *)
-let prop_run_blits_charged =
-  QCheck2.Test.make
-    ~name:"forced staged: run_blits = local segments + 2 * move segments"
-    ~print:Test_redist_props.print_pair ~count:60 Test_redist_props.gen_pair
-    (fun (src, dst) ->
-      let m, s, d =
-        Test_comm.remap ~datapath:Exec.Staged ~src ~dst float_of_int
-      in
-      let plan = Store.plan_for s d ~src:0 ~dst:1 in
-      let extents = src.Layout.extents in
-      let segs (msg : Redist.message) =
-        Redist.nb_run_segments
-          (Redist.message_runs ~src:(Redist.Row_major extents)
-             ~dst:(Redist.Row_major extents) msg)
-      in
-      let expected =
-        List.fold_left (fun a msg -> a + segs msg) 0 plan.Redist.locals
-        + List.fold_left
-            (fun a msg -> a + (2 * segs msg))
-            0 plan.Redist.moves
-      in
-      let c = m.Machine.counters in
-      c.Machine.run_blits = expected
-      && c.Machine.zero_copy_runs = 0
-      && c.Machine.staged_bytes = 8 * c.Machine.volume)
-
+(* Datapath accounting, charged from the memoized runs and decisions:
+   locals and Direct-eligible moves charge zero_copy_runs, the rest
+   blit twice and stage their bytes. *)
 let prop_zero_copy_charged =
   QCheck2.Test.make
     ~name:"zero-copy accounting on both backends"
@@ -460,8 +421,7 @@ let prop_zero_copy_charged =
       let extents = src.Layout.extents in
       (* canonical: both sides Row_major, every message is Direct *)
       let m, s, d =
-        Test_comm.remap ~backend:Store.Canonical ~datapath:Exec.Zero_copy
-          ~src ~dst float_of_int
+        Test_comm.remap ~backend:Store.Canonical ~src ~dst float_of_int
       in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let segs addressing =
@@ -482,8 +442,7 @@ let prop_zero_copy_charged =
       (* distributed: per-rank buffers, only self-messages are Direct
          and those are exactly the plan's locals *)
       let m', s', d' =
-        Test_comm.remap ~backend:Store.Distributed
-          ~datapath:Exec.Zero_copy ~src ~dst float_of_int
+        Test_comm.remap ~backend:Store.Distributed ~src ~dst float_of_int
       in
       let plan' = Store.plan_for s' d' ~src:0 ~dst:1 in
       let ol = (owner_local src, owner_local dst) in
@@ -518,15 +477,14 @@ let test_pool_unit () =
 
 (* Steady state: the sequential executor releases each staging buffer
    before acquiring the next, so a warmed-up pool serves every staged
-   message of a repeated remap without allocating.  Pinned to the
-   staged datapath so the distributed cross-rank messages actually stage
-   (they do anyway) and the counts stay exact under any environment. *)
+   message of a repeated remap without allocating.  On the distributed
+   backend every cross-rank message stages. *)
 let test_pool_steady_state () =
   let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
   and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
   (* p2p-pinned so hits count messages, not collective slices *)
   let remap () =
-    Test_comm.remap ~datapath:Exec.Staged ~lower:Exec.P2p ~src ~dst
+    Test_comm.remap ~backend:Store.Distributed ~lower:Exec.P2p ~src ~dst
       float_of_int
   in
   let (_ : Machine.t * Store.t * Store.descriptor) = remap () in
@@ -544,8 +502,7 @@ let test_zero_copy_steady_state () =
   let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
   and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
   let m, _, _ =
-    Test_comm.remap ~backend:Store.Canonical ~datapath:Exec.Zero_copy ~src
-      ~dst float_of_int
+    Test_comm.remap ~backend:Store.Canonical ~src ~dst float_of_int
   in
   let c = m.Machine.counters in
   Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
@@ -571,12 +528,7 @@ let test_direct_overlap_inplace () =
   let n = 16 in
   let l = layout_nd ~extents:[| n |] [| Dist.cyclic |] 2 in
   let endpoint buf addressing =
-    {
-      Comm.read = (fun ~rank:_ index -> Buf.get buf index.(0));
-      write = (fun ~rank:_ index v -> Buf.set buf index.(0) v);
-      addressing;
-      buffer = (fun ~rank:_ -> buf);
-    }
+    { Comm.addressing; buffer = (fun ~rank:_ -> buf) }
   in
   (* rank 1 owns the odd elements: box = {1, 3, ..., 15} *)
   let message () =
@@ -592,7 +544,7 @@ let test_direct_overlap_inplace () =
   let fresh () = Buf.of_array (Array.init n float_of_int) in
   (* gather: buf[k] := buf[2k+1] — destination trails the source *)
   let buf = fresh () in
-  Comm.run_local ~scalar:false
+  Comm.run_direct
     ~src:(endpoint buf (Redist.Row_major [| n |]))
     ~dst:(endpoint buf (owner_local l))
     (message ());
@@ -604,7 +556,7 @@ let test_direct_overlap_inplace () =
   done;
   (* scatter: buf[2k+1] := buf[k] — destination overtakes the source *)
   let buf = fresh () in
-  Comm.run_local ~scalar:false
+  Comm.run_direct
     ~src:(endpoint buf (owner_local l))
     ~dst:(endpoint buf (Redist.Row_major [| n |]))
     (message ());
@@ -763,16 +715,13 @@ let test_copy_run_bounds () =
    through [Comm.execute] allocates the same minor words at twice the
    array size, where every run has twice the segments.  (Block ->
    cyclic compiles each message to one strided run whose segment count
-   grows with the extent.) *)
+   grows with the extent; on the distributed backend the locals copy
+   direct and every cross-rank message stages.) *)
 let test_execute_allocation () =
-  let words ~n ~staged =
+  let words ~n =
     let src = layout_nd ~extents:[| n |] [| Dist.block |] 4
     and dst = layout_nd ~extents:[| n |] [| Dist.cyclic |] 4 in
-    let mach =
-      Machine.create ~nprocs:4
-        ~datapath:(if staged then Exec.Staged else Exec.Zero_copy)
-        ~lower:Exec.P2p ()
-    in
+    let mach = Machine.create ~nprocs:4 ~lower:Exec.P2p () in
     let s = Store.create ~backend:Store.Distributed mach in
     let d =
       Store.add_descriptor s ~name:"a" ~extents:[| n |] ~nb_versions:2 ()
@@ -789,13 +738,8 @@ let test_execute_allocation () =
     Comm.execute mach ~src:sep ~dst:dep plan;
     Gc.minor_words () -. w0
   in
-  List.iter
-    (fun staged ->
-      let small = words ~n:4096 ~staged and large = words ~n:8192 ~staged in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "minor words at 2x extent (staged=%b)" staged)
-        small large)
-    [ false; true ]
+  Alcotest.(check (float 0.0)) "minor words at 2x extent" (words ~n:4096)
+    (words ~n:8192)
 
 (* --- (d) Ivset.to_runs ----------------------------------------------------------- *)
 
@@ -817,12 +761,10 @@ let suite =
     Qcheck_env.to_alcotest prop_runs_exact;
     Alcotest.test_case "run decomposition corners" `Quick
       test_runs_exact_corners;
-    Qcheck_env.to_alcotest prop_paths_equal;
-    Qcheck_env.to_alcotest prop_paths_equal_par;
-    Qcheck_env.to_alcotest prop_paths_equal_identity;
-    Alcotest.test_case "self-message corners" `Quick
-      test_paths_self_message_corners;
-    Qcheck_env.to_alcotest prop_run_blits_charged;
+    Qcheck_env.to_alcotest prop_remap_exact;
+    Qcheck_env.to_alcotest prop_remap_exact_par;
+    Qcheck_env.to_alcotest prop_identity_exact;
+    Alcotest.test_case "self-message corners" `Quick test_self_message_corners;
     Qcheck_env.to_alcotest prop_zero_copy_charged;
     Alcotest.test_case "pool acquire/release" `Quick test_pool_unit;
     Alcotest.test_case "pool steady state" `Quick test_pool_steady_state;

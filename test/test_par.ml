@@ -171,18 +171,18 @@ let test_destroyed_pool_faults () =
            ~src:(layout Dist.block) ~dst:(layout Dist.cyclic) float_of_int))
 
 (* A worker that raises must not hang the team: with the destination
-   endpoint's storage closures raising on rank 2, the worker hosting it
-   dies mid-job while its siblings wait on a barrier.  The job aborts,
-   the fault reaches the caller, and the same pool then executes the
-   plan correctly. *)
+   endpoint's buffer raising on rank 2, the worker hosting it dies
+   mid-job while its siblings wait on a barrier.  The job aborts, the
+   fault reaches the caller, and the same pool then executes the plan
+   correctly. *)
 let test_worker_fault_released () =
   let p = Hpfc_par.Par.create ~ndomains:3 () in
-  let fault () = failwith "injected fault" in
   let faulty (e : Comm.endpoint) =
     {
       e with
-      Comm.buffer = (fun ~rank -> if rank = 2 then fault () else e.buffer ~rank);
-      write = (fun ~rank i v -> if rank = 2 then fault () else e.write ~rank i v);
+      Comm.buffer =
+        (fun ~rank ->
+          if rank = 2 then failwith "injected fault" else e.buffer ~rank);
     }
   in
   let src = Test_redist_props.layout_1d ~n:64 Dist.block 4

@@ -340,12 +340,12 @@ let test_execute_fused_equals_solo () =
 
 (* One tenant stream: cycle remaps through the layout ring [rounds]
    times on its own machine and store, through [executor] with [plans]
-   as the store's cache.  [datapath] and [lower] configure the tenant's
-   machine.  Returns the machine and the final data. *)
-let tenant_stream ?executor ?datapath ?lower ~plans ~rounds () =
+   as the store's cache.  [lower] configures the tenant's machine.
+   Returns the machine and the final data. *)
+let tenant_stream ?executor ?lower ~plans ~rounds () =
   let ls = Lazy.force layouts in
   let nv = Array.length ls in
-  let m = Machine.create ~nprocs ~sched:Machine.Stepped ?datapath ?lower () in
+  let m = Machine.create ~nprocs ~sched:Machine.Stepped ?lower () in
   let s = Store.create ?executor ~plans m in
   let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:nv () in
   let fill k = float_of_int ((3 * k) + 1) in
@@ -362,24 +362,23 @@ let tenant_stream ?executor ?datapath ?lower ~plans ~rounds () =
   done;
   (m, Store.to_global (Store.get_copy d !last))
 
-(* No tenant pins its machine's datapath or lowering. *)
-let ambient_config _ = (None, None)
+(* No tenant pins its machine's lowering. *)
+let ambient_config _ = None
 
-(* [config i] optionally pins tenant [i]'s datapath and lowering; each
-   tenant is compared with the solo replay of its own configuration. *)
+(* [config i] optionally pins tenant [i]'s lowering; each tenant is
+   compared with the solo replay of its own configuration. *)
 let isolation_stress ?(config = ambient_config) ~fusion ~cache_capacity () =
   let tenants = 4 and rounds = 4 in
   let svc = Serve.create ~tenants ~fusion ?cache_capacity () in
   let doms =
     List.init tenants (fun i ->
-        let datapath, lower = config i in
+        let lower = config i in
         Domain.spawn (fun () ->
             try
               Ok
                 (tenant_stream
                    ~executor:(Serve.executor svc ~tenant:i)
-                   ?datapath ?lower ~plans:(Serve.tenant_cache svc i) ~rounds
-                   ())
+                   ?lower ~plans:(Serve.tenant_cache svc i) ~rounds ())
             with e -> Error e))
   in
   let served =
@@ -390,9 +389,8 @@ let isolation_stress ?(config = ambient_config) ~fusion ~cache_capacity () =
   let stats = Serve.shutdown svc in
   List.iteri
     (fun i (m, data) ->
-      let datapath, lower = config i in
       let solo_m, solo_data =
-        tenant_stream ?datapath ?lower
+        tenant_stream ?lower:(config i)
           ~plans:(Redist.Plan_cache.create ?capacity:cache_capacity ())
           ~rounds ()
       in
@@ -438,16 +436,15 @@ let test_isolation_eviction_race () =
    through the shared parent cache and therefore carry the same physical
    plan, which is exactly the fusion grouping test.  The fused batches
    are guaranteed, not a race against the scheduler.  [config i] pins
-   tenant [i]'s datapath and lowering; each member's counters must equal
-   a solo copy under its own configuration. *)
+   tenant [i]'s lowering; each member's counters must equal a solo copy
+   under its own configuration. *)
 let staged_fusion ?(config = ambient_config) ~tenants () =
   let ls = Lazy.force layouts in
   let svc = Serve.create ~tenants ~paused:true () in
   let fill k = float_of_int (k + 1) in
   let stream ?plans i =
-    let datapath, lower = config i in
     let m =
-      Machine.create ~nprocs ~sched:Machine.Stepped ?datapath ?lower ()
+      Machine.create ~nprocs ~sched:Machine.Stepped ?lower:(config i) ()
     in
     let s = Store.create ?plans m in
     let d =
@@ -490,15 +487,12 @@ let test_service_fuses_when_staged () =
 
 (* --- tenants under different execution configurations ----------------------- *)
 
-(* Even tenants move data zero-copy under the p2p lowering, odd ones
-   stage everything under the collective lowering. *)
-let mixed_config i =
-  if i mod 2 = 0 then (Some Exec.Zero_copy, Some Exec.P2p)
-  else (Some Exec.Staged, Some Exec.Collective)
+(* Even tenants run the p2p lowering, odd ones the collective one. *)
+let mixed_config i = Some (if i mod 2 = 0 then Exec.P2p else Exec.Collective)
 
-(* Tenants that differ in datapath and lowering share one service, one
-   plan cache and fusion: each tenant's data and modeled counters must
-   still equal its solo replay under its own configuration. *)
+(* Tenants that differ in lowering share one service, one plan cache and
+   fusion: each tenant's data and modeled counters must still equal its
+   solo replay under its own configuration. *)
 let test_mixed_configs_isolated () =
   ignore
     (isolation_stress ~config:mixed_config ~fusion:true ~cache_capacity:None ())
@@ -606,7 +600,7 @@ let test_raising_request_fails_alone () =
   in
   let other = Domain.spawn (stream 1) in
   let faulty () =
-    let m = Machine.create ~nprocs ~datapath:Exec.Zero_copy () in
+    let m = Machine.create ~nprocs () in
     let s = Store.create m in
     let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:2 () in
     Store.alloc s d 0 ls.(0);
@@ -631,6 +625,85 @@ let test_raising_request_fails_alone () =
     served;
   Alcotest.(check int) "every other request completed"
     (2 * rounds * Array.length ls) stats.Serve.requests
+
+(* A raising member inside a fused batch: two tenants' [Planned]
+   requests carry one plan object, so the paused service fuses them,
+   and the second member's destination buffers are empty, so
+   [Buf.copy_run] raises inside the fused walk.  Every batch-mate fails
+   with it and each client's [await] re-raises; the worker and both
+   tenants carry on, their later requests equal their solo replays, and
+   the fused ledger still equals the sum of the tenants'
+   [fused_remaps]. *)
+let test_raising_member_fails_its_batch () =
+  let ls = Lazy.force layouts and rounds = 1 in
+  let svc = Serve.create ~tenants:2 ~workers:1 ~paused:true () in
+  let plan = Redist.plan_intervals ~src:ls.(0) ~dst:ls.(1) in
+  let submit ~faulty tenant =
+    let m = Machine.create ~nprocs () in
+    let s = Store.create m in
+    let d =
+      Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:2 ()
+    in
+    Store.alloc s d 0 ls.(0);
+    Store.alloc s d 1 ls.(1);
+    let ep v = Store.endpoint_of_copy (Store.get_copy d v) in
+    let dst_ep =
+      if faulty then
+        let empty = Buf.create 0 in
+        { (ep 1) with Comm.buffer = (fun ~rank:_ -> empty) }
+      else ep 1
+    in
+    let req =
+      Request.make ~tenant
+        (Request.Planned { mach = m; src_ep = ep 0; dst_ep; plan })
+    in
+    Serve.enqueue svc req;
+    (m, req)
+  in
+  let batch = [ submit ~faulty:false 0; submit ~faulty:true 1 ] in
+  Serve.resume svc;
+  List.iteri
+    (fun i ((m : Machine.t), req) ->
+      Alcotest.check_raises
+        (Printf.sprintf "tenant %d's await re-raises" i)
+        (Invalid_argument "Buf.copy_run")
+        (fun () -> Serve.await svc req);
+      Alcotest.(check bool)
+        (Printf.sprintf "tenant %d's request failed" i)
+        true
+        (match req.Request.state with Request.Failed _ -> true | _ -> false);
+      Alcotest.(check bool)
+        (Printf.sprintf "tenant %d's request was fused" i)
+        true req.Request.fused;
+      Alcotest.(check int)
+        (Printf.sprintf "tenant %d charged one fused remap" i)
+        1 m.Machine.counters.Machine.fused_remaps)
+    batch;
+  let stream i () =
+    tenant_stream ~executor:(Serve.executor svc ~tenant:i)
+      ~plans:(Serve.tenant_cache svc i) ~rounds ()
+  in
+  let other = Domain.spawn (stream 1) in
+  let served = [ stream 0 (); Domain.join other ] in
+  let stats = Serve.shutdown svc in
+  List.iter
+    (fun (m, data) ->
+      let solo_m, solo_data =
+        tenant_stream ~plans:(Redist.Plan_cache.create ()) ~rounds ()
+      in
+      Alcotest.(check bool) "later data = solo replay" true (data = solo_data);
+      Alcotest.(check bool) "later counters = solo replay" true
+        (scrub m = scrub solo_m))
+    served;
+  Alcotest.(check int) "every later request completed"
+    (2 * rounds * Array.length ls) stats.Serve.requests;
+  Alcotest.(check int) "fused ledger = sum of tenant fused_remaps"
+    (List.fold_left
+       (fun acc (m : Machine.t) ->
+         acc + m.Machine.counters.Machine.fused_remaps)
+       0
+       (List.map fst batch @ List.map fst served))
+    stats.Serve.fused_members
 
 let suite =
   [
@@ -669,6 +742,8 @@ let suite =
       test_submit_remap_rejects_bad_request;
     Alcotest.test_case "a raising request fails alone" `Quick
       test_raising_request_fails_alone;
+    Alcotest.test_case "a raising member fails its fused batch" `Quick
+      test_raising_member_fails_its_batch;
     Alcotest.test_case "tenants with different configurations stay isolated"
       `Quick test_mixed_configs_isolated;
     Alcotest.test_case "fusion never mixes configurations" `Quick
