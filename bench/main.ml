@@ -332,9 +332,11 @@ let q9_scaling () =
     [ 2; 4; 8; 16 ];
   row
     "shape: a corner turn moves n^2 (1 - 1/P) elements, so volume grows \
-     toward n^2 with P; the per-processor critical path first shrinks \
-     (~1/P bandwidth term) and then rises again when the P-1 message \
-     startups (alpha) dominate — the classic redistribution crossover.@."
+     toward n^2 with P; the time columns are the stepped time, equal to \
+     the per-processor critical path on these balanced corner turns: it \
+     first shrinks (~1/P bandwidth term) and then rises again when the \
+     P-1 message startups (alpha) dominate — the classic redistribution \
+     crossover.@."
 
 (* --- Q8: advanced calling convention (Sec. 2.2) --------------------------------- *)
 

@@ -2,7 +2,7 @@
 
      hpfc compile FILE [--naive] [--dump-gr] [--dump-gr-opt] [--dump-code]
      hpfc run FILE [--entry NAME] [-s x=3] [--naive] [--compare]
-     hpfc serve FILE --tenants=N [--sched=MODE] [--plan-cache=N] [--check]
+     hpfc serve FILE --tenants=N [--lower=MODE] [--plan-cache=N] [--check]
      hpfc figures [ID]
 
    See README.md for the language. *)
@@ -59,28 +59,19 @@ let exec_conv of_string name =
   let parse s = Result.map_error (fun e -> `Msg e) (of_string s) in
   Arg.conv (parse, fun ppf v -> Fmt.string ppf (name v))
 
-let sched_conv = exec_conv Exec.sched_of_string Exec.sched_name
 let lower_conv = exec_conv Exec.lower_of_string Exec.lower_name
-
-let sched_arg ~doc =
-  Arg.(
-    value
-    & opt ~vopt:(Some Exec.Stepped) (some sched_conv) None
-    & info [ "sched" ] ~docv:"MODE" ~doc)
 
 (* The run's execution configuration: the environment's
    ([Exec.default]) with the command-line choices on top.  The parallel
    executor implies per-rank payloads (what the workers may touch
    race-free). *)
-let exec_of_flags ?(distributed = false) ?(par = false) ~sched ~lower () =
+let exec_of_flags ?(distributed = false) ?(par = false) ~lower () =
   let d = Exec.default () in
-  let sched = Option.value sched ~default:d.Exec.sched in
   let par = par || d.Exec.par in
   {
     Exec.backend =
       (if distributed || par then Exec.Distributed else Exec.Canonical);
     par;
-    sched;
     lower = Option.value lower ~default:d.Exec.lower;
   }
 
@@ -161,21 +152,11 @@ let run_cmd =
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the structured event timeline as JSON lines on stdout (remap begin/end, plan cache probes, step boundaries, messages, evictions); counters and scalars go to stderr.") in
   let scalars = Arg.(value & opt_all scalar_assignments [] & info [ "s"; "set" ] ~docv:"X=V" ~doc:"Set a scalar before execution.") in
   let compare = Arg.(value & flag & info [ "compare" ] ~doc:"Run the naive and the optimized compilations and compare; exit 1 if their values differ.") in
-  let sched =
-    sched_arg
-      ~doc:
-        "Communication schedule: $(b,burst) (default) charges the whole \
-         plan as one unordered exchange; $(b,stepped) charges \
-         contention-free steps (serialized, one send and one receive per \
-         processor per step; also the bare --sched spelling)."
-  in
   let compare_lex (a, _) (b, _) = Stdlib.compare a b in
-  let run file naive entry scalars compare distributed par trace sched lower
+  let run file naive entry scalars compare distributed par trace lower
       plan_cache =
     handle (fun () ->
-        let exec =
-          exec_of_flags ~distributed ~par:(par <> None) ~sched ~lower ()
-        in
+        let exec = exec_of_flags ~distributed ~par:(par <> None) ~lower () in
         let src = read_file file in
         if compare then begin
           let c =
@@ -201,8 +182,8 @@ let run_cmd =
               par
           in
           let machine =
-            Machine.create ~nprocs:4 ~sched:exec.Exec.sched
-              ~lower:exec.Exec.lower ~record_trace:trace ()
+            Machine.create ~nprocs:4 ~lower:exec.Exec.lower
+              ~record_trace:trace ()
           in
           let finally () = Option.iter Hpfc_par.Par.destroy pool in
           let r =
@@ -245,7 +226,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated machine.")
-    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ compare $ distributed $ par $ trace $ sched $ lower_arg $ plan_cache_arg)
+    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ compare $ distributed $ par $ trace $ lower_arg $ plan_cache_arg)
 
 (* --- serve -------------------------------------------------------------------- *)
 
@@ -267,14 +248,8 @@ let serve_cmd =
   let quantum = Arg.(value & opt int 1 & info [ "quantum" ] ~docv:"Q" ~doc:"Deficit-round-robin quantum of the dispatcher.") in
   let no_fusion = Arg.(value & flag & info [ "no-fusion" ] ~doc:"Disable remap fusion: every request executes as its own batch.") in
   let check = Arg.(value & flag & info [ "check" ] ~doc:"Also replay each tenant solo through the sequential executor and verify values and modeled counters are identical.") in
-  let sched =
-    sched_arg
-      ~doc:
-        "Communication schedule of every tenant machine: $(b,burst) \
-         (default) or $(b,stepped)."
-  in
   let run file naive entry scalars tenants workers repeat window quantum
-      no_fusion check sched lower plan_cache =
+      no_fusion check lower plan_cache =
     handle (fun () ->
         if tenants < 1 then begin
           Fmt.epr "hpfc: --tenants expects a positive integer@.";
@@ -282,7 +257,7 @@ let serve_cmd =
         end;
         (* every tenant machine — and the --check solo replays — runs
            this one configuration *)
-        let exec = exec_of_flags ~sched ~lower () in
+        let exec = exec_of_flags ~lower () in
         let src = read_file file in
         let pipeline = pipeline_of_naive naive in
         let svc =
@@ -292,10 +267,7 @@ let serve_cmd =
         let replay ~executor ~plans =
           (* one tenant stream: R replays on one machine, plans cached
              across replays *)
-          let machine =
-            Machine.create ~nprocs:4 ~sched:exec.Exec.sched
-              ~lower:exec.Exec.lower ()
-          in
+          let machine = Machine.create ~nprocs:4 ~lower:exec.Exec.lower () in
           let last = ref None in
           for _ = 1 to repeat do
             last :=
@@ -382,7 +354,7 @@ let serve_cmd =
        ~doc:
          "Replay a workload as N concurrent tenant streams through the \
           multi-tenant remap service.")
-    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ tenants $ workers $ repeat $ window $ quantum $ no_fusion $ check $ sched $ lower_arg $ plan_cache_arg)
+    Term.(const run $ file_arg $ naive_flag $ entry $ scalars $ tenants $ workers $ repeat $ window $ quantum $ no_fusion $ check $ lower_arg $ plan_cache_arg)
 
 (* --- schedule ------------------------------------------------------------------ *)
 
@@ -413,7 +385,7 @@ let schedule_cmd =
   let dst = Arg.(required & pos 1 (some (list dist_format_conv)) None & info [] ~docv:"DST" ~doc:"Target distribution.") in
   let extents = Arg.(value & opt (list int) [ 16 ] & info [ "n" ] ~docv:"N,N" ~doc:"Array extents.") in
   let nprocs = Arg.(value & opt int 4 & info [ "p" ] ~docv:"P" ~doc:"Number of processors (linear grid).") in
-  let steps = Arg.(value & flag & info [ "steps" ] ~doc:"Also print the contention-free step decomposition and its stepped vs burst modeled time.") in
+  let steps = Arg.(value & flag & info [ "steps" ] ~doc:"Also print the contention-free step decomposition, its stepped modeled time and the critical-path lower bound.") in
   let phases = Arg.(value & flag & info [ "phases" ] ~doc:"Also print the collective phase program (ring shift classes, budget-bounded slices) with its modeled time and peak staging volume.") in
   let run src dst extents nprocs steps phases =
     handle (fun () ->
@@ -432,8 +404,8 @@ let schedule_cmd =
           Fmt.pr "%a" Hpfc_runtime.Redist.pp_steps plan;
           let cost = Machine.default_cost in
           let prog = Hpfc_runtime.Redist.step_program plan in
-          Fmt.pr "burst time %.1f | stepped time %.1f in %d steps, peak %d \
-                  elements/step@."
+          Fmt.pr "critical-path bound %.1f | stepped time %.1f in %d steps, \
+                  peak %d elements/step@."
             (Hpfc_runtime.Redist.modeled_time cost plan)
             (Hpfc_runtime.Redist.modeled_time_of_steps cost prog)
             (List.length prog)

@@ -142,7 +142,6 @@ let pp_comparison ppf (c : comparison) =
     n.Machine.peak_bytes o.Machine.peak_bytes n.Machine.pool_hits
     n.Machine.pool_misses o.Machine.pool_hits o.Machine.pool_misses
     n.Machine.time o.Machine.time;
-  if c.naive.I.machine.Machine.sched = Machine.Stepped then
-    Fmt.pf ppf "steps     %12d %12d@.peak/step %12d %12d@." n.Machine.steps
-      o.Machine.steps n.Machine.peak_step_volume o.Machine.peak_step_volume;
+  Fmt.pf ppf "steps     %12d %12d@.peak/step %12d %12d@." n.Machine.steps
+    o.Machine.steps n.Machine.peak_step_volume o.Machine.peak_step_volume;
   Fmt.pf ppf "values    %s@." (if c.values_agree then "agree" else "DIFFER")

@@ -2,16 +2,15 @@
    pipeline matrix and cross-check every observable.
 
    Matrix: {optimized, unoptimized} x {canonical, distributed} x
-   {sequential, parallel} x {burst, stepped} x {p2p, collective}.  The
-   parallel executor requires the distributed payload (replicated
-   writes into the shared canonical payload would race), and the
-   collective lowering is exercised only under stepped accounting
-   (under burst it charges exactly like p2p, so a burst/collective run
-   would duplicate the burst/p2p one), so 9 configurations are valid —
-   18 runs per accepted program, plus one
-   2-tenant pass of the optimized pipeline through the multi-tenant
-   remap service ([check_serve]) whose per-tenant observables must
-   match the reference run byte for byte.
+   {sequential, parallel} x {p2p, collective}.  The parallel executor
+   requires the distributed payload (replicated writes into the shared
+   canonical payload would race), so 6 configurations are valid — 12
+   runs per accepted program, plus one 2-tenant pass of the optimized
+   pipeline through the multi-tenant remap service ([check_serve])
+   whose per-tenant observables must match the reference run byte for
+   byte.  Every run charges the contention-free rounds it executed
+   (steps, or collective phases), so each lowering's clock is checked
+   against its own trace.
 
    Checks, in decreasing order of strength:
    - final arrays (program-defined elements) and untainted scalars are
@@ -31,10 +30,12 @@
    - the event trace agrees with the counters (Message events reproduce
      the message/volume totals — one event per message under p2p, at
      least one per message under the collective lowering, which slices
-     — every event sits inside a contention-free step, stepped step
-     costs sum to the clock); the Message multiset is identical across
-     every run of a pipeline sharing a lowering, and the per-(from, to)
-     volume totals are identical across every run of a pipeline
+     — every event sits inside a contention-free step, the Step_begin
+     events count [steps] and their largest volume is
+     [peak_step_volume], step costs sum to the clock); the Message
+     multiset is identical across every run of a pipeline sharing a
+     lowering, and the per-(from, to) volume totals are identical across
+     every run of a pipeline
      (slicing redistributes counts over events but moves the same
      elements between the same endpoints);
    - the optimized pipeline never moves more volume or performs more
@@ -243,7 +244,8 @@ let aggregated_messages_of (r : run) =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
 (* The trace must reproduce the counters: every message inside a
-   contention-free step, totals matching, stepped step costs summing to
+   contention-free step, totals matching, one Step_begin per charged
+   step, the largest Step_begin volume the peak, step costs summing to
    the modeled clock. *)
 let trace_self_check ~what (r : run) =
   if r.dropped > 0 then () (* ring buffer overflow: totals unavailable *)
@@ -253,13 +255,15 @@ let trace_self_check ~what (r : run) =
     let n_msgs = ref 0 and vol = ref 0 in
     let in_step = ref false in
     let senders = Hashtbl.create 8 and receivers = Hashtbl.create 8 in
-    let step_time = ref 0.0 in
+    let step_time = ref 0.0 and n_steps = ref 0 and peak = ref 0 in
     List.iter
       (fun ev ->
         match ev with
-        | M.Step_begin _ ->
+        | M.Step_begin { volume; _ } ->
           if !in_step then failf "%s: nested Step_begin" ctx;
           in_step := true;
+          incr n_steps;
+          peak := Int.max !peak volume;
           Hashtbl.reset senders;
           Hashtbl.reset receivers
         | M.Step_end { time; _ } ->
@@ -289,9 +293,12 @@ let trace_self_check ~what (r : run) =
       failf "%s: %d Message events but messages = %d" ctx !n_msgs c.M.messages;
     if !vol <> c.M.volume then
       failf "%s: traced volume %d but volume = %d" ctx !vol c.M.volume;
-    if
-      r.cfg.Exec.sched = Exec.Stepped
-      && abs_float (!step_time -. c.M.time) > 1e-6 *. (1.0 +. abs_float c.M.time)
+    if !n_steps <> c.M.steps then
+      failf "%s: %d Step_begin events but steps = %d" ctx !n_steps c.M.steps;
+    if !peak <> c.M.peak_step_volume then
+      failf "%s: largest Step_begin volume %d but peak_step_volume = %d" ctx
+        !peak c.M.peak_step_volume;
+    if abs_float (!step_time -. c.M.time) > 1e-6 *. (1.0 +. abs_float c.M.time)
     then
       failf "%s: step costs sum to %g but time = %g" ctx !step_time c.M.time
   end
@@ -374,7 +381,7 @@ let leq ~what name a b =
    remappings delegated to the shared service ([Serve.executor]) and its
    plans looked up through its tenant cache over the shared sharded
    cache.  The service's correctness bar is checked against the
-   reference run (canonical / sequential / burst / p2p): every
+   reference run (canonical / sequential / p2p): every
    value, every modeled counter (a tenant shares every configuration
    axis with the reference) and the traced Message multiset must be
    byte-identical per tenant — the interleaving, the plan sharing, and

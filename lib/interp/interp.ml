@@ -436,14 +436,7 @@ let run ?(machine : Machine.t option) ?exec ?(record_trace = false) ?backend
     match machine with
     | Some m -> m
     | None ->
-      (* an explicit configuration decides the accounting mode; the
-         environment's default never does *)
-      let sched =
-        match exec with
-        | Some e -> e.Exec.sched
-        | None -> Machine.Burst
-      in
-      Machine.create ~sched ~lower:e.Exec.lower ~record_trace
+      Machine.create ~lower:e.Exec.lower ~record_trace
         ~nprocs:target.Gen.graph.Graph.env.Env.default_procs.shape.(0) ()
   in
   let backend = Option.value backend ~default:e.Exec.backend in

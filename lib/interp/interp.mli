@@ -75,9 +75,8 @@ val compile : ?pipeline:pipeline -> Hpfc_lang.Ast.program -> program
     materialized with a deterministic fill (imported values) for
     in/inout.  [exec] is the execution configuration (default
     {!Hpfc_runtime.Exec.default}, the one the environment selects): the
-    default machine takes its lowering, and — only when
-    [exec] is given — its accounting mode (else burst); [backend]
-    defaults to its backend.  [machine] replaces the default machine
+    default machine takes its lowering; [backend] defaults to its
+    backend.  [machine] replaces the default machine
     outright.  [executor] installs an alternative communication
     executor, shared by every frame of the call tree (e.g.
     [Hpfc_par.Par.executor] for the domain-parallel backend, which wants

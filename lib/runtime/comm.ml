@@ -29,12 +29,12 @@
    is direct).
 
    The executor also owns the accounting: message/volume/local-move
-   counters always, and clock charges according to the machine's
-   scheduling mode (burst critical path, or serialized contention-free
-   steps with step/peak-volume counters).  With [record_trace], step
-   boundaries and individual messages land in the machine's event
-   trace; each [Step_end] carries the step's modeled cost, so in
-   stepped mode the traced step times sum to the time charged. *)
+   counters, and the clock charge of the rounds it walked (serialized
+   contention-free steps or collective phases, with step/peak-volume
+   counters).  With [record_trace], step boundaries and individual
+   messages land in the machine's event trace; each [Step_end] carries
+   the round's modeled cost, so the traced step times sum to the time
+   charged, and the [Step_begin] events count the steps charged. *)
 
 (* How the executor touches a copy's storage.  [rank] is the linear
    processor rank the access is performed on: backends with per-rank
@@ -333,33 +333,33 @@ let record_rounds ?(on_step = fun _ -> ()) mach rounds =
     rounds
 
 (* Message/volume counters and the modeled clock charge for one executed
-   plan, per the machine's scheduling mode.  The message/volume/local-move
-   counters and the burst charge are lowering-independent (both
-   lowerings move the same payloads); only stepped mode sees the
-   schedule — [steps] counts its steps or phases, [peak_step_volume] is
-   the step (or budgeted phase) peak, and time sums the serialized
-   rounds. *)
+   plan: the rounds the executors walk ([rounds]), so the bill is the
+   run.  The message/volume/local-move counters are
+   lowering-independent (both lowerings move the same payloads); [steps]
+   counts the step program's steps or the collective program's phases,
+   [peak_step_volume] is the step (or budgeted phase) peak, and time sums
+   the serialized rounds — exactly the [Step_end] costs the trace
+   records. *)
 let charge_modeled ~collective (mach : Machine.t) (plan : Redist.plan) =
   let c = mach.Machine.counters and cost = mach.Machine.cost in
   c.Machine.local_moves <- c.Machine.local_moves + Redist.local_total plan;
   c.Machine.messages <- c.Machine.messages + Redist.nb_messages plan;
   c.Machine.volume <- c.Machine.volume + Redist.total_moved plan;
-  match mach.Machine.sched with
-  | Machine.Burst ->
-    c.Machine.time <- c.Machine.time +. Redist.modeled_time cost plan
-  | Machine.Stepped when collective ->
+  if collective then begin
     let cp = Redist.collective_program plan in
     c.Machine.steps <- c.Machine.steps + Redist.nb_phases cp;
     c.Machine.peak_step_volume <-
       Int.max c.Machine.peak_step_volume
         (Redist.peak_phase_volume cp.Redist.c_phases);
     c.Machine.time <- c.Machine.time +. Redist.modeled_time_of_phases cost cp
-  | Machine.Stepped ->
+  end
+  else begin
     let prog = Redist.step_program plan in
     c.Machine.steps <- c.Machine.steps + List.length prog;
     c.Machine.peak_step_volume <-
       Int.max c.Machine.peak_step_volume (Redist.peak_step_volume prog);
     c.Machine.time <- c.Machine.time +. Redist.modeled_time_of_steps cost prog
+  end
 
 (* Datapath accounting for one executed plan — [run_blits],
    [zero_copy_runs], [staged_bytes] and [peak_bytes].  Derived from the

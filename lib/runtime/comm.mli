@@ -4,11 +4,11 @@
     Runs a plan's step program message by message — pack the source box
     into a staging buffer in row-major box order, deliver, unpack into
     the target copy — and owns the accounting: message/volume/local-move
-    counters always, clock charges per the machine's scheduling mode.
+    counters, and the clock charge of the rounds it walked.
     With [record_trace], step boundaries ([Step_begin]/[Step_end]) and
     individual [Message] events land in the machine trace; each
-    [Step_end] carries the step's modeled cost, so in stepped mode the
-    traced step times sum to the time charged.
+    [Step_end] carries the round's modeled cost, so the traced step times
+    sum to the time charged and the [Step_begin] events count [steps].
 
     Every payload, staging buffer and packet carries one buffer type,
     {!Buf.t}, and one rule moves the data, per message
@@ -148,8 +148,9 @@ val record_rounds : ?on_step:(int -> unit) -> Machine.t -> round list -> unit
 
 (** All accounting for one executed plan under the lowering that ran,
     shared by every executor so it cannot drift between backends:
-    message/volume/local-move counters and the modeled clock per the
-    machine's scheduling mode (stepped mode counts steps or phases), and
+    message/volume/local-move counters and the modeled clock of the
+    rounds that ran ([steps] counts the steps or phases, [time] sums
+    their costs, [peak_step_volume] is the largest round), and
     the datapath counters — [run_blits]/[zero_copy_runs]/
     [staged_bytes]/[peak_bytes] — derived from the memoized runs and
     datapath decisions, never from inside the data movement: locals and

@@ -1,37 +1,32 @@
-(* One execution configuration: the four axes a run is executed under,
+(* One execution configuration: the three axes a run is executed under,
    as one immutable value.  The lowering travels as a field of the
-   machine a run owns, the schedule is the machine's accounting mode,
-   and the backend is fixed when a store is built, so nothing here is
-   global mutable state.  [of_env] is the only reader of the
-   HPFC_FORCE_* variables (the CI hook that runs the whole suite under a
-   forced setting). *)
+   machine a run owns, and the backend is fixed when a store is built,
+   so nothing here is global mutable state.  [of_env] is the only reader
+   of the HPFC_FORCE_* variables (the CI hook that runs the whole suite
+   under a forced setting). *)
 
 type backend = Canonical | Distributed
-type sched = Burst | Stepped
 type lower = P2p | Collective | Auto
 
 type t = {
   backend : backend;
   par : bool;
-  sched : sched;
   lower : lower;
 }
 
-(* The four axes by name: what a counter's declared class says may move
+(* The three axes by name: what a counter's declared class says may move
    it ([Machine.counter_class]). *)
-type axis = Backend | Par | Sched | Lower
+type axis = Backend | Par | Lower
 
 let agree axes a b =
   List.for_all
     (function
       | Backend -> a.backend = b.backend
       | Par -> a.par = b.par
-      | Sched -> a.sched = b.sched
       | Lower -> a.lower = b.lower)
     axes
 
-let reference =
-  { backend = Canonical; par = false; sched = Burst; lower = P2p }
+let reference = { backend = Canonical; par = false; lower = P2p }
 
 (* The parallel executor needs the distributed payload (replicated
    writes into a shared canonical payload would race). *)
@@ -40,17 +35,14 @@ let invalid e =
     Some "the parallel executor needs distributed"
   else None
 
-(* The oracle's matrix, in its historical order: the valid products,
-   less burst/collective (which would duplicate burst/p2p). *)
+(* The oracle's matrix, in its historical order: the valid products. *)
 let all =
   let ( let* ) l f = List.concat_map f l in
   let* backend = [ Canonical; Distributed ] in
   let* par = [ false; true ] in
-  let* sched = [ Burst; Stepped ] in
   let* lower = [ P2p; Collective ] in
-  let e = { backend; par; sched; lower } in
-  if invalid e = None && not (lower = Collective && sched = Burst) then [ e ]
-  else []
+  let e = { backend; par; lower } in
+  if invalid e = None then [ e ] else []
 
 (* --- vocabulary ----------------------------------------------------------- *)
 
@@ -58,8 +50,6 @@ let all =
    is the one [name] prints. *)
 let backends = [ ("canonical", Canonical); ("distributed", Distributed) ]
 let executors = [ ("seq", false); ("par", true) ]
-
-let scheds = [ ("burst", Burst); ("stepped", Stepped) ]
 let lowers = [ ("p2p", P2p); ("collective", Collective); ("auto", Auto) ]
 
 (* [name] keeps the oracle's historical short spelling of the collective
@@ -67,7 +57,6 @@ let lowers = [ ("p2p", P2p); ("collective", Collective); ("auto", Auto) ]
    parsers accept both. *)
 let name_lowers = ("coll", Collective) :: lowers
 let spelling table v = fst (List.find (fun (_, x) -> x = v) table)
-let sched_name = spelling scheds
 let lower_name = spelling name_lowers
 
 let name e =
@@ -75,7 +64,6 @@ let name e =
     [
       spelling backends e.backend;
       spelling executors e.par;
-      sched_name e.sched;
       lower_name e.lower;
     ]
 
@@ -87,26 +75,32 @@ let parse ~what table shown s =
       (Printf.sprintf "invalid %s %S, expected one of %s" what s
          (String.concat " | " (List.map fst shown)))
 
-let sched_of_string = parse ~what:"schedule" scheds scheds
 let lower_of_string = parse ~what:"lowering" name_lowers lowers
 
 let of_string s =
   let ( let* ) = Result.bind in
   match String.split_on_char '/' s with
-  | [ b; x; sc; l ] -> (
+  | [ b; x; l ] -> (
     let* backend = parse ~what:"backend" backends backends b in
     let* par = parse ~what:"executor" executors executors x in
-    let* sched = sched_of_string sc in
     let* lower = lower_of_string l in
-    let e = { backend; par; sched; lower } in
+    let e = { backend; par; lower } in
     match invalid e with
     | Some why -> Error (Printf.sprintf "%S: %s" s why)
     | None -> Ok e)
+  | [ _; _; sc; _ ]
+    when List.mem (String.lowercase_ascii (String.trim sc))
+           [ "burst"; "stepped" ] ->
+    (* a name from before the schedule axis was deleted *)
+    Error
+      (Printf.sprintf
+         "invalid configuration %S: the schedule field was removed, every \
+          run charges contention-free steps; expected backend/executor/lower"
+         s)
   | _ ->
     Error
       (Printf.sprintf
-         "invalid configuration %S, expected backend/executor/sched/lower"
-         s)
+         "invalid configuration %S, expected backend/executor/lower" s)
 
 (* --- the environment ------------------------------------------------------ *)
 
@@ -159,13 +153,7 @@ let read getenv =
       | Error _ ->
         bad "HPFC_FORCE_LOWER" v "p2p, collective, auto, \"0\" or empty")
   in
-  ( {
-      backend = (if par then Distributed else Canonical);
-      par;
-      sched = Burst;
-      lower;
-    },
-    team )
+  ({ backend = (if par then Distributed else Canonical); par; lower }, team)
 
 let of_env ?(getenv = Sys.getenv_opt) () = fst (read getenv)
 let team_of_env ?(getenv = Sys.getenv_opt) () = snd (read getenv)

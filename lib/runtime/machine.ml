@@ -4,10 +4,10 @@
    MPI here): the redistribution engine computes exactly which elements move
    between which processors, and the machine accounts for them under a
    standard alpha-beta cost model (alpha per message, beta per element).
-   Modeled time for one remapping step is the bandwidth-limited critical
-   path: max over processors of (alpha * messages + beta * volume) sent or
-   received.  Absolute numbers are synthetic; shapes (who communicates how
-   much, what the optimizations save) are exact. *)
+   Modeled time for one remapping is the sum over the contention-free
+   rounds it executed of each round's slowest message.  Absolute numbers
+   are synthetic; shapes (who communicates how much, what the
+   optimizations save) are exact. *)
 
 type cost_model = {
   alpha : float;  (* per-message startup cost *)
@@ -32,16 +32,14 @@ let default_cost =
     coll_beta = 1.0;
   }
 
-(* How a remapping's messages are charged against the clock:
-
-   - [Burst]: all messages at once; time is the alpha-beta critical path
-     (max over processors of send- or receive-side cost).
-   - [Stepped]: the plan is decomposed into contention-free steps (no
-     processor sends or receives twice within a step, cf. Rink et al.,
-     arXiv:2112.01075); each step costs its slowest message and the steps
-     are serialized.  The per-step volume doubles as a peak-memory proxy
-     for staging buffers. *)
-type sched_mode = Exec.sched = Burst | Stepped
+(* How a remapping's messages are charged against the clock: the plan's
+   rounds are contention-free (no processor sends or receives twice
+   within a round, cf. Rink et al., arXiv:2112.01075) — point-to-point
+   steps or collective phases; each round costs its slowest message and
+   the rounds are serialized.  The per-round volume doubles as a
+   peak-memory proxy for staging buffers.  One constructor: the type
+   stays only so callers that name the mode still build. *)
+type sched_mode = Stepped
 
 type counters = {
   mutable messages : int;
@@ -57,7 +55,7 @@ type counters = {
   mutable plan_hits : int;  (* redistribution plans served from cache *)
   mutable plan_misses : int;  (* plans computed from scratch *)
   mutable plan_evictions : int;  (* plans dropped by the LRU-bounded cache *)
-  mutable steps : int;  (* contention-free steps executed (Stepped only) *)
+  mutable steps : int;  (* contention-free steps or phases executed *)
   mutable peak_step_volume : int;  (* max elements in flight in one step *)
   mutable run_blits : int;
       (* contiguous segments copied by the staged pack/unpack path *)
@@ -81,11 +79,6 @@ type counters = {
          leases (acquired, not yet released buffers) across the run's
          pools — executor history like the pool totals, scrubbed by
          cross-executor comparisons *)
-  layout_pad : int;
-      (* always 0, never read: it keeps the record at 26 fields.  With 25
-         the record falls into a smaller major-heap size class, and the
-         perfbench serve workload's p50 latency rose from 0.062 to 0.081
-         ms on a 2-core machine (EXPERIMENTS.md, PERF_ASYNC) *)
   mutable fused_remaps : int;
       (* remaps executed as members of a multi-tenant fused batch (same
          layout pair, or plans with disjoint rank footprints, sharing one
@@ -121,7 +114,6 @@ let fresh_counters () =
     pool_misses = 0;
     peak_bytes = 0;
     pool_lease_peak = 0;
-    layout_pad = 0;
     fused_remaps = 0;
     time = 0.0;
     wall_time = 0.0;
@@ -172,7 +164,6 @@ let default_trace_capacity = 65536
 type t = {
   nprocs : int;
   cost : cost_model;
-  sched : sched_mode;  (* how remapping messages are charged to [time] *)
   lower : Exec.lower;  (* how this run's plans are lowered *)
   mutable counters : counters;  (* replaced whole by [reset] *)
   memory_limit : int option;  (* max live elements across all copies *)
@@ -181,13 +172,12 @@ type t = {
   record_trace : bool;
 }
 
-let create ?(cost = default_cost) ?(sched = Burst) ?lower ?memory_limit
-    ?(record_trace = false) ?(trace_capacity = default_trace_capacity) ~nprocs
-    () =
+let create ?(cost = default_cost) ?sched:(_ : sched_mode option) ?lower
+    ?memory_limit ?(record_trace = false)
+    ?(trace_capacity = default_trace_capacity) ~nprocs () =
   {
     nprocs;
     cost;
-    sched;
     lower = Option.value lower ~default:(Exec.default ()).Exec.lower;
     counters = fresh_counters ();
     memory_limit;
@@ -316,7 +306,7 @@ type walker = {
    in an unspecified order, so no walker may depend on it. *)
 let rebuild f c =
   let core = Modeled []
-  and sched = Modeled [ Sched; Lower ]
+  and rounds = Modeled [ Lower ]
   and dpath = Modeled [ Backend ] in
   {
     messages = f.int "messages" core c.messages;
@@ -332,8 +322,8 @@ let rebuild f c =
     plan_hits = f.int "plan_hits" core c.plan_hits;
     plan_misses = f.int "plan_misses" core c.plan_misses;
     plan_evictions = f.int "plan_evictions" core c.plan_evictions;
-    steps = f.int "steps" sched c.steps;
-    peak_step_volume = f.int "peak_step_volume" sched c.peak_step_volume;
+    steps = f.int "steps" rounds c.steps;
+    peak_step_volume = f.int "peak_step_volume" rounds c.peak_step_volume;
     run_blits = f.int "run_blits" dpath c.run_blits;
     zero_copy_runs = f.int "zero_copy_runs" dpath c.zero_copy_runs;
     staged_bytes = f.int "staged_bytes" dpath c.staged_bytes;
@@ -343,9 +333,8 @@ let rebuild f c =
       f.int "peak_bytes" (Modeled [ Backend; Lower ]) c.peak_bytes;
     pool_lease_peak =
       f.int "pool_lease_peak" Executor_history c.pool_lease_peak;
-    layout_pad = 0;
     fused_remaps = f.int "fused_remaps" Service c.fused_remaps;
-    time = f.float "time" sched c.time;
+    time = f.float "time" rounds c.time;
     wall_time = f.float "wall_time" Wall c.wall_time;
   }
 

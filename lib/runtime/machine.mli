@@ -3,9 +3,9 @@
     The substitute for the paper's distributed-memory target: the
     redistribution engine computes exactly which elements move between
     which processors, and this module accounts for them under an
-    alpha-beta cost model.  Modeled time for one remapping step is the
-    critical path: max over processors of
-    [alpha * messages + beta * volume], on the send or receive side.
+    alpha-beta cost model.  Modeled time for one remapping is the sum
+    over the contention-free rounds it executed of each round's slowest
+    message, [alpha + beta * count] (see {!Comm.charge}).
     Absolute numbers are synthetic; counts and volumes are exact. *)
 
 type cost_model = {
@@ -25,13 +25,13 @@ type cost_model = {
     beta = 1. *)
 val default_cost : cost_model
 
-(** How a remapping's messages are charged to the clock: [Burst] charges
-    the whole plan as one unordered exchange (alpha-beta critical path);
-    [Stepped] decomposes it into contention-free steps — no processor
-    sends or receives twice within a step — each costing its slowest
-    message, serialized (cf. Rink et al., arXiv:2112.01075).  The
-    configuration's schedule ({!Exec.sched}) is this type. *)
-type sched_mode = Exec.sched = Burst | Stepped
+(** How a remapping's messages are charged to the clock, the one mode
+    there is: the rounds the run executed — contention-free steps or
+    collective phases, no processor sending or receiving twice within a
+    round — each costing its slowest message, serialized (cf. Rink et
+    al., arXiv:2112.01075).  It is named only by {!create}'s [?sched],
+    which accepts it and changes nothing. *)
+type sched_mode = Stepped
 
 type counters = {
   mutable messages : int;
@@ -49,7 +49,8 @@ type counters = {
   mutable plan_evictions : int;
       (** plans dropped by the LRU bound of the plan cache *)
   mutable steps : int;
-      (** contention-free steps executed (stepped mode only) *)
+      (** contention-free rounds executed: steps under the point-to-point
+          lowering, phases under the collective one *)
   mutable peak_step_volume : int;
       (** max elements in flight within one step — a peak-memory proxy
           for communication staging buffers *)
@@ -81,9 +82,6 @@ type counters = {
           leases (acquired, not yet released buffers) across the run's
           pools — executor history like the pool totals, scrubbed by
           cross-executor comparisons *)
-  layout_pad : int;
-      (** always 0, never read: keeps the record in the major-heap size
-          class it had before a field was deleted (see machine.ml) *)
   mutable fused_remaps : int;
       (** remaps executed as members of a multi-tenant fused batch (same
           layout pair, or plans with disjoint rank footprints, sharing
@@ -126,9 +124,9 @@ type walker = {
 
 (** The declaration of every counter's name and class: a fresh record
     whose every field is the walker's answer for the corresponding field
-    of the argument ([layout_pad] stays 0).  The walker is called once
-    per field, in an unspecified order.  It is one full record literal, so a counter added to {!counters}
-    without a class does not compile. *)
+    of the argument.  The walker is called once per field, in an
+    unspecified order.  It is one full record literal, so a counter
+    added to {!counters} without a class does not compile. *)
 val rebuild : walker -> counters -> counters
 
 (** Every counter as (name, class, reading), sorted by name. *)
@@ -184,7 +182,6 @@ val default_trace_capacity : int
 type t = {
   nprocs : int;
   cost : cost_model;
-  sched : sched_mode;  (** how remapping messages are charged to [time] *)
   lower : Exec.lower;  (** how this run's plans are lowered *)
   mutable counters : counters;  (** replaced whole by {!reset} *)
   memory_limit : int option;  (** max live elements across all copies *)
@@ -193,9 +190,9 @@ type t = {
   record_trace : bool;
 }
 
-(** A fresh machine.  [sched] defaults to [Burst]; [lower] defaults to
-    {!Exec.default}'s, so a forced environment reaches every machine
-    that does not pin it. *)
+(** A fresh machine.  [sched] names the one accounting mode and changes
+    nothing; [lower] defaults to {!Exec.default}'s, so a forced
+    environment reaches every machine that does not pin it. *)
 val create :
   ?cost:cost_model ->
   ?sched:sched_mode ->

@@ -150,8 +150,9 @@ let local_total plan =
 
 let nb_messages plan = List.length plan.moves
 
-(* Critical-path time under an alpha-beta model: max over processors of
-   send-side and receive-side cost. *)
+(* Critical-path lower bound under an alpha-beta model: max over
+   processors of send-side and receive-side cost.  A reference bound for
+   the stepped time, never charged to a run. *)
 let modeled_time (cost : Machine.cost_model) plan =
   let send_msgs = Hashtbl.create 8
   and send_vol = Hashtbl.create 8
@@ -257,7 +258,7 @@ let step_program plan =
 
 (* Stepped time: within a step every message proceeds in parallel without
    port contention, so the step costs its slowest message; steps are
-   serialized.  Always at least the burst critical path: a processor with k
+   serialized.  Always at least the critical-path bound: a processor with k
    messages to send appears in k distinct steps, each charging at least
    alpha + beta * (that message), so the sum dominates its send-side
    alpha-beta cost (and symmetrically for receives). *)

@@ -135,8 +135,10 @@ val local_total : plan -> int
 (** Number of cross-processor messages. *)
 val nb_messages : plan -> int
 
-(** Critical-path time under the cost model: max over processors of the
-    send-side and receive-side alpha-beta cost. *)
+(** Critical-path lower bound under the cost model: max over processors
+    of the send-side and receive-side alpha-beta cost.  No run is
+    charged it; it is the reference bound the stepped time must
+    dominate. *)
 val modeled_time : Machine.cost_model -> plan -> float
 
 (** Total elements in flight within one step. *)
@@ -161,7 +163,7 @@ val step_program : plan -> step list
 val step_time : Machine.cost_model -> step -> float
 
 (** Stepped time: each step costs its slowest message, steps are
-    serialized.  Always >= the burst critical path {!modeled_time}. *)
+    serialized.  Always >= the critical-path bound {!modeled_time}. *)
 val modeled_time_stepped : Machine.cost_model -> plan -> float
 
 (** Same, over an already computed decomposition. *)

@@ -26,9 +26,7 @@ let prop_equals_p2p_seq =
       List.for_all
         (fun backend ->
           let run lower =
-            final
-              (Test_comm.remap ~backend ~sched:Machine.Stepped ~lower ~src
-                 ~dst fill)
+            final (Test_comm.remap ~backend ~lower ~src ~dst fill)
           in
           run Exec.P2p = run Exec.Collective)
         [ Store.Canonical; Store.Distributed ])
@@ -42,15 +40,9 @@ let prop_equals_p2p_par =
     ~print:Test_redist_props.print_pair ~count:60 Test_comm.gen_irregular_pair
     (fun (src, dst) ->
       let fill k = float_of_int ((7 * k) + 3) in
-      let seq =
-        final
-          (Test_par.remap_seq ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
-             fill)
-      in
+      let seq = final (Test_par.remap_seq ~lower:Exec.P2p ~src ~dst fill) in
       let par =
-        final
-          (Test_par.remap_par ~sched:Machine.Stepped ~lower:Exec.Collective
-             ~src ~dst fill)
+        final (Test_par.remap_par ~lower:Exec.Collective ~src ~dst fill)
       in
       par = seq)
 
@@ -119,8 +111,8 @@ let prop_trace_replays_phases =
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
       let m, s, d =
-        Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped
-          ~lower:Exec.Collective ~src ~dst float_of_int
+        Test_comm.remap ~backend:Store.Distributed ~lower:Exec.Collective
+          ~src ~dst float_of_int
       in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let cp = Redist.collective_program plan in
@@ -154,11 +146,9 @@ let prop_par_counters_equal_seq =
     (fun (src, dst) ->
       let scrub (m : Machine.t) = Machine.scrub ~varying:[ Par ] m.counters in
       let mp, _, _ =
-        Test_par.remap_par ~sched:Machine.Stepped ~lower:Exec.Collective
-          ~src ~dst float_of_int
+        Test_par.remap_par ~lower:Exec.Collective ~src ~dst float_of_int
       and ms, _, _ =
-        Test_par.remap_seq ~sched:Machine.Stepped ~lower:Exec.Collective
-          ~src ~dst float_of_int
+        Test_par.remap_seq ~lower:Exec.Collective ~src ~dst float_of_int
       in
       scrub mp = scrub ms)
 
@@ -180,8 +170,8 @@ let test_peak_bound_at_p () =
       and dst = Test_redist_props.layout_1d ~n (Dist.Cyclic 3) p in
       let peak lower =
         let m, _, _ =
-          Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped
-            ~lower ~src ~dst float_of_int
+          Test_comm.remap ~backend:Store.Distributed ~lower ~src ~dst
+            float_of_int
         in
         m.Machine.counters.Machine.peak_bytes
       in
@@ -207,8 +197,8 @@ let test_corner_turn_strict () =
   (* and the executed machines charge exactly 8x those volumes *)
   let peak lower =
     let m, _, _ =
-      Test_comm.remap ~backend:Store.Distributed ~sched:Machine.Stepped ~lower
-        ~src ~dst float_of_int
+      Test_comm.remap ~backend:Store.Distributed ~lower ~src ~dst
+        float_of_int
     in
     m.Machine.counters.Machine.peak_bytes
   in

@@ -2,7 +2,7 @@
    real remap through the store and the communication executor leaves a
    trace whose [Message] multiset is exactly the plan, whose step
    structure replays the schedule in order and contention-free, and
-   whose stepped [Step_end] times sum to the clock charged.  On top of
+   whose [Step_end] times sum to the clock charged.  On top of
    that, the canonical backend replays the identical message stream
    against the global payload, so both backends must agree element-wise
    even on irregular (replicated / constant-aligned) layouts. *)
@@ -18,9 +18,8 @@ open Hpfc_runtime
    here, the collective ones in test_collective.ml); left out, the
    machine takes the environment's, so the generic properties run under
    whichever setting the environment forces. *)
-let remap ?(backend = Store.Canonical) ?(sched = Machine.Burst) ?executor
-    ?lower ~src ~dst fill =
-  let m = Machine.create ~nprocs:4 ~sched ?lower ~record_trace:true () in
+let remap ?(backend = Store.Canonical) ?executor ?lower ~src ~dst fill =
+  let m = Machine.create ~nprocs:4 ?lower ~record_trace:true () in
   let s = Store.create ~backend ?executor m in
   let d =
     Store.add_descriptor s ~name:"a" ~extents:src.Layout.extents ~nb_versions:2
@@ -95,10 +94,7 @@ let prop_trace_replays_schedule =
     ~print:Test_redist_props.print_pair ~count:200 Test_redist_props.gen_pair
     (fun (src, dst) ->
       (* p2p-specific: the collective replays its phase program instead *)
-      let m, s, d =
-        remap ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
-          float_of_int
-      in
+      let m, s, d = remap ~lower:Exec.P2p ~src ~dst float_of_int in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let prog = Redist.step_program plan in
       match steps_of_trace (Machine.events m) with
@@ -112,7 +108,7 @@ let prop_trace_replays_schedule =
                     (msg.Redist.m_from, msg.Redist.m_to, msg.Redist.m_count)))
                prog
         && List.for_all (fun (_, ms, _) -> contention_free ms) groups
-        (* in stepped mode the traced step times sum to the clock *)
+        (* the traced step times sum to the clock *)
         && abs_float
              (List.fold_left (fun acc (_, _, t) -> acc +. t) 0.0 groups
              -. m.Machine.counters.Machine.time)
@@ -157,8 +153,7 @@ let test_trace_shape () =
          ~procs:(procs 4))
   in
   let m, _, _ =
-    remap ~sched:Machine.Stepped ~src:(layout Dist.block)
-      ~dst:(layout Dist.cyclic) float_of_int
+    remap ~src:(layout Dist.block) ~dst:(layout Dist.cyclic) float_of_int
   in
   match Machine.events m with
   | Machine.Remap_begin { array = "a"; src = Some 0; dst = 1 }

@@ -6,20 +6,17 @@
 
 open Hpfc_runtime
 
-(* The oracle's 9 configurations, in order, the reference first —
+(* The oracle's 6 configurations, in order, the reference first —
    spelled out so that a lost, added or reordered configuration fails
    here rather than silently changing what the fuzzer covers. *)
 let pinned_names =
   [
-    "canonical/seq/burst/p2p";
-    "canonical/seq/stepped/p2p";
-    "canonical/seq/stepped/coll";
-    "distributed/seq/burst/p2p";
-    "distributed/seq/stepped/p2p";
-    "distributed/seq/stepped/coll";
-    "distributed/par/burst/p2p";
-    "distributed/par/stepped/p2p";
-    "distributed/par/stepped/coll";
+    "canonical/seq/p2p";
+    "canonical/seq/coll";
+    "distributed/seq/p2p";
+    "distributed/seq/coll";
+    "distributed/par/p2p";
+    "distributed/par/coll";
   ]
 
 let test_matrix_pinned () =
@@ -36,23 +33,52 @@ let test_name_round_trip () =
       | Error msg -> Alcotest.failf "%s rejected: %s" (Exec.name e) msg)
     Exec.all;
   Alcotest.(check bool) "long lowering spelling" true
-    (Exec.of_string "Distributed/par/stepped/collective"
-    = Exec.of_string "distributed/par/stepped/coll");
+    (Exec.of_string "Distributed/par/collective"
+    = Exec.of_string "distributed/par/coll");
   List.iter
     (fun s ->
       match Exec.of_string s with
       | Ok e -> Alcotest.failf "%S accepted as %s" s (Exec.name e)
       | Error _ -> ())
     [
-      "canonical/par/burst/p2p" (* parallel needs distributed *);
+      "canonical/par/p2p" (* parallel needs distributed *);
       "distributed/par/async/p2p" (* async was removed *);
-      "distributed/seq/burst";
-      "distributed/seq/fast/p2p";
+      "distributed/seq";
+      "distributed/seq/fast";
       (* a five-field name, with a datapath, has no configuration *)
       "distributed/seq/zerocopy/burst/p2p";
       "distributed/seq/staged/stepped/p2p";
       "";
     ]
+
+(* A four-field name from before the schedule field was deleted is
+   diagnosed as such, in any case; any other four-field name keeps the
+   generic error. *)
+let test_old_names () =
+  let error s =
+    match Exec.of_string s with
+    | Ok e -> Alcotest.failf "%S accepted as %s" s (Exec.name e)
+    | Error msg -> msg
+  in
+  let says_removed s =
+    Astring.String.is_infix ~affix:"schedule field was removed" (error s)
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ ": schedule removed") true (says_removed s);
+      Alcotest.(check bool) (s ^ ": steps charged") true
+        (Astring.String.is_infix ~affix:"contention-free steps" (error s)))
+    [
+      "distributed/par/stepped/coll";
+      "canonical/seq/burst/p2p";
+      "Distributed/PAR/Stepped/Collective";
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ ": generic error") false (says_removed s);
+      Alcotest.(check bool) (s ^ ": expected shape") true
+        (Astring.String.is_infix ~affix:"backend/executor/lower" (error s)))
+    [ "distributed/par/async/p2p"; "distributed/seq/fast/p2p" ]
 
 let env bindings var = List.assoc_opt var bindings
 
@@ -130,6 +156,7 @@ let suite =
   [
     Alcotest.test_case "differential matrix pinned" `Quick test_matrix_pinned;
     Alcotest.test_case "names round-trip" `Quick test_name_round_trip;
+    Alcotest.test_case "old four-field names diagnosed" `Quick test_old_names;
     Alcotest.test_case "environment settings" `Quick test_of_env_settings;
     Alcotest.test_case "environment values are strict" `Quick
       test_of_env_strict;

@@ -104,8 +104,7 @@ let prop_roundtrip =
 let prop_matrix =
   QCheck2.Test.make
     ~name:
-      "differential matrix: pipelines x backends x executors x schedules x \
-       lowerings"
+      "differential matrix: pipelines x backends x executors x lowerings"
     ~count:matrix_count ~print:FG.print_case FG.gen_case (fun c ->
       match O.check_case c with
       | O.Pass ->

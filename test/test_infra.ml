@@ -246,38 +246,9 @@ let suite =
 
 (* --- CLI schedule parsing --------------------------------------------------- *)
 
-(* --sched=<unknown> must be a usage error naming the valid values, not
+(* --lower=<unknown> must be a usage error naming the valid values, not
    silently accepted; the CLI converter is a thin wrapper over
-   [Exec.sched_of_string], so the contract is tested here. *)
-let test_sched_of_string () =
-  let module E = Hpfc_runtime.Exec in
-  let ok s spec =
-    match E.sched_of_string s with
-    | Ok got ->
-      Alcotest.(check string) ("parse " ^ s) (E.sched_name spec)
-        (E.sched_name got)
-    | Error msg -> Alcotest.failf "%s rejected: %s" s msg
-  in
-  ok "burst" E.Burst;
-  ok "stepped" E.Stepped;
-  ok "STEPPED" E.Stepped;
-  (* the removed async schedule is rejected like any unknown value *)
-  List.iter
-    (fun bad ->
-      match E.sched_of_string bad with
-      | Ok _ -> Alcotest.failf "%s schedule accepted" bad
-      | Error msg ->
-        List.iter
-          (fun valid ->
-            Alcotest.(check bool)
-              (Printf.sprintf "error names %S" valid)
-              true
-              (Astring.String.is_infix ~affix:valid msg))
-          [ bad; "burst | stepped" ])
-    [ "bogus"; "async" ]
-
-(* --lower=<unknown> must be a usage error naming the valid values; the
-   CLI converter wraps [Exec.lower_of_string], mirroring --sched. *)
+   [Exec.lower_of_string], so the contract is tested here. *)
 let test_lower_of_string () =
   let module E = Hpfc_runtime.Exec in
   let ok s spec =
@@ -304,7 +275,7 @@ let test_lower_of_string () =
       [ "bogus"; "p2p"; "collective"; "auto" ]
 
 (* --plan-cache=<not a positive int> must be a usage error too; same
-   contract shape as --sched. *)
+   contract shape as --lower. *)
 let test_plan_cache_of_string () =
   let module P = Hpfc_driver.Pipeline in
   let ok s n =
@@ -355,7 +326,6 @@ let suite =
   @ [
       Alcotest.test_case "intent(in) write rejected" `Quick test_intent_in_write_rejected;
       Alcotest.test_case "all figures compile" `Quick test_all_figures_compile;
-      Alcotest.test_case "--sched value parsing" `Quick test_sched_of_string;
       Alcotest.test_case "--lower value parsing" `Quick test_lower_of_string;
       Alcotest.test_case "--plan-cache value parsing" `Quick
         test_plan_cache_of_string;

@@ -27,12 +27,12 @@ let par_executor () = Hpfc_par.Par.executor (Lazy.force pool)
    it follows the environment's configuration ([Exec.default]), so the
    generic properties run under whichever lowering the environment
    forces. *)
-let remap_par ?(sched = Machine.Burst) ?lower ~src ~dst fill =
-  Test_comm.remap ~backend:Store.Distributed ~sched
-    ~executor:(par_executor ()) ?lower ~src ~dst fill
+let remap_par ?lower ~src ~dst fill =
+  Test_comm.remap ~backend:Store.Distributed ~executor:(par_executor ())
+    ?lower ~src ~dst fill
 
-let remap_seq ?(sched = Machine.Burst) ?lower ~src ~dst fill =
-  Test_comm.remap ~backend:Store.Distributed ~sched ?lower ~src ~dst fill
+let remap_seq ?lower ~src ~dst fill =
+  Test_comm.remap ~backend:Store.Distributed ?lower ~src ~dst fill
 
 (* --- (a) parallel == sequential, element-wise ---------------------------------- *)
 
@@ -79,10 +79,7 @@ let prop_par_trace_replays_schedule =
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
       (* p2p-specific: the collective replays its phase program instead *)
-      let m, s, d =
-        remap_par ~sched:Machine.Stepped ~lower:Exec.P2p ~src ~dst
-          float_of_int
-      in
+      let m, s, d = remap_par ~lower:Exec.P2p ~src ~dst float_of_int in
       let plan = Store.plan_for s d ~src:0 ~dst:1 in
       let prog = Redist.step_program plan in
       let events = Machine.events m in
@@ -127,8 +124,8 @@ let prop_par_counters_equal_seq =
     ~print:Test_redist_props.print_pair ~count:120 Test_redist_props.gen_pair
     (fun (src, dst) ->
       let scrub (m : Machine.t) = Machine.scrub ~varying:[ Par ] m.counters in
-      let mp, _, _ = remap_par ~sched:Machine.Stepped ~src ~dst float_of_int
-      and ms, _, _ = remap_seq ~sched:Machine.Stepped ~src ~dst float_of_int in
+      let mp, _, _ = remap_par ~src ~dst float_of_int
+      and ms, _, _ = remap_seq ~src ~dst float_of_int in
       scrub mp = scrub ms)
 
 (* --- deterministic spot checks -------------------------------------------------- *)
@@ -219,7 +216,7 @@ let test_lru_race () =
        layout (Dist.cyclic_sized 2); layout (Dist.cyclic_sized 4) |]
   in
   let nv = Array.length layouts in
-  let m = Machine.create ~nprocs:p ~sched:Machine.Stepped () in
+  let m = Machine.create ~nprocs:p () in
   let s =
     Store.create ~backend:Store.Distributed ~executor:(par_executor ())
       ~plans:(Redist.Plan_cache.create ~capacity:2 ())

@@ -4,7 +4,11 @@
    by constraining grid coordinates — the interval engine agrees with the
    per-element oracle, message boxes multiply out to their counts, the
    greedy edge-coloring partitions the plan into contention-free steps,
-   and the stepped time model dominates the burst critical-path bound. *)
+   and the stepped time every run is charged dominates the critical-path
+   lower bound ([Redist.modeled_time], the cost of the whole plan as one
+   unordered exchange: a reference bound, not an accounting mode — it
+   catches a [step_time] that undercharges, which contention-freedom
+   alone would not). *)
 
 open Hpfc_mapping
 open Hpfc_runtime
@@ -315,7 +319,7 @@ let prop_steps_volumes =
       && Redist.peak_step_volume steps
          = List.fold_left (fun acc s -> max acc (Redist.step_volume s)) 0 steps)
 
-(* --- stepped time dominates the burst bound ---------------------------------- *)
+(* --- stepped time dominates the critical-path bound ------------------------- *)
 
 let prop_stepped_dominates_burst =
   QCheck2.Test.make ~name:"stepped modeled time >= burst critical path"

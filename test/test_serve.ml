@@ -313,7 +313,7 @@ let test_execute_fused_equals_solo () =
   let plan = Redist.plan_intervals ~src:src_l ~dst:dst_l in
   let fill k = float_of_int ((7 * k) + 3) in
   let mk_member () =
-    let m = Machine.create ~nprocs ~sched:Machine.Stepped () in
+    let m = Machine.create ~nprocs () in
     let s = Store.create m in
     let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:2 () in
     Store.alloc s d 0 src_l;
@@ -345,7 +345,7 @@ let test_execute_fused_equals_solo () =
 let tenant_stream ?executor ?lower ~plans ~rounds () =
   let ls = Lazy.force layouts in
   let nv = Array.length ls in
-  let m = Machine.create ~nprocs ~sched:Machine.Stepped ?lower () in
+  let m = Machine.create ~nprocs ?lower () in
   let s = Store.create ?executor ~plans m in
   let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:nv () in
   let fill k = float_of_int ((3 * k) + 1) in
@@ -444,7 +444,7 @@ let staged_fusion ?(config = ambient_config) ~tenants () =
   let fill k = float_of_int (k + 1) in
   let stream ?plans i =
     let m =
-      Machine.create ~nprocs ~sched:Machine.Stepped ?lower:(config i) ()
+      Machine.create ~nprocs ?lower:(config i) ()
     in
     let s = Store.create ?plans m in
     let d =
@@ -512,7 +512,7 @@ let test_fusion_never_mixes_configs () =
 let test_submit_remap_bracketing () =
   let ls = Lazy.force layouts in
   let svc = Serve.create ~tenants:1 () in
-  let m = Machine.create ~nprocs ~sched:Machine.Stepped ~record_trace:true () in
+  let m = Machine.create ~nprocs ~record_trace:true () in
   let s = Store.create ~plans:(Serve.tenant_cache svc 0) m in
   let d = Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:2 () in
   let fill k = float_of_int (k + 1) in
@@ -553,7 +553,7 @@ let test_submit_remap_rejects_bad_request () =
   let ls = Lazy.force layouts in
   let svc = Serve.create ~tenants:1 () in
   let stream plans =
-    let m = Machine.create ~nprocs ~sched:Machine.Stepped () in
+    let m = Machine.create ~nprocs () in
     let s = Store.create ~plans m in
     let d =
       Store.add_descriptor s ~name:"a" ~extents:[| nelems |] ~nb_versions:3 ()
