@@ -123,25 +123,27 @@ let compare_pipelines ?(scalars = []) ?entry ?exec src : comparison =
   in
   { naive; optimized; values_agree }
 
+(* One row per counter: a 10-column label, then the naive and optimized
+   readings right-aligned in 12-column fields, so every row's numbers
+   end in the same columns. *)
 let pp_comparison ppf (c : comparison) =
   let n = c.naive.I.machine.Machine.counters
   and o = c.optimized.I.machine.Machine.counters in
-  Fmt.pf ppf
-    "          %12s %12s@.remaps    %12d %12d@.skipped   %12d %12d@.reuses   \
-     %12d %12d@.messages  %12d %12d@.volume    %12d %12d@.plan h/m  %7d/%-4d \
-     %7d/%-4d@.blits     %12d %12d@.zerocopy  %12d %12d@.staged B  %12d \
-     %12d@.peak B    %12d %12d@.pool h/m  %7d/%-4d %7d/%-4d@.time      %12.1f \
-     %12.1f@."
-    "naive" "optimized" n.Machine.remaps_performed o.Machine.remaps_performed
-    n.Machine.remaps_skipped o.Machine.remaps_skipped n.Machine.live_reuses
-    o.Machine.live_reuses n.Machine.messages o.Machine.messages
-    n.Machine.volume o.Machine.volume n.Machine.plan_hits
-    n.Machine.plan_misses o.Machine.plan_hits o.Machine.plan_misses
-    n.Machine.run_blits o.Machine.run_blits n.Machine.zero_copy_runs
-    o.Machine.zero_copy_runs n.Machine.staged_bytes o.Machine.staged_bytes
-    n.Machine.peak_bytes o.Machine.peak_bytes n.Machine.pool_hits
-    n.Machine.pool_misses o.Machine.pool_hits o.Machine.pool_misses
-    n.Machine.time o.Machine.time;
-  Fmt.pf ppf "steps     %12d %12d@.peak/step %12d %12d@." n.Machine.steps
-    o.Machine.steps n.Machine.peak_step_volume o.Machine.peak_step_volume;
+  let row label f = Fmt.pf ppf "%-10s%12s %12s@." label (f n) (f o) in
+  let int get (x : Machine.counters) = string_of_int (get x) in
+  Fmt.pf ppf "%-10s%12s %12s@." "" "naive" "optimized";
+  row "remaps" (int (fun x -> x.Machine.remaps_performed));
+  row "skipped" (int (fun x -> x.Machine.remaps_skipped));
+  row "reuses" (int (fun x -> x.Machine.live_reuses));
+  row "messages" (int (fun x -> x.Machine.messages));
+  row "volume" (int (fun x -> x.Machine.volume));
+  row "plan h/m" (fun x ->
+      Printf.sprintf "%d/%d" x.Machine.plan_hits x.Machine.plan_misses);
+  row "blits" (int (fun x -> x.Machine.run_blits));
+  row "zerocopy" (int (fun x -> x.Machine.zero_copy_runs));
+  row "staged B" (int (fun x -> x.Machine.staged_bytes));
+  row "peak B" (int (fun x -> x.Machine.peak_bytes));
+  row "time" (fun x -> Printf.sprintf "%.1f" x.Machine.time);
+  row "steps" (int (fun x -> x.Machine.steps));
+  row "peak/step" (int (fun x -> x.Machine.peak_step_volume));
   Fmt.pf ppf "values    %s@." (if c.values_agree then "agree" else "DIFFER")

@@ -21,12 +21,12 @@
      first run agreeing on [axes], so the parallel executor's and the
      service's modeled counters are checked byte-identical against the
      sequential runs;
-   - exact datapath laws on top: a run stages nothing on the
-     canonical backend and exactly the cross-rank volume on the
-     distributed one; the collective lowering's peak staging bytes
-     never exceed the p2p peak on the same backend — bounded peak
-     staging memory is the lowering's contract; and no run outside the
-     service charges [fused_remaps];
+   - exact laws of the modeled staging bill on top: a run bills
+     nothing staged on the canonical backend and exactly the
+     cross-rank volume on the distributed one; the collective
+     lowering's peak staging bytes never exceed the p2p peak on the
+     same backend — bounded peak staging memory is the lowering's
+     contract; and no run outside the service charges [fused_remaps];
    - the event trace agrees with the counters (Message events reproduce
      the message/volume totals — one event per message under p2p, at
      least one per message under the collective lowering, which slices
@@ -312,12 +312,12 @@ let check_datapath ~what (runs : run list) (r : run) =
   let c = counters_of r in
   (match r.cfg.Exec.backend with
   | Store.Canonical ->
-    (* globally addressed endpoints: every message is Direct *)
+    (* globally addressed endpoints: no message would stage *)
     if c.M.run_blits <> 0 || c.M.staged_bytes <> 0 then
       failf "%s: canonical run staged (%d blits, %d bytes)" ctx c.M.run_blits
         c.M.staged_bytes
   | Store.Distributed ->
-    (* per-rank buffers: exactly the cross-rank messages stage *)
+    (* per-rank buffers: exactly the cross-rank messages would stage *)
     if c.M.staged_bytes <> 8 * c.M.volume then
       failf "%s: distributed staged_bytes = %d, volume = %d" ctx
         c.M.staged_bytes c.M.volume);

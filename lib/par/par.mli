@@ -4,23 +4,19 @@
     A {!t} is a persistent team of worker domains; processor ranks are
     multiplexed onto the team round robin, so one pool serves plans over
     any processor grid and nprocs may exceed the core count.  A remap
-    executes the plan's existing step program the way a lockstep
-    message-passing runtime would — per step, every rank packs its
-    outgoing boxes into staging buffers, posts them to the receiving
-    ranks' mailboxes, unpacks what it received, and crosses a barrier —
-    so the schedule's contention-freedom is exercised by construction.
+    executes the plan's lowered schedule in lockstep — per round, every
+    worker copies the messages its sending ranks send, payload to
+    payload through their compiled runs ({!Hpfc_runtime.Comm.run_direct}),
+    and crosses a barrier — so the schedule's contention-freedom is
+    exercised by construction.  All copies share one address space: a
+    message is one copy, with no staging buffer and no mailbox.
 
-    Data moves through compiled-run blits (run memos are precompiled on
-    the coordinator before workers share the messages): direct messages
-    payload to payload on the sending rank, the rest through staging
-    buffers that come from one [Comm.Pool] per worker domain and migrate
-    between pools as packets cross mailboxes.  The caller's domain owns
-    all machine accounting: the usual counters and modeled clock (shared
-    with the sequential executor through [Comm.charge] and the replayed
+    The caller's domain owns all machine accounting: the usual counters,
+    the modeled clock and the modeled staging bill (shared with the
+    sequential executor through [Comm.charge] and the replayed
     [Comm.record_rounds] stream, so modeled numbers are byte-identical
-    across executors) plus the pool hit/miss deltas, the [wall_time]
-    counter and the measured wall events, [Wall_step] per step and
-    [Wall_remap] per remap. *)
+    across executors) plus the [wall_time] counter and the measured wall
+    events, [Wall_step] per step and [Wall_remap] per remap. *)
 
 type t
 
@@ -35,12 +31,12 @@ val ndomains : t -> int
     raises.  Idempotent. *)
 val destroy : t -> unit
 
-(** Execute a plan on the pool: local moves, then the staged messages
-    step by step.  Payload endpoints must address per-rank storage; the
-    plan's disjoint-write structure makes the run race-free on the
-    store's payloads.
+(** Execute a plan on the pool: local moves, then the messages round by
+    round.  Payload endpoints must address per-rank storage; the plan's
+    disjoint-write structure makes the run race-free on the store's
+    payloads.
     A worker that raises aborts the job: its siblings are released from
-    their barrier and mailbox waits, the exception is re-raised here
+    their barrier waits, the exception is re-raised here
     once the whole team has left the job, and the pool stays usable
     (the destination copy is then partially written).
     @raise Hpfc_base.Error.Hpf_error if the pool was destroyed. *)

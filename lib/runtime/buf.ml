@@ -1,8 +1,8 @@
 (* Payload buffers: one C-layout float64 Bigarray.Array1 type shared by
-   store payloads, communication endpoints, staging pools and parallel
-   packets.  Flat and unboxed, so segment copies
-   are memcpy/memmove and sub-views alias without copying — the
-   representation zero-copy interop (mmap, C, devices) needs. *)
+   store payloads and communication endpoints.  Flat and unboxed, so
+   segment copies are memcpy/memmove and sub-views alias without
+   copying — the representation zero-copy interop (mmap, C, devices)
+   needs. *)
 
 module A1 = Bigarray.Array1
 

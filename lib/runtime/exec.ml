@@ -118,8 +118,8 @@ let removed =
       "the scalar datapath was removed; every run moves data through \
        compiled runs" );
     ( "HPFC_FORCE_STAGED",
-      "the staged datapath was removed; a message stages exactly when its \
-       buffers are not reachable from one address space" );
+      "the staged datapath was removed; every message copies payload to \
+       payload, and staging is only billed" );
   ]
 
 (* The one reader of the HPFC_FORCE_* variables: the configuration and

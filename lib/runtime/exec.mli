@@ -9,10 +9,10 @@
     state, so concurrent runs (serve tenants) may differ on every axis.
 
     How data moves is not a choice: every message copies its compiled
-    runs payload to payload when both buffers are reachable from one
-    address space, and stages through a pooled buffer otherwise
-    ({!Redist.message_datapath}).  Nor is how a run is charged: every
-    run charges the rounds it executed — contention-free steps, or
+    runs payload to payload, since all copies share one address space;
+    what a runtime with one memory per rank would stage is billed, not
+    performed ({!Redist.message_stages}).  Nor is how a run is charged:
+    every run charges the rounds it executed — contention-free steps, or
     collective phases ({!Comm.charge}). *)
 
 (** [Canonical] keeps one global payload per copy; [Distributed] one

@@ -37,7 +37,7 @@ let default_cost =
    within a round, cf. Rink et al., arXiv:2112.01075) — point-to-point
    steps or collective phases; each round costs its slowest message and
    the rounds are serialized.  The per-round volume doubles as a
-   peak-memory proxy for staging buffers.  One constructor: the type
+   peak-memory proxy for (modeled) staging buffers.  One constructor: the type
    stays only so callers that name the mode still build. *)
 type sched_mode = Stepped
 
@@ -58,32 +58,30 @@ type counters = {
   mutable steps : int;  (* contention-free steps or phases executed *)
   mutable peak_step_volume : int;  (* max elements in flight in one step *)
   mutable run_blits : int;
-      (* contiguous segments copied by the staged pack/unpack path *)
+      (* modeled: contiguous segments an SPMD runtime with one memory per
+         rank would pack and unpack (twice per staged message) *)
   mutable zero_copy_runs : int;
-      (* contiguous segments copied payload-to-payload with no staging
-         buffer (on-processor moves and direct-eligible messages) *)
+      (* modeled: contiguous segments such a runtime copies
+         payload-to-payload (on-processor moves and messages that would
+         not stage) *)
   mutable staged_bytes : int;
-      (* bytes routed through staging buffers (8 per element); elided
-         traffic shows up as zero_copy_runs instead *)
-  mutable pool_hits : int;  (* staging buffers served from a buffer pool *)
-  mutable pool_misses : int;  (* staging buffers freshly allocated *)
+      (* modeled: bytes such a runtime would route through staging
+         buffers (8 per element); this process stages none *)
+  mutable pool_hits : int;
+      (* always 0 (nothing is staged for real); kept because the
+         benchmark's counter reader (perfbench/core/ctr.ml) reads it *)
+  mutable pool_misses : int;  (* always 0, same reader *)
   mutable peak_bytes : int;
-      (* high-water of modeled staging bytes in flight within one
+      (* modeled: high-water of staging bytes in flight within one
          step/phase of the executed lowering's schedule (8 per staged
-         element); 0 when every message takes the zero-copy direct path.
-         Derived from the memoized schedule like [steps]/[time], so both
-         executors charge it identically; the collective lowering's
-         budget keeps it at or below the point-to-point value *)
-  mutable pool_lease_peak : int;
-      (* measured high-water of simultaneously outstanding staging-pool
-         leases (acquired, not yet released buffers) across the run's
-         pools — executor history like the pool totals, scrubbed by
-         cross-executor comparisons *)
+         element); 0 when no message would stage.  Derived from the
+         memoized schedule like [steps]/[time], so both executors
+         charge it identically; the collective lowering's budget keeps
+         it at or below the point-to-point value *)
   mutable fused_remaps : int;
       (* remaps executed as members of a multi-tenant fused batch (same
          layout pair, or plans with disjoint rank footprints, sharing one
-         step walk and pooled staging leases in the serve layer); 0
-         outside the service *)
+         step walk in the serve layer); 0 outside the service *)
   mutable time : float;  (* modeled communication time *)
   mutable wall_time : float;
       (* measured wall-clock seconds spent moving data in a real parallel
@@ -113,7 +111,6 @@ let fresh_counters () =
     pool_hits = 0;
     pool_misses = 0;
     peak_bytes = 0;
-    pool_lease_peak = 0;
     fused_remaps = 0;
     time = 0.0;
     wall_time = 0.0;
@@ -327,12 +324,12 @@ let rebuild f c =
     run_blits = f.int "run_blits" dpath c.run_blits;
     zero_copy_runs = f.int "zero_copy_runs" dpath c.zero_copy_runs;
     staged_bytes = f.int "staged_bytes" dpath c.staged_bytes;
+    (* always 0; declared only for the benchmark's counter reader
+       (perfbench/core/ctr.ml), which reads both *)
     pool_hits = f.int "pool_hits" Executor_history c.pool_hits;
     pool_misses = f.int "pool_misses" Executor_history c.pool_misses;
     peak_bytes =
       f.int "peak_bytes" (Modeled [ Backend; Lower ]) c.peak_bytes;
-    pool_lease_peak =
-      f.int "pool_lease_peak" Executor_history c.pool_lease_peak;
     fused_remaps = f.int "fused_remaps" Service c.fused_remaps;
     time = f.float "time" rounds c.time;
     wall_time = f.float "wall_time" Wall c.wall_time;
@@ -398,13 +395,10 @@ let pp_counters ppf (c : counters) =
     "remaps performed=%d skipped=%d live-reuses=%d dead=%d | messages=%d \
      volume=%d local=%d | allocs=%d frees=%d evictions=%d | plans hit=%d \
      miss=%d evict=%d | steps=%d peak-step-vol=%d peak-bytes=%d | blits=%d \
-     zero-copy=%d staged-bytes=%d pool hit=%d miss=%d | time=%.1f"
+     zero-copy=%d staged-bytes=%d | time=%.1f"
     c.remaps_performed c.remaps_skipped c.live_reuses c.dead_copies c.messages
     c.volume c.local_moves c.allocs c.frees c.evictions c.plan_hits
     c.plan_misses c.plan_evictions c.steps c.peak_step_volume c.peak_bytes
-    c.run_blits c.zero_copy_runs c.staged_bytes c.pool_hits c.pool_misses
-    c.time;
-  if c.pool_lease_peak > 0 then
-    Fmt.pf ppf " | pool-lease-peak=%d" c.pool_lease_peak;
+    c.run_blits c.zero_copy_runs c.staged_bytes c.time;
   if c.fused_remaps > 0 then Fmt.pf ppf " | fused=%d" c.fused_remaps;
   if c.wall_time > 0.0 then Fmt.pf ppf " | wall=%.3fms" (c.wall_time *. 1e3)

@@ -53,39 +53,38 @@ type counters = {
           lowering, phases under the collective one *)
   mutable peak_step_volume : int;
       (** max elements in flight within one step — a peak-memory proxy
-          for communication staging buffers *)
+          for (modeled) communication staging buffers *)
   mutable run_blits : int;
-      (** contiguous segments copied by the staged pack/unpack path (a
+      (** modeled: contiguous segments an SPMD runtime with one memory
+          per rank would pack and unpack ({!Redist.message_stages}; a
           strided run of [count] segments counts [count]; a staged
           message packs and unpacks, so it counts its segments twice) *)
   mutable zero_copy_runs : int;
-      (** contiguous segments copied payload-to-payload with no staging
-          buffer: on-processor moves and direct-eligible messages
-          ({!Redist.message_datapath}) *)
+      (** modeled: contiguous segments such a runtime copies
+          payload-to-payload with no staging buffer: on-processor moves
+          and messages that would not stage *)
   mutable staged_bytes : int;
-      (** bytes routed through staging buffers (8 per staged element: 0
-          on the canonical backend, [8 * volume] on the distributed
-          one, whose cross-processor messages all stage) *)
+      (** modeled: bytes such a runtime would route through staging
+          buffers (8 per staged element: 0 on the canonical backend,
+          [8 * volume] on the distributed one, whose cross-processor
+          messages all would stage).  This process stages none: every
+          message moves payload to payload *)
   mutable pool_hits : int;
-      (** staging buffers served from a size-classed buffer pool *)
-  mutable pool_misses : int;  (** staging buffers freshly allocated *)
+      (** always 0: nothing is staged for real.  Kept for the
+          benchmark's counter reader (perfbench/core/ctr.ml) *)
+  mutable pool_misses : int;  (** always 0, like [pool_hits] *)
   mutable peak_bytes : int;
-      (** high-water of modeled staging bytes in flight within one
+      (** modeled: high-water of staging bytes in flight within one
           step/phase of the executed lowering's schedule (8 per staged
-          element); 0 when every message takes the zero-copy direct
-          path.  Derived from the memoized schedule like [steps]/[time]
-          so every executor charges it identically; the collective
-          lowering's phase budget keeps it at or below the
-          point-to-point value on every plan *)
-  mutable pool_lease_peak : int;
-      (** measured high-water of simultaneously outstanding staging-pool
-          leases (acquired, not yet released buffers) across the run's
-          pools — executor history like the pool totals, scrubbed by
-          cross-executor comparisons *)
+          element); 0 when no message would stage.  Derived from the
+          memoized schedule like [steps]/[time] so every executor
+          charges it identically; the collective lowering's phase
+          budget keeps it at or below the point-to-point value on every
+          plan *)
   mutable fused_remaps : int;
       (** remaps executed as members of a multi-tenant fused batch (same
           layout pair, or plans with disjoint rank footprints, sharing
-          one step walk and pooled staging leases in the serve layer);
+          one step walk in the serve layer);
           0 outside the service *)
   mutable time : float;  (** modeled communication time *)
   mutable wall_time : float;
@@ -101,8 +100,8 @@ val fresh_counters : unit -> counters
     [Modeled axes]: only a difference on one of the configuration
     [axes]; runs whose configurations {!Exec.agree} on [axes] agree on
     it byte for byte, whatever executor or service ran them.
-    [Executor_history]: the staging-pool totals, which follow each
-    executor's pool history.  [Service]: charged only by the
+    [Executor_history]: [pool_hits] and [pool_misses], which read 0
+    (kept for the benchmark's counter reader).  [Service]: charged only by the
     multi-tenant service.  [Wall]: measured.  {!rebuild} declares each
     counter's class. *)
 type counter_class =
@@ -219,7 +218,7 @@ val trace_capacity : t -> int
 (** One-line JSON summary of the trace ([events], [dropped], [capacity],
     [complete]) plus, sorted by name, every [Executor_history] counter
     and every [Modeled] counter whose axes include [Backend]
-    ([peak_bytes], [pool_hits], [pool_lease_peak], [pool_misses],
+    ([peak_bytes], [pool_hits], [pool_misses],
     [run_blits], [staged_bytes], [zero_copy_runs]); dumped after the
     retained events so a truncated trace is never mistaken for a
     complete one. *)

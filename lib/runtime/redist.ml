@@ -70,36 +70,29 @@ type addressing =
   | Row_major of int array  (* global extents *)
   | Owner_local of Layout.Addr.t
 
-(* How a message's compiled runs move data: [Direct] runs copy payload
-   to payload with no staging buffer (self-messages, and globally
-   addressed endpoints); [Staged] runs pack through a staging buffer the
-   way a real SPMD send must.  Decided once per memoized message by
-   [message_datapath]. *)
-type datapath = Direct of run array | Staged of run array
-
 type message = {
   m_from : int;  (* sender, linear rank in the source grid *)
   m_to : int;  (* receiver, linear rank in the target grid *)
   m_count : int;  (* elements = box_size m_box *)
   m_box : box;
-  m_paths : (int * datapath) list Atomic.t;
-      (* compiled datapaths (runs + staging-vs-direct decision) memoized
-         per (src, dst) addressing-kind key, next to the plan's memoized
-         [sprog]; at most four entries.  Published through an atomic so
-         a domain that finds the memo already filled observes fully
-         built run arrays (plans cached in a sharded Plan_cache are
-         shared across service workers); concurrent fills of one key
-         compute identical runs and the CAS keeps whichever lands
-         first.  Parallel executors still precompile on the coordinator
-         before sharing the message with workers — the memo makes late
-         fills safe, not free. *)
+  m_paths : (int * run array) list Atomic.t;
+      (* compiled runs memoized per (src, dst) addressing-kind key,
+         next to the plan's memoized [sprog]; at most four entries.
+         Published through an atomic so a domain that finds the memo
+         already filled observes fully built run arrays (plans cached
+         in a sharded Plan_cache are shared across service workers);
+         concurrent fills of one key compute identical runs and the CAS
+         keeps whichever lands first.  Parallel executors still
+         precompile on the coordinator before sharing the message with
+         workers — the memo makes late fills safe, not free. *)
 }
 
-(* A slice of a message's staged payload: elements [sl_off, sl_off +
-   sl_len) of its row-major box order — which is exactly the staging
-   buffer order of the pack walk, so a slice is a contiguous window of
-   the message's send buffer (the dynamic-slice primitive of the
-   collective lowering, cf. Rink et al., arXiv:2112.01075). *)
+(* A slice of a message's payload: elements [sl_off, sl_off + sl_len)
+   of its row-major box order, a contiguous window of the send buffer
+   an SPMD runtime would stage (the dynamic-slice primitive of the
+   collective lowering, cf. Rink et al., arXiv:2112.01075).  Slices are
+   a schedule and cost notion: the executors move a sliced message
+   whole, at its offset-zero slice. *)
 type slice = { sl_msg : message; sl_off : int; sl_len : int }
 
 (* One collective phase: a contention-free set of slices (distinct
@@ -286,8 +279,8 @@ let modeled_time_stepped cost plan =
    Structure.  Messages are grouped into *ring shift classes* by
    (m_to - m_from) mod P: within one residue class distinct senders have
    distinct receivers, so any subset of a class is contention-free by
-   construction.  Each message's staged payload — a contiguous window of
-   its send buffer, since pack order is row-major box order — is then
+   construction.  Each message's payload — a contiguous window of the
+   send buffer an SPMD runtime packs in row-major box order — is then
    cut into slices of at most [c_slice_cap] = O(volume / P^2) elements,
    and each class's slices are packed greedily into phases of total
    volume at most [c_phase_cap] = the point-to-point step program's peak
@@ -889,55 +882,48 @@ let rec find_path key = function
 let has_path key paths =
   match find_path key paths with _ -> true | exception Not_found -> false
 
-(* The message's compiled datapath for one (src, dst) addressing pair,
+(* The message's compiled runs for one (src, dst) addressing pair,
    memoized on the message (plans — and their messages — are cached and
    recur on every loop iteration, so compilation is paid once per
-   distinct layout pair and addressing combination).  The
-   staging-vs-direct decision is made here, once per memoized message,
-   never per step: a message is [Direct] — its runs may be copied
-   payload to payload with no staging buffer — exactly when both
-   endpoint buffers are reachable from one address space, i.e. it is a
-   self-message ([m_from = m_to], both buffers live on that rank) or
-   both sides are globally addressed ([Row_major], rank-invariant
-   buffers).  Cross-rank messages between per-rank buffers stay
-   [Staged]: a real SPMD runtime cannot write a remote payload
-   directly.  [compile] builds the runs on a miss. *)
-let datapath_memo ~src ~dst ~compile (m : message) =
+   distinct layout pair and addressing combination).  [compile] builds
+   the runs on a miss. *)
+let runs_memo ~src ~dst ~compile (m : message) =
   let key = path_key ~src ~dst in
   let rec probe () =
     let cur = Atomic.get m.m_paths in
     match find_path key cur with
-    | path -> path
+    | runs -> runs
     | exception Not_found ->
       let runs = compile m in
-      let direct =
-        m.m_from = m.m_to
-        || (addressing_kind src = 0 && addressing_kind dst = 0)
-      in
-      let path = if direct then Direct runs else Staged runs in
       (* a lost CAS means another domain filled the memo first; its entry
          is identical, so re-probe and use it *)
-      if Atomic.compare_and_set m.m_paths cur ((key, path) :: cur) then path
+      if Atomic.compare_and_set m.m_paths cur ((key, runs) :: cur) then runs
       else probe ()
   in
   probe ()
 
-let message_datapath ~src ~dst (m : message) =
-  match find_path (path_key ~src ~dst) (Atomic.get m.m_paths) with
-  | path -> path
-  | exception Not_found ->
-    datapath_memo ~src ~dst ~compile:(compile_runs ~src ~dst) m
-
 let message_runs ~src ~dst (m : message) =
-  match message_datapath ~src ~dst m with Direct runs | Staged runs -> runs
+  match find_path (path_key ~src ~dst) (Atomic.get m.m_paths) with
+  | runs -> runs
+  | exception Not_found ->
+    runs_memo ~src ~dst ~compile:(compile_runs ~src ~dst) m
 
-(* Fill the datapath memo of every message of [plan] for one addressing
+(* The modeled staging rule: would an SPMD runtime with one memory per
+   rank stage this message through a send buffer?  Exactly when it
+   crosses ranks and its endpoints are not both globally addressed
+   ([Row_major], rank-invariant buffers).  Pure accounting: every
+   message of this process moves payload to payload whatever it says. *)
+let message_stages ~src ~dst (m : message) =
+  m.m_from <> m.m_to
+  && not (addressing_kind src = 0 && addressing_kind dst = 0)
+
+(* Fill the run memo of every message of [plan] for one addressing
    pair — the plan-level run compilation executors call before they move
    data.  Each (side, rank) addresser is built once for the whole plan,
    not once per message: an owner-local one delinearizes the rank and
    reads its local extents.  A plan whose memos are all filled costs one
-   probe per message.  Parallel executors call this on the coordinator, before
-   worker domains share the messages. *)
+   probe per message.  Parallel executors call this on the coordinator,
+   before worker domains share the messages. *)
 let precompile_runs ~src ~dst (plan : plan) =
   let key = path_key ~src ~dst in
   let missing (m : message) = not (has_path key (Atomic.get m.m_paths)) in
@@ -955,8 +941,8 @@ let precompile_runs ~src ~dst (plan : plan) =
     let saddr = per_rank src and daddr = per_rank dst in
     let fill m =
       ignore
-        (datapath_memo ~src ~dst ~compile:(compile_runs_with ~saddr ~daddr) m
-          : datapath)
+        (runs_memo ~src ~dst ~compile:(compile_runs_with ~saddr ~daddr) m
+          : run array)
     in
     List.iter fill plan.locals;
     List.iter fill plan.moves
@@ -965,46 +951,6 @@ let precompile_runs ~src ~dst (plan : plan) =
 (* Total number of contiguous segments a run array copies. *)
 let nb_run_segments runs =
   Array.fold_left (fun acc r -> acc + r.r_count) 0 runs
-
-(* Visit the pieces of a message's run walk covering elements
-   [off, off + len) of its row-major payload order (= the staging-buffer
-   order of the pack walk); [f src dst n] gets the absolute flat offsets
-   and the length of each contiguous piece, in walk order.  The
-   dynamic-slice primitive of the collective lowering: a window of the
-   staged payload addressed without materializing the whole message. *)
-let iter_run_slice (runs : run array) ~off ~len f =
-  let stop = off + len in
-  let pos = ref 0 in
-  Array.iter
-    (fun r ->
-      let base = !pos in
-      let total = r.r_len * r.r_count in
-      if r.r_len > 0 && base < stop && base + total > off then begin
-        (* jump straight to the repetitions whose [s0, s0 + r_len)
-           window meets [off, stop); only the first and last of those
-           can need clipping *)
-        let i0 = if off <= base then 0 else (off - base) / r.r_len
-        and i1 =
-          if stop >= base + total then r.r_count - 1
-          else (stop - base - 1) / r.r_len
-        in
-        let s0 = ref (base + (i0 * r.r_len))
-        and sp = ref (r.r_src + (i0 * r.r_src_stride))
-        and dp = ref (r.r_dst + (i0 * r.r_dst_stride)) in
-        for _ = i0 to i1 do
-          let lo = if !s0 > off then !s0 else off
-          and hi =
-            let e = !s0 + r.r_len in
-            if e < stop then e else stop
-          in
-          if lo < hi then f (!sp + (lo - !s0)) (!dp + (lo - !s0)) (hi - lo);
-          s0 := !s0 + r.r_len;
-          sp := !sp + r.r_src_stride;
-          dp := !dp + r.r_dst_stride
-        done
-      end;
-      pos := base + total)
-    runs
 
 let pp_box ppf (b : box) =
   Fmt.pf ppf "%a"

@@ -16,7 +16,14 @@
     ownership is periodic below it.  Replicated and
     constant-aligned grid dimensions only constrain which coordinates
     participate (canonical sender, all-replica receivers), so both
-    engines handle every layout. *)
+    engines handle every layout.
+
+    A message compiles to runs over the two copies' flat storage
+    ({!message_runs}), and the executors copy those runs payload to
+    payload: every copy shares one address space, so nothing is packed.
+    The send buffer an SPMD runtime with one memory per rank would
+    stage is a modeled bill, decided by {!message_stages}; the
+    collective lowering's slices bound that modeled buffer. *)
 
 (** Per array dimension, the owned-intersection set in the compressed
     periodic representation ({!Hpfc_mapping.Ivset.t}); kept
@@ -51,23 +58,13 @@ type addressing =
   | Row_major of int array  (** global extents *)
   | Owner_local of Hpfc_mapping.Layout.Addr.t
 
-(** How a message's compiled runs move data — the staging-vs-direct
-    decision, made once per memoized message by {!message_datapath}:
-    [Direct] runs may be copied payload to payload with no staging
-    buffer (self-messages, whose two buffers live on one rank, and
-    messages between globally addressed [Row_major] endpoints, whose
-    buffers are rank-invariant); [Staged] runs must pack through a
-    staging buffer the way a real SPMD send does. *)
-type datapath = Direct of run array | Staged of run array
-
 type message = {
   m_from : int;  (** sender, linear rank in the source grid *)
   m_to : int;  (** receiver, linear rank in the target grid *)
   m_count : int;  (** elements, [= box_size m_box] *)
   m_box : box;
-  m_paths : (int * datapath) list Atomic.t;
-      (** compiled datapaths (runs plus the staging-vs-direct decision)
-          memoized per (src, dst) addressing-kind key, next to the
+  m_paths : (int * run array) list Atomic.t;
+      (** compiled runs memoized per (src, dst) addressing-kind key, next to the
           plan's memoized step program.  Atomically published, so a
           domain that finds the memo filled observes fully built run
           arrays even when plans are shared through the sharded
@@ -76,11 +73,12 @@ type message = {
           message with worker domains. *)
 }
 
-(** A slice of a message's staged payload: elements
-    [sl_off, sl_off + sl_len) of its row-major box order, which is
-    exactly the staging-buffer order of the pack walk — a contiguous
-    window of the send buffer (the dynamic-slice primitive of the
-    collective lowering). *)
+(** A slice of a message's payload: elements [sl_off, sl_off + sl_len)
+    of its row-major box order — a contiguous window of the send buffer
+    an SPMD runtime would stage (the dynamic-slice primitive of the
+    collective lowering).  Slices shape the schedule and its modeled
+    cost; the executors move a sliced message whole, at its offset-zero
+    slice. *)
 type slice = { sl_msg : message; sl_off : int; sl_len : int }
 
 (** One collective phase: a contention-free set of slices (distinct
@@ -256,17 +254,21 @@ val iter_box : box -> (int array -> unit) -> unit
     plan at once. *)
 val message_runs : src:addressing -> dst:addressing -> message -> run array
 
-(** The message's compiled runs together with its staging-vs-direct
-    decision ({!datapath}), memoized like {!message_runs} (both share
-    the [m_paths] memo). *)
-val message_datapath : src:addressing -> dst:addressing -> message -> datapath
+(** The modeled staging rule: [true] iff an SPMD runtime with one
+    memory per rank would stage the message through a send buffer — it
+    crosses ranks ([m_from <> m_to]) and its endpoints are not both
+    globally addressed [Row_major].  Pure accounting (the executors
+    bill [run_blits], [staged_bytes] and [peak_bytes] from it): every
+    message of this process moves payload to payload whatever it
+    says. *)
+val message_stages : src:addressing -> dst:addressing -> message -> bool
 
 (** Compile a message's runs without touching the memo — what
     {!message_runs} fills it with (exposed for tests).  Costs the
     segments it compresses, never the box's extent. *)
 val compile_runs : src:addressing -> dst:addressing -> message -> run array
 
-(** Plan-level run compilation: fill the datapath memo of every message
+(** Plan-level run compilation: fill the run memo of every message
     of the plan (locals and moves) for one addressing pair, building
     each (side, rank) addresser once for the whole plan instead of once
     per message.  The runs are exactly {!compile_runs}'s.  Costs one
@@ -278,13 +280,6 @@ val precompile_runs : src:addressing -> dst:addressing -> plan -> unit
 (** Total number of contiguous segments a run array copies
     (sum of [r_count]). *)
 val nb_run_segments : run array -> int
-
-(** Visit the contiguous pieces of a message's run walk covering
-    elements [off, off + len) of its row-major payload order ([f src dst
-    n] per piece, in walk order) — the dynamic-slice primitive: a window
-    of the staged payload without materializing the whole message. *)
-val iter_run_slice :
-  run array -> off:int -> len:int -> (int -> int -> int -> unit) -> unit
 
 (** Row-major strides of an extents vector (last dimension stride 1). *)
 val row_major_strides : int array -> int array

@@ -11,8 +11,8 @@
        parent (tenant accounting identical to a solo run; construction
        deduplicated globally)
        --Fusion.batches--> Comm.execute_fused (same-plan members share
-       the step walk and staging leases; disjoint-footprint plans
-       overlay steps) --> completion broadcast, latency recorded.
+       the step walk; disjoint-footprint plans overlay steps)
+       --> completion broadcast, latency recorded.
 
    Correctness bar: for any interleaving, each tenant's final arrays and
    modeled counters are byte-identical to running its stream alone
@@ -33,14 +33,14 @@
      ([Machine.rebuild]); only the other classes may move;
    - cross-domain safety: plans travel between workers only through the
      shard-atomic snapshots of the cache (safe publication of the plan,
-     its precompiled step program, and any datapath memos, which are
+     its precompiled step program, and any run memos, which are
      themselves atomic).
 
-   Workers own a private staging pool each ([Comm.Pool] is not
-   thread-safe); tenant machines are only ever touched by the worker
-   currently serving that tenant, or by the tenant thread between
-   requests — never both, thanks to the busy flag and the completion
-   synchronization. *)
+   Workers share no mutable executor state: every message moves payload
+   to payload with no staging buffer.  Tenant machines are only ever
+   touched by the worker currently serving that tenant, or by the
+   tenant thread between requests — never both, thanks to the busy flag
+   and the completion synchronization. *)
 
 open Hpfc_runtime
 
@@ -198,7 +198,7 @@ let close_bracket (m : member) =
    (step or phase program), so collective-lowered members fuse like any
    other; fusion only ever batches members whose machines agree on the
    lowering. *)
-let run_batch t pool (members : member list) =
+let run_batch t (members : member list) =
   let batches =
     if t.cfg.fusion then
       Fusion.config_batches
@@ -226,7 +226,7 @@ let run_batch t pool (members : member list) =
           batch
       end;
       match
-        Comm.execute_fused ~pool
+        Comm.execute_fused
           (List.map
              (fun (plan, ms) ->
                (plan, List.map (fun m -> (m.mach, m.src_ep, m.dst_ep)) ms))
@@ -240,7 +240,7 @@ let run_batch t pool (members : member list) =
 
 (* --- worker loop ------------------------------------------------------------ *)
 
-let rec worker_loop t pool =
+let rec worker_loop t =
   Mutex.lock t.lock;
   let rec next_batch () =
     if t.paused && not t.stopping then begin
@@ -277,7 +277,7 @@ let rec worker_loop t pool =
           | exception e -> fail req e; None)
         reqs
     in
-    let batches, fused_b, fused_m = run_batch t pool members in
+    let batches, fused_b, fused_m = run_batch t members in
     let now = Unix.gettimeofday () in
     Mutex.lock t.lock;
     List.iter
@@ -299,7 +299,7 @@ let rec worker_loop t pool =
     (* freed tenants may have queued heads for other workers *)
     Condition.broadcast t.work;
     Mutex.unlock t.lock;
-    worker_loop t pool
+    worker_loop t
 
 (* --- lifecycle -------------------------------------------------------------- *)
 
@@ -350,7 +350,7 @@ let create ?(window = 8) ?batch ?(quantum = 1) ?workers ?(fusion = true)
   in
   t.domains <-
     List.init workers (fun _ ->
-        Domain.spawn (fun () -> worker_loop t (Comm.Pool.create ())));
+        Domain.spawn (fun () -> worker_loop t));
   t
 
 let config t = t.cfg

@@ -149,6 +149,33 @@ let test_compare_pipelines_shape () =
   Alcotest.(check bool) "table printed" true
     (Astring.String.is_infix ~affix:"optimized" printed)
 
+(* The --compare table's layout: a 10-column label, then 12-column
+   fields, so every row's first number (the header's "naive") ends in
+   column 22. *)
+let test_compare_columns_align () =
+  let c =
+    Pipeline.compare_pipelines ~entry:"calls"
+      (Hpfc_kernels.Apps.calls_src ~n:32 ~k:3)
+  in
+  let rows =
+    String.split_on_char '\n' (Fmt.str "%a" Pipeline.pp_comparison c)
+    |> List.filter (fun l ->
+           l <> "" && not (Astring.String.is_prefix ~affix:"values" l))
+  in
+  Alcotest.(check bool) "rows printed" true (List.length rows >= 10);
+  List.iter
+    (fun l ->
+      let first_end =
+        let rec skip i = if l.[i] = ' ' then skip (i + 1) else token i
+        and token i =
+          if i < String.length l && l.[i] <> ' ' then token (i + 1) else i
+        in
+        skip 10
+      in
+      Alcotest.(check int) ("first number ends in column 22: " ^ l) 22
+        first_end)
+    rows
+
 (* --- one G_R per routine: pre-check, handoff, route rule ----------------- *)
 
 module Graph = Hpfc_remap.Graph
@@ -407,6 +434,8 @@ let suite =
     Alcotest.test_case "figure reports render" `Quick test_figure_reports_all_render;
     Alcotest.test_case "verdicts" `Quick test_verdicts;
     Alcotest.test_case "compare pipelines" `Quick test_compare_pipelines_shape;
+    Alcotest.test_case "compare table columns align" `Quick
+      test_compare_columns_align;
     Alcotest.test_case "graph handoff: kernels" `Quick test_handoff_kernels;
     Qcheck_env.to_alcotest prop_handoff_generated;
     Alcotest.test_case "hoist pre-check: no candidate" `Quick

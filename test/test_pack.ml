@@ -5,8 +5,8 @@
    (global row-major / owner-local on either side); an end-to-end remap
    must leave every global value unchanged — the known answer — on both
    store backends and under both the sequential and the domain-parallel
-   executor; and the datapath counters follow the per-message
-   Direct/Staged rule exactly. *)
+   executor; and the modeled staging bill follows the per-message
+   staging rule ([Redist.message_stages]) exactly. *)
 
 open Hpfc_mapping
 open Hpfc_runtime
@@ -356,8 +356,8 @@ let prop_remap_exact_par =
         ~executor:(Test_par.par_executor ()) (src, dst))
 
 (* Self-message-rich remaps: identity layout pairs are all locals, so
-   the direct path touches no staging buffer at all — and must still
-   move every value exactly. *)
+   nothing is billed as staged — and must still move every value
+   exactly. *)
 let print_layout l = Fmt.str "%a" Layout.pp l
 
 let prop_identity_exact =
@@ -373,13 +373,12 @@ let prop_identity_exact =
           let m, _, _ = Test_comm.remap ~backend ~src:l ~dst:l float_of_int in
           let c = m.Machine.counters in
           (* a replicated layout broadcasts even onto itself: only the
-             cross-rank moves may stage, and a move-free identity remap
-             must touch no staging buffer at all *)
+             cross-rank moves may be billed as staged, and a move-free
+             identity remap bills nothing staged at all *)
           (backend = Store.Distributed || c.Machine.staged_bytes = 0)
           && (c.Machine.messages > 0
              || c.Machine.staged_bytes = 0
-                && c.Machine.run_blits = 0
-                && c.Machine.pool_hits + c.Machine.pool_misses = 0)
+                && c.Machine.run_blits = 0)
           && (c.Machine.local_moves = 0 || c.Machine.zero_copy_runs > 0))
         [ Store.Canonical; Store.Distributed ])
 
@@ -411,7 +410,7 @@ let test_self_message_corners () =
       layout_nd ~extents:[| 64 |] [| Dist.block |] 2 )
 
 (* Datapath accounting, charged from the memoized runs and decisions:
-   locals and Direct-eligible moves charge zero_copy_runs, the rest
+   locals and moves that would not stage charge zero_copy_runs, the rest
    blit twice and stage their bytes. *)
 let prop_zero_copy_charged =
   QCheck2.Test.make
@@ -419,7 +418,7 @@ let prop_zero_copy_charged =
     ~print:Test_redist_props.print_pair ~count:60 Test_redist_props.gen_pair
     (fun (src, dst) ->
       let extents = src.Layout.extents in
-      (* canonical: both sides Row_major, every message is Direct *)
+      (* canonical: both sides Row_major, no message would stage *)
       let m, s, d =
         Test_comm.remap ~backend:Store.Canonical ~src ~dst float_of_int
       in
@@ -439,8 +438,8 @@ let prop_zero_copy_charged =
         && c.Machine.zero_copy_runs
            = sum (segs rm) plan.Redist.locals + sum (segs rm) plan.Redist.moves
       in
-      (* distributed: per-rank buffers, only self-messages are Direct
-         and those are exactly the plan's locals *)
+      (* distributed: per-rank buffers, only self-messages would not
+         stage, and those are exactly the plan's locals *)
       let m', s', d' =
         Test_comm.remap ~backend:Store.Distributed ~src ~dst float_of_int
       in
@@ -454,50 +453,70 @@ let prop_zero_copy_charged =
       in
       canonical_ok && distributed_ok)
 
-(* --- (c) the staging-buffer pool ------------------------------------------------ *)
+(* --- (c) staging is billed, never performed ------------------------------ *)
 
-let test_pool_unit () =
-  let p = Comm.Pool.create () in
-  let hit, b1 = Comm.Pool.acquire p 100 in
-  Alcotest.(check bool) "fresh pool misses" false hit;
-  Alcotest.(check bool) "power-of-two class" true (Buf.length b1 = 128);
-  Alcotest.(check (float 0.0)) "fresh buffers read as zero" 0.0 (Buf.get b1 0);
-  Comm.Pool.release p b1;
-  let hit, b2 = Comm.Pool.acquire p 65 in
-  Alcotest.(check bool) "same class hits" true hit;
-  Alcotest.(check bool) "the very same buffer" true (b1 == b2);
-  let hit, b3 = Comm.Pool.acquire p 100 in
-  Alcotest.(check bool) "class emptied" false hit;
-  Comm.Pool.release p b2;
-  Comm.Pool.release p b3;
-  let hit, _ = Comm.Pool.acquire p 1 in
-  Alcotest.(check bool) "distinct class misses" false hit;
-  Alcotest.(check int) "hits counted" 1 (Comm.Pool.hits p);
-  Alcotest.(check int) "misses counted" 3 (Comm.Pool.misses p)
-
-(* Steady state: the sequential executor releases each staging buffer
-   before acquiring the next, so a warmed-up pool serves every staged
-   message of a repeated remap without allocating.  On the distributed
-   backend every cross-rank message stages. *)
-let test_pool_steady_state () =
+(* A distributed cross-rank remap, under both executors and both
+   lowerings: every message moves payload to payload, so nothing is
+   staged for real (the always-0 pool counters the benchmark reads stay
+   0), while the modeled bill is exactly its formula — every cross-rank
+   message would pack and unpack its segments and stage 8 bytes per
+   element, and [peak_bytes] is the lowering's peak round volume.
+   Block -> cyclic on 4 ranks slices every message under the collective
+   lowering (its slice cap is below the message size), so sliced
+   messages move whole at their offset-zero slice. *)
+let test_cross_rank_stages_nothing () =
   let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
   and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
-  (* p2p-pinned so hits count messages, not collective slices *)
-  let remap () =
-    Test_comm.remap ~backend:Store.Distributed ~lower:Exec.P2p ~src ~dst
-      float_of_int
-  in
-  let (_ : Machine.t * Store.t * Store.descriptor) = remap () in
-  let m, _, _ = remap () in
-  let c = m.Machine.counters in
-  Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
-  Alcotest.(check int) "warm pool never allocates" 0 c.Machine.pool_misses;
-  Alcotest.(check int) "every message a pool hit" c.Machine.messages
-    c.Machine.pool_hits
+  let ol = (owner_local src, owner_local dst) in
+  List.iter
+    (fun (what, executor) ->
+      List.iter
+        (fun (lname, lower) ->
+          let ctx = what ^ ", " ^ lname in
+          let m, s, d =
+            Test_comm.remap ~backend:Store.Distributed ?executor ~lower ~src
+              ~dst float_of_int
+          in
+          let c = m.Machine.counters in
+          let plan = Store.plan_for s d ~src:0 ~dst:1 in
+          let segments =
+            List.fold_left
+              (fun acc msg ->
+                acc
+                + Redist.nb_run_segments
+                    (Redist.message_runs ~src:(fst ol) ~dst:(snd ol) msg))
+              0 plan.Redist.moves
+          in
+          let peak =
+            if lower = Exec.Collective then Redist.peak_collective_volume plan
+            else Redist.peak_step_volume (Redist.step_program plan)
+          in
+          Alcotest.(check bool) (ctx ^ ": cross-rank messages") true
+            (c.Machine.messages > 0);
+          Alcotest.(check bool) (ctx ^ ": values moved") true
+            (Store.to_global (Store.get_copy d 1)
+            = Array.init 64 float_of_int);
+          Alcotest.(check int) (ctx ^ ": no staging buffer taken") 0
+            (c.Machine.pool_hits + c.Machine.pool_misses);
+          Alcotest.(check int) (ctx ^ ": run_blits = 2 * segments")
+            (2 * segments) c.Machine.run_blits;
+          Alcotest.(check int) (ctx ^ ": staged_bytes = 8 * volume")
+            (8 * c.Machine.volume) c.Machine.staged_bytes;
+          Alcotest.(check int) (ctx ^ ": peak_bytes = 8 * peak round")
+            (8 * peak) c.Machine.peak_bytes)
+        [ ("p2p", Exec.P2p); ("collective", Exec.Collective) ])
+    [ ("sequential", None); ("parallel", Some (Test_par.par_executor ())) ];
+  let plan = Redist.plan_intervals ~src ~dst in
+  Alcotest.(check bool) "collective slices every message" true
+    (List.for_all
+       (fun (msg : Redist.message) ->
+         (Redist.collective_program plan).Redist.c_slice_cap
+         < msg.Redist.m_count)
+       plan.Redist.moves)
 
-(* Zero-copy steady state: on the canonical backend every message is
-   Direct, so a remap touches the pool not at all — no staging
-   allocations even from cold — and charges zero_copy_runs instead. *)
+(* Zero-copy accounting: on the canonical backend no message would
+   stage (both sides are globally addressed), so a remap bills nothing
+   staged and charges zero_copy_runs instead. *)
 let test_zero_copy_steady_state () =
   let src = layout_nd ~extents:[| 64 |] [| Dist.block |] 4
   and dst = layout_nd ~extents:[| 64 |] [| Dist.cyclic |] 4 in
@@ -506,8 +525,6 @@ let test_zero_copy_steady_state () =
   in
   let c = m.Machine.counters in
   Alcotest.(check bool) "plan has messages" true (c.Machine.messages > 0);
-  Alcotest.(check int) "no staging buffers acquired" 0
-    (c.Machine.pool_hits + c.Machine.pool_misses);
   Alcotest.(check int) "nothing staged" 0 c.Machine.staged_bytes;
   Alcotest.(check int) "no staged blits" 0 c.Machine.run_blits;
   Alcotest.(check bool) "direct copies charged" true
@@ -521,9 +538,10 @@ let test_zero_copy_steady_state () =
    source and destination regions overlap on the shared buffer: the
    gather direction (global row-major -> owner-local) is only correct
    iterating forward, the scatter direction only iterating backward, so
-   both directions regression-test the overtaking check.  (The staged
-   path masks this class of bug — packing reads everything before any
-   write — which is exactly why the direct path needs its own test.) *)
+   both directions regression-test the overtaking check.  (A staging
+   copy would mask this class of bug — packing reads everything before
+   any write — which is why the payload-to-payload path needs its own
+   test.) *)
 let test_direct_overlap_inplace () =
   let n = 16 in
   let l = layout_nd ~extents:[| n |] [| Dist.cyclic |] 2 in
@@ -715,8 +733,8 @@ let test_copy_run_bounds () =
    through [Comm.execute] allocates the same minor words at twice the
    array size, where every run has twice the segments.  (Block ->
    cyclic compiles each message to one strided run whose segment count
-   grows with the extent; on the distributed backend the locals copy
-   direct and every cross-rank message stages.) *)
+   grows with the extent; on the distributed backend every message,
+   local or cross-rank, copies payload to payload.) *)
 let test_execute_allocation () =
   let words ~n =
     let src = layout_nd ~extents:[| n |] [| Dist.block |] 4
@@ -731,7 +749,7 @@ let test_execute_allocation () =
     let sep = Store.endpoint_of_copy (Store.get_copy d 0)
     and dep = Store.endpoint_of_copy (Store.get_copy d 1) in
     let plan = Redist.plan_intervals ~src ~dst in
-    (* warm: run memos, step program and staging pool *)
+    (* warm: run memos and step program *)
     Comm.execute mach ~src:sep ~dst:dep plan;
     Comm.execute mach ~src:sep ~dst:dep plan;
     let w0 = Gc.minor_words () in
@@ -766,8 +784,8 @@ let suite =
     Qcheck_env.to_alcotest prop_identity_exact;
     Alcotest.test_case "self-message corners" `Quick test_self_message_corners;
     Qcheck_env.to_alcotest prop_zero_copy_charged;
-    Alcotest.test_case "pool acquire/release" `Quick test_pool_unit;
-    Alcotest.test_case "pool steady state" `Quick test_pool_steady_state;
+    Alcotest.test_case "cross-rank remap stages nothing for real" `Quick
+      test_cross_rank_stages_nothing;
     Alcotest.test_case "zero-copy steady state" `Quick
       test_zero_copy_steady_state;
     Alcotest.test_case "direct path in-place overlap" `Quick

@@ -244,6 +244,79 @@ let test_lru_race () =
     true
     (m.Machine.counters.Machine.plan_evictions > 0)
 
+(* Concurrent cross-rank writes: a 2-D block <-> cyclic remap over a
+   4 x 4 grid sends from every rank to every rank, so in every round of
+   its schedule all 16 ranks send and receive, and the pool's 3 domains
+   write disjoint regions of the destination's per-rank buffers at
+   once.  Pinned to the collective lowering, whose slice cap sits below
+   every message's size, so every message is sliced and moves whole at
+   its offset-zero slice.  Fifty parallel runs must each reproduce the
+   sequential and the canonical runs bit for bit, with byte-identical
+   modeled counters. *)
+let test_concurrent_cross_rank_writes () =
+  let extents = [| 64; 64 |] and grid = Procs.make "G" [| 4; 4 |] in
+  let layout dists =
+    Layout.of_mapping ~extents
+      (Mapping.direct ~array_name:"a" ~extents ~dist:dists ~procs:grid)
+  in
+  let src = layout [| Dist.block; Dist.block |]
+  and dst = layout [| Dist.cyclic; Dist.cyclic |] in
+  let fill k = (float_of_int k *. 1.25) -. 7.0 in
+  let run ?executor backend =
+    let m = Machine.create ~nprocs:16 ~lower:Exec.Collective () in
+    let s = Store.create ~backend ?executor m in
+    let d = Store.add_descriptor s ~name:"a" ~extents ~nb_versions:2 () in
+    Store.alloc s d 0 src;
+    d.Store.status <- Some 0;
+    Store.set_live s d 0 true;
+    Store.fill_copy (Store.get_copy d 0) fill;
+    Store.alloc s d 1 dst;
+    Store.copy_version s d ~src:0 ~dst:1 ~with_data:true;
+    let bits =
+      Array.map Int64.bits_of_float (Store.to_global (Store.get_copy d 1))
+    in
+    (bits, m.Machine.counters, Store.plan_for s d ~src:0 ~dst:1)
+  in
+  let canonical, cc, plan = run Store.Canonical in
+  let sequential, cs, _ = run Store.Distributed in
+  let rounds = Comm.rounds ~collective:true plan in
+  Alcotest.(check bool) "every message is sliced" true
+    (List.for_all
+       (fun (m : Redist.message) ->
+         (Redist.collective_program plan).Redist.c_slice_cap
+         < m.Redist.m_count)
+       plan.Redist.moves);
+  List.iteri
+    (fun i r ->
+      let senders = ref [] and receivers = ref [] in
+      Comm.iter_items
+        (fun (m : Redist.message) _ _ ->
+          senders := m.Redist.m_from :: !senders;
+          receivers := m.Redist.m_to :: !receivers)
+        r;
+      let distinct l = List.length (List.sort_uniq compare l) in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "round %d: all 16 ranks send and receive" i)
+        (16, 16)
+        (distinct !senders, distinct !receivers))
+    rounds;
+  Alcotest.(check bool) "sequential = canonical payload" true
+    (sequential = canonical);
+  let scrub ~varying c = Machine.scrub ~varying c in
+  Alcotest.(check bool) "canonical and sequential agree on modeled counters"
+    true
+    (scrub ~varying:[ Backend ] cc = scrub ~varying:[ Backend ] cs);
+  for i = 1 to 50 do
+    let parallel, cp, _ = run ~executor:(par_executor ()) Store.Distributed in
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: parallel = sequential payload" i)
+      true (parallel = sequential);
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: modeled counters byte-identical" i)
+      true
+      (scrub ~varying:[ Par ] cp = scrub ~varying:[ Par ] cs)
+  done
+
 let suite =
   [
     Qcheck_env.to_alcotest prop_par_equals_seq;
@@ -258,4 +331,6 @@ let suite =
       test_destroyed_pool_faults;
     Alcotest.test_case "plan-cache LRU eviction vs stepped remaps" `Quick
       test_lru_race;
+    Alcotest.test_case "concurrent cross-rank writes, sliced messages" `Quick
+      test_concurrent_cross_rank_writes;
   ]

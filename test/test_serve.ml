@@ -305,8 +305,7 @@ let test_fusion_footprint_includes_locals () =
 
 (* Two tenants' remaps between the same layout pair, executed as one
    fused group: both machines must end with the exact per-member
-   counters and data of a solo [Comm.execute] (only the staging pool
-   split may differ, and on the canonical backend nothing stages). *)
+   counters and data of a solo [Comm.execute]. *)
 let test_execute_fused_equals_solo () =
   let ls = Lazy.force layouts in
   let src_l = ls.(0) and dst_l = ls.(1) in
